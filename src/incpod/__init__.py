@@ -35,7 +35,6 @@ from .incremental import (
     SvdState,
     Tolerances,
     UpdateReport,
-    error_bound,
     initialize,
     pod_output,
     reconstruct,
@@ -52,7 +51,6 @@ from .perturbation import (
 )
 from .weighted_linalg import (
     WeightMatrix,
-    cholesky,
     m_inner,
     m_norm,
     m_orthonormality_defect,

@@ -10,10 +10,10 @@ Exit codes: 0 success, 1 usage, 2 data/format error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,11 @@ from .errors import (
     InvalidInputError,
     NotPositiveDefiniteError,
     PreconditionViolationError,
-    ZeroColumnError,
 )
 from .fhn import FhnParams, Mesh1D, build_weight_matrix, simulate
-from .incremental import Tolerances, initialize, pod_output, update
+# ``update`` is not called here; bench/tracer.py wraps ``incpod.cli.update``
+# by name and expects it to exist.
+from .incremental import Tolerances, pod_output, run_stream, update  # noqa: F401
 from .io_formats import (
     checkpoint,
     read_stream,
@@ -55,36 +56,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flags shared by the subcommands."""
+def _checked(convert, ok, what):
+    """argparse ``type`` that converts the text and requires ``ok(value)``."""
 
-    subcommand: str
-    tol: float = 1e-10
-    tol_sv: float = 1e-10
-    nodes: int = 500
-    t_final: float = 10.0
-    input: str | None = None
-    output: str | None = None
-    checkpoint_every: int = 0
-    keep_w: bool = True
-    seed: int = 0
-    random: tuple[int, int, int] | None = None
-    resume: str | None = None
-    max_columns: int = 20000
-    deterministic: bool = True
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
 
-    def __post_init__(self):
-        if not (self.tol > 0.0 and self.tol_sv > 0.0):
-            raise UsageError("tolerances must be positive")
-        if self.nodes < 2:
-            raise UsageError("--nodes must be at least 2")
-        if self.t_final <= 0.0:
-            raise UsageError("--t-final must be positive")
-        if self.input and self.output and self.input == self.output:
-            raise UsageError("--input and --output prefixes must differ")
-        if self.checkpoint_every < 0:
-            raise UsageError("--checkpoint-every must be nonnegative")
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
+_NODES = _checked(int, lambda v: v >= 2, "at least 2")
+_NONNEGATIVE = _checked(int, lambda v: v >= 0, "nonnegative")
+_MAX_COLUMNS = 20000
 
 
 def build_parser():
@@ -93,26 +80,26 @@ def build_parser():
 
     def add_common(p, with_tols=True):
         if with_tols:
-            p.add_argument("--tol", type=float, default=1e-10)
-            p.add_argument("--tol-sv", type=float, default=1e-10)
+            p.add_argument("--tol", type=_POSITIVE, default=1e-10)
+            p.add_argument("--tol-sv", type=_POSITIVE, default=1e-10)
         p.add_argument("--input")
         p.add_argument("--output", required=True)
-        p.add_argument("--seed", type=int, default=0)
 
     p_sim = sub.add_parser("simulate", help="generate FHN snapshots + weight matrix")
-    p_sim.add_argument("--nodes", type=int, default=500)
-    p_sim.add_argument("--t-final", type=float, default=10.0)
-    add_common(p_sim, with_tols=False)
+    p_sim.add_argument("--nodes", type=_NODES, default=500)
+    p_sim.add_argument("--t-final", type=_POSITIVE, default=10.0)
+    p_sim.add_argument("--output", required=True)
 
     p_pod = sub.add_parser("pod", help="stream the snapshots through the SVD update")
     add_common(p_pod)
-    p_pod.add_argument("--checkpoint-every", type=int, default=0)
-    p_pod.add_argument("--no-w", action="store_true", help="skip right singular vectors")
+    p_pod.add_argument("--checkpoint-every", type=_NONNEGATIVE, default=0)
+    p_pod.add_argument("--no-w", action="store_true",
+                       help="skip right singular vectors (no checkpoint or resume)")
     p_pod.add_argument("--resume", help="checkpoint file to continue from")
 
     p_ver = sub.add_parser("verify", help="tolerance sweep against the exact oracle")
-    add_common(p_ver)
-    p_ver.add_argument("--max-columns", type=int, default=20000)
+    add_common(p_ver, with_tols=False)  # verify sweeps fixed tolerance grids
+    p_ver.add_argument("--max-columns", type=int, default=_MAX_COLUMNS)
     p_ver.add_argument(
         "--random",
         nargs=3,
@@ -123,42 +110,24 @@ def build_parser():
 
     p_rep = sub.add_parser("report", help="singular value / mode error CSVs")
     add_common(p_rep)
+    p_rep.set_defaults(max_columns=_MAX_COLUMNS)
     return parser
 
 
-def _config_from_args(args):
-    fields = {
-        "subcommand": args.subcommand,
-        "input": getattr(args, "input", None),
-        "output": args.output,
-        "seed": args.seed,
-        "deterministic": os.environ.get("POD_DETERMINISTIC", "1") != "0",
-    }
-    for name in ("tol", "tol_sv", "nodes", "t_final", "checkpoint_every",
-                 "max_columns", "resume"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if getattr(args, "no_w", False):
-        fields["keep_w"] = False
-    if getattr(args, "random", None):
-        fields["random"] = tuple(args.random)
-    return RunConfig(**fields)
-
-
-def _load_inputs(cfg, materialize=False):
-    if not cfg.input:
+def _load_inputs(args, materialize=False):
+    if not args.input:
         raise UsageError("--input is required for this subcommand")
-    M = read_weight_matrix(cfg.input + ".wm")
+    M = read_weight_matrix(args.input + ".wm")
     if materialize:
         times, weights, U = read_stream_matrix(
-            cfg.input + ".pods", max_columns=cfg.max_columns
+            args.input + ".pods", max_columns=args.max_columns
         )
         if U.shape[0] != M.dim:
             raise FormatError(
                 f"stream dimension {U.shape[0]} does not match weight matrix {M.dim}"
             )
         return M, U
-    reader = read_stream(cfg.input + ".pods")
+    reader = read_stream(args.input + ".pods")
     if reader.m != M.dim:
         reader.close()
         raise FormatError(
@@ -167,13 +136,13 @@ def _load_inputs(cfg, materialize=False):
     return M, reader
 
 
-def cmd_simulate(cfg):
+def cmd_simulate(args):
     t0 = time.perf_counter()
-    mesh = Mesh1D(cfg.nodes)
-    snaps = simulate(FhnParams(), mesh, cfg.t_final)
+    mesh = Mesh1D(args.nodes)
+    snaps = simulate(FhnParams(), mesh, args.t_final)
     M = build_weight_matrix(mesh)
-    write_stream(cfg.output + ".pods", snaps.times, snaps.weights, snaps.columns)
-    write_weight_matrix(cfg.output + ".wm", M)
+    write_stream(args.output + ".pods", snaps.times, snaps.weights, snaps.columns)
+    write_weight_matrix(args.output + ".wm", M)
     wall = time.perf_counter() - t0
     print(f"s={snaps.count} m={snaps.m} wall={wall:.2f}s")
     return 0
@@ -185,64 +154,45 @@ def _atomic_checkpoint(state, path, tols):
     os.replace(tmp, path)
 
 
-class _TraceWriter:
-    """Streams per-column trace rows so memory stays O(m k)."""
-
-    def __init__(self, fh):
-        import csv
-
-        self._writer = csv.writer(fh)
-        self._writer.writerow(["n", "k", "p", "e_p", "e_sv", "e"])
-
-    def row(self, n, k, p, e_p, e_sv, e):
-        self._writer.writerow(
-            [str(n), str(k), f"{p:.17g}", f"{e_p:.17g}", f"{e_sv:.17g}", f"{e:.17g}"]
-        )
-
-
-def cmd_pod(cfg):
-    M, reader = _load_inputs(cfg)
-    tols = Tolerances(cfg.tol, cfg.tol_sv)
-    ckpt_path = cfg.output + ".podc"
-    init_tol = 1e-14 * float(np.sqrt(np.max(M.diagonal())))
-
+def cmd_pod(args):
+    if args.no_w and (args.checkpoint_every or args.resume):
+        raise UsageError("--no-w keeps no right singular vectors to checkpoint or resume")
+    M, reader = _load_inputs(args)
+    tols = Tolerances(args.tol, args.tol_sv)
+    ckpt_path = args.output + ".podc"
     state = None
-    replay = 0  # columns the restored state already consumed
-    if cfg.resume:
-        state, tols = restore(cfg.resume)
-        replay = state.n
+    with reader:
+        if args.resume:
+            state, tols = restore(args.resume)
+            if state.V.shape[0] != M.dim:
+                raise FormatError(
+                    f"checkpoint dimension {state.V.shape[0]} does not match stream {M.dim}"
+                )
+        with open(args.output + "_trace.csv", "w", newline="") as trace_fh:
+            # rows go straight to the file, so the trace's memory does not
+            # grow with the column count
+            trace = csv.writer(trace_fh)
+            trace.writerow(["n", "k", "p", "e_p", "e_sv", "e"])
 
-    with reader, open(cfg.output + "_trace.csv", "w", newline="") as trace_fh:
-        trace = _TraceWriter(trace_fh)
-        for t, w, c in reader:
-            if replay > 0:
-                # replay the original consume/skip decisions: only columns
-                # ahead of the first consumed one can have been skipped
-                before_first_consumed = replay == state.n
-                if before_first_consumed and m_norm(c, M) <= init_tol:
-                    continue
-                replay -= 1
-                continue
-            if state is None:
-                try:
-                    state = initialize(c, M, keep_w=cfg.keep_w)
-                except ZeroColumnError:
-                    continue
-                trace.row(state.n, state.k, 0.0, 0.0, 0.0, state.e)
-            else:
-                state, rep = update(state, c, M, tols)
-                trace.row(state.n, state.k, rep.p, rep.e_p, rep.e_sv, state.e)
-            if cfg.checkpoint_every and state.n % cfg.checkpoint_every == 0:
-                if state.W is not None:
+            def on_column(state, rep):
+                terms = (0.0, 0.0, 0.0) if rep is None else (rep.p, rep.e_p, rep.e_sv)
+                trace.writerow(
+                    [str(state.n), str(state.k)]
+                    + [f"{v:.17g}" for v in (*terms, state.e)]
+                )
+                if args.checkpoint_every and state.n % args.checkpoint_every == 0:
                     _atomic_checkpoint(state, ckpt_path, tols)
-        if state is None:
-            raise InvalidInputError("stream contained no usable columns")
+
+            columns = (c for _, _, c in reader)
+            state, _ = run_stream(
+                columns, M, tols, keep_w=not args.no_w, state=state, on_column=on_column
+            )
 
     if state.W is not None:
         _atomic_checkpoint(state, ckpt_path, tols)
     modes, eigenvalues = pod_output(state)
     write_csv(
-        cfg.output + "_eigenvalues.csv",
+        args.output + "_eigenvalues.csv",
         ["index", "sigma", "eigenvalue"],
         [(i + 1, state.sigma[i], eigenvalues[i]) for i in range(state.k)],
     )
@@ -273,16 +223,16 @@ def _distinct_prefix(sigma, k):
     return usable
 
 
-def cmd_verify(cfg):
-    if cfg.random:
-        m, n, seed = cfg.random
+def cmd_verify(args):
+    if args.random:
+        m, n, seed = args.random
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((m, m))
         M = WeightMatrix(((A @ A.T) + (A @ A.T).T) / 2.0 + m * np.eye(m))
         U = rng.standard_normal((m, n))
         grid = [Tolerances(1e-300, 1e-300)]
     else:
-        M, U = _load_inputs(cfg, materialize=True)
+        M, U = _load_inputs(args, materialize=True)
         grid = list(VERIFY_GRID)
 
     ex = exact_weighted_svd(U, M)
@@ -293,7 +243,7 @@ def cmd_verify(cfg):
         dominated = row.exact_error <= row.incr_error_bound + 1e-10 * sigma1
         out_rows.append(row.csv_values() + (dominated,))
     write_csv(
-        cfg.output + "_sweep.csv",
+        args.output + "_sweep.csv",
         ["tol", "tol_sv", "rank", "exact_error", "incr_error_bound", "dominated"],
         out_rows,
     )
@@ -305,7 +255,7 @@ def cmd_verify(cfg):
     if k >= 1:
         bound_rows = vector_bound_check(ex, tight.state, M, eps, k)
         write_csv(
-            cfg.output + "_modes.csv",
+            args.output + "_modes.csv",
             ["j", "sigma_j", "eps_j", "E_j", "gap_ok", "v_err", "v_bound",
              "w_err", "w_bound"],
             [r.csv_values() for r in bound_rows],
@@ -315,9 +265,9 @@ def cmd_verify(cfg):
     return 0 if all_dominated else 3
 
 
-def cmd_report(cfg):
-    M, U = _load_inputs(cfg, materialize=True)
-    tols = Tolerances(cfg.tol, cfg.tol_sv)
+def cmd_report(args):
+    M, U = _load_inputs(args, materialize=True)
+    tols = Tolerances(args.tol, args.tol_sv)
     rows = tolerance_sweep(U, M, [tols])
     state = rows[0].state
     ex = exact_weighted_svd(U, M)
@@ -333,7 +283,7 @@ def cmd_report(cfg):
             )
         )
     write_csv(
-        cfg.output + "_singular_values.csv",
+        args.output + "_singular_values.csv",
         ["index", "exact_sigma", "incremental_sigma"],
         sv_rows,
     )
@@ -341,7 +291,7 @@ def cmd_report(cfg):
     shared = min(ex.k, state.k)
     errs = _mode_errors(ex, state, M, shared)
     write_csv(
-        cfg.output + "_mode_errors.csv",
+        args.output + "_mode_errors.csv",
         ["index", "sigma", "m_norm_error"],
         [(j + 1, ex.sigma[j], errs[j]) for j in range(shared)],
     )
@@ -361,12 +311,13 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
+        if getattr(args, "input", None) == args.output:
+            raise UsageError("--input and --output prefixes must differ")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _DISPATCH[cfg.subcommand](cfg)
+        return _DISPATCH[args.subcommand](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -13,10 +13,11 @@ largest dropped value to the bound).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .errors import InvalidInputError, ZeroColumnError
+from .errors import FormatError, InvalidInputError, ZeroColumnError
 from .weighted_linalg import (
     m_norm,
     modified_gram_schmidt_weighted,
@@ -29,7 +30,6 @@ __all__ = [
     "UpdateReport",
     "initialize",
     "update",
-    "error_bound",
     "reconstruct",
     "pod_output",
     "run_stream",
@@ -69,51 +69,31 @@ class SvdState:
     T_sv: int = 0
     e_comp: float = field(default=0.0, repr=False)  # Kahan compensation
 
-    @property
-    def keeps_w(self):
-        return self.W is not None
-
-    def copy(self):
-        return SvdState(
-            V=self.V.copy(),
-            sigma=self.sigma.copy(),
-            W=None if self.W is None else self.W.copy(),
-            k=self.k,
-            n=self.n,
-            e=self.e,
-            T_p=self.T_p,
-            T_sv=self.T_sv,
-            e_comp=self.e_comp,
-        )
-
 
 @dataclass(frozen=True)
 class UpdateReport:
     """Per-column diagnostics of one update step."""
 
     p: float
-    d: np.ndarray
     e_p: float
     e_sv: float
-    r: int
     rank_grew: bool
     reorthogonalized: bool
 
 
-def initialize(c, M, keep_w=True, init_tol=None):
+def initialize(c, M, keep_w=True):
     """Start a decomposition from a single nonzero column.
 
-    ``init_tol`` defaults to 1e-14 * sqrt(max diagonal of M); a column at
-    or below it raises :class:`ZeroColumnError` (the caller may skip the
-    column and retry with the next one).
+    A column whose M-norm is at or below 1e-14 * sqrt(max diagonal of M)
+    raises :class:`ZeroColumnError` (the caller may skip the column and
+    retry with the next one).
     """
     # contiguous copy: memory layout must not influence the arithmetic,
     # so every caller (file reader, matrix view) produces identical bits
     c = np.ascontiguousarray(c, dtype=np.float64)
     if not np.isfinite(c).all():
         raise InvalidInputError("column contains non-finite entries")
-    if init_tol is None:
-        init_tol = 1e-14 * float(np.sqrt(np.max(M.diagonal())))
+    init_tol = 1e-14 * float(np.sqrt(np.max(M.diagonal())))
     nrm = m_norm(c, M)
     if nrm <= init_tol:
         raise ZeroColumnError(f"column norm {nrm:.3e} is at or below {init_tol:.3e}")
@@ -145,7 +125,7 @@ def update(state, c, M, tols, reorth_threshold=None):
     first and last columns have drifted measurably out of M-orthogonality.
 
     ``reorth_threshold`` overrides the drift threshold, which defaults to
-    min(tol, tol * m).
+    ``tol``.
 
     Returns ``(state, UpdateReport)``.
     """
@@ -209,9 +189,7 @@ def update(state, c, M, tols, reorth_threshold=None):
     else:
         e_sv = 0.0
 
-    threshold = (
-        min(tols.tol, tols.tol * m) if reorth_threshold is None else reorth_threshold
-    )
+    threshold = tols.tol if reorth_threshold is None else reorth_threshold
     drift = abs(float(state.V[:, -1] @ M.matvec(state.V[:, 0])))
     reorthogonalized = False
     if drift > threshold:
@@ -228,19 +206,12 @@ def update(state, c, M, tols, reorth_threshold=None):
 
     report = UpdateReport(
         p=p,
-        d=d,
         e_p=e_p,
         e_sv=e_sv,
-        r=state.k,
         rank_grew=not no_growth,
         reorthogonalized=reorthogonalized,
     )
     return state, report
-
-
-def error_bound(state):
-    """Accumulated upper bound on the weighted operator-norm error."""
-    return state.e
 
 
 def reconstruct(state):
@@ -255,25 +226,46 @@ def pod_output(state):
     return state.V, state.sigma**2
 
 
-def run_stream(columns, M, tols, keep_w=True, reorth_threshold=None):
+def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
     """Feed an iterable of columns through initialize + update.
 
     Leading columns rejected as :class:`ZeroColumnError` are skipped (they
     carry no information for the decomposition); their count is returned so
     callers comparing against the full matrix can left-pad.
 
+    ``state``, if given, is a restored decomposition of a prefix of this
+    stream: its leading zero columns and the ``state.n`` columns it consumed
+    are passed over (a :class:`FormatError` if the stream ends first), and
+    the remaining columns update it. ``on_column(state, report)`` is called
+    after every column that changes the state; ``report`` is the
+    :class:`UpdateReport`, or None for the column that initialized it.
+
     Returns ``(state, n_skipped)``.
     """
-    state = None
-    n_skipped = 0
+    columns = iter(columns)
+    first, n_skipped = None, 0
     for c in columns:
-        if state is None:
-            try:
-                state = initialize(c, M, keep_w=keep_w)
-            except ZeroColumnError:
-                n_skipped += 1
-            continue
-        update(state, c, M, tols, reorth_threshold=reorth_threshold)
+        try:
+            first = initialize(c, M, keep_w=keep_w)
+            break
+        except ZeroColumnError:
+            n_skipped += 1
     if state is None:
-        raise InvalidInputError("stream contained no usable columns")
+        if first is None:
+            raise InvalidInputError("stream contained no usable columns")
+        state = first
+        if on_column is not None:
+            on_column(state, None)
+    else:
+        # the restored state also started from ``first``; pass over the
+        # state.n - 1 columns it consumed after that one
+        passed = 0 if first is None else 1 + sum(1 for _ in islice(columns, state.n - 1))
+        if passed < state.n:
+            raise FormatError(
+                f"stream ends after {passed} of the {state.n} columns the state consumed"
+            )
+    for c in columns:
+        state, report = update(state, c, M, tols)
+        if on_column is not None:
+            on_column(state, report)
     return state, n_skipped

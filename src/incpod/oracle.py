@@ -22,7 +22,6 @@ __all__ = [
     "exact_weighted_svd",
     "exact_error",
     "tolerance_sweep",
-    "write_sweep_csv",
 ]
 
 
@@ -87,17 +86,6 @@ class SweepRow:
 
     def csv_values(self):
         return (self.tol, self.tol_sv, self.rank, self.exact_error, self.incr_error_bound)
-
-
-def write_sweep_csv(path, rows):
-    """Serialize sweep rows with exactly the five table columns."""
-    from .io_formats import write_csv
-
-    write_csv(
-        path,
-        ["tol", "tol_sv", "rank", "exact_error", "incr_error_bound"],
-        [row.csv_values() for row in rows],
-    )
 
 
 def _as_matrix(snapshots):

@@ -21,7 +21,6 @@ __all__ = [
     "WeightMatrix",
     "m_inner",
     "m_norm",
-    "cholesky",
     "modified_gram_schmidt_weighted",
     "small_svd",
     "weighted_operator_norm",
@@ -149,11 +148,6 @@ def m_norm(x, M):
     """
     x = _check_vector(x, M.dim, "x")
     return float(np.sqrt(abs(x @ M.matvec(x))))
-
-
-def cholesky(M):
-    """Lower-triangular factor L with M = L L^T, cached on the WeightMatrix."""
-    return M.chol
 
 
 def modified_gram_schmidt_weighted(V, M, rank_tol_factor=1e-14):

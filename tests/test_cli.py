@@ -1,4 +1,6 @@
 import csv
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,15 @@ def read_csv_rows(path):
         return list(csv.reader(fh))
 
 
+def write_prefix(prefix, source, times, weights, cols):
+    """Stream ``cols`` to ``prefix.pods``, with ``source``'s weight matrix."""
+    n = cols.shape[1]
+    with StreamWriter(prefix + ".pods", cols.shape[0], count=n) as w:
+        for j in range(n):
+            w.write_column(times[j], weights[j], cols[:, j])
+    shutil.copy(source + ".wm", prefix + ".wm")
+
+
 class TestUsageErrors:
     def test_nodes_too_small(self, tmp_path):
         assert main(["simulate", "--nodes", "1", "--output", str(tmp_path / "x")]) == 1
@@ -37,6 +48,12 @@ class TestUsageErrors:
 
     def test_same_input_output(self, fhn_prefix):
         assert main(["pod", "--input", fhn_prefix, "--output", fhn_prefix]) == 1
+
+    @pytest.mark.parametrize("flag", [["--checkpoint-every", "5"], ["--resume", "x.podc"]],
+                             ids=["checkpoint_every", "resume"])
+    def test_no_w_cannot_checkpoint(self, fhn_prefix, tmp_path, flag):
+        out = str(tmp_path / "p")
+        assert main(["pod", "--input", fhn_prefix, "--output", out, "--no-w", *flag]) == 1
 
 
 class TestSimulate:
@@ -86,28 +103,30 @@ class TestPod:
         assert main(["pod", "--input", str(tmp_path / "nope"),
                      "--output", str(tmp_path / "o")]) == 2
 
-    def test_checkpoint_resume_bitwise(self, fhn_prefix, tmp_path):
+    @pytest.mark.parametrize("leading_zeros", [0, 3])
+    def test_checkpoint_resume_bitwise(self, fhn_prefix, tmp_path, leading_zeros):
         times, weights, cols = read_stream_matrix(fhn_prefix + ".pods")
-        cut = cols.shape[1] // 2
+        # zero columns ahead of the data: skipped, and passed over on resume
+        cols = np.hstack([np.zeros((cols.shape[0], leading_zeros)), cols])
+        times = np.concatenate([np.zeros(leading_zeros), times])
+        weights = np.concatenate([np.ones(leading_zeros), weights])
+        full_prefix = str(tmp_path / "data")
+        write_prefix(full_prefix, fhn_prefix, times, weights, cols)
+        cut = leading_zeros + (cols.shape[1] - leading_zeros) // 2
 
         # uninterrupted reference
         full_out = str(tmp_path / "full")
-        assert main(["pod", "--input", fhn_prefix, "--output", full_out]) == 0
+        assert main(["pod", "--input", full_prefix, "--output", full_out]) == 0
 
         # interrupted: pod over a truncated copy, checkpointing as we go
         part_prefix = str(tmp_path / "part")
-        with StreamWriter(part_prefix + ".pods", cols.shape[0], count=cut) as w:
-            for j in range(cut):
-                w.write_column(times[j], weights[j], cols[:, j])
-        import shutil
-
-        shutil.copy(fhn_prefix + ".wm", part_prefix + ".wm")
+        write_prefix(part_prefix, fhn_prefix, times, weights, cols[:, :cut])
         part_out = str(tmp_path / "part_run")
         assert main(["pod", "--input", part_prefix, "--output", part_out]) == 0
 
         # resume over the full stream from the mid-run checkpoint
         resumed_out = str(tmp_path / "resumed")
-        assert main(["pod", "--input", fhn_prefix, "--output", resumed_out,
+        assert main(["pod", "--input", full_prefix, "--output", resumed_out,
                      "--resume", part_out + ".podc"]) == 0
 
         assert (
@@ -118,6 +137,26 @@ class TestPod:
             open(resumed_out + "_eigenvalues.csv").read()
             == open(full_out + "_eigenvalues.csv").read()
         )
+
+    @pytest.mark.parametrize("mismatch", ["short_stream", "other_m"])
+    def test_resume_rejects_foreign_checkpoint(self, fhn_prefix, tmp_path, mismatch):
+        if mismatch == "short_stream":
+            # the checkpoint consumed the whole stream; resume over 10 columns
+            source = fhn_prefix
+            times, weights, cols = read_stream_matrix(fhn_prefix + ".pods")
+            stream = str(tmp_path / "short")
+            write_prefix(stream, fhn_prefix, times, weights, cols[:, :10])
+        else:
+            source = str(tmp_path / "other")
+            assert main(["simulate", "--nodes", "30", "--t-final", "0.2",
+                         "--output", source]) == 0
+            stream = fhn_prefix
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["pod", "--input", source, "--output", ckpt]) == 0
+        before = Path(ckpt + ".podc").read_bytes()
+        assert main(["pod", "--input", stream, "--output", ckpt,
+                     "--resume", ckpt + ".podc"]) == 2
+        assert Path(ckpt + ".podc").read_bytes() == before
 
     def test_no_w_flag(self, fhn_prefix, tmp_path):
         import os

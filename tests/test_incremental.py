@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from incpod.errors import InvalidInputError, ZeroColumnError
+from incpod.errors import FormatError, InvalidInputError, ZeroColumnError
 from incpod.incremental import (
     SvdState,
     Tolerances,
-    error_bound,
     initialize,
     pod_output,
     reconstruct,
@@ -238,12 +237,12 @@ class TestZeroRowStructure:
 class TestErrorBound:
     def test_fresh_state_zero(self):
         s = initialize([1.0, 2.0], WeightMatrix(np.eye(2)))
-        assert error_bound(s) == 0.0
+        assert s.e == 0.0
 
     def test_zero_after_exact_updates(self, rng):
         M = random_weight(rng, 10)
         s = stream_matrix(rng.standard_normal((10, 6)), M, EXACT)
-        assert error_bound(s) == 0.0
+        assert s.e == 0.0
         assert s.T_p == 0 and s.T_sv == 0
 
     def test_capped_by_event_counts(self, rng):
@@ -252,7 +251,7 @@ class TestErrorBound:
         base = m_orthonormal_columns(rng, M, 2)
         U = base @ rng.standard_normal((2, 25)) + 1e-5 * rng.standard_normal((12, 25))
         s = stream_matrix(U, M, tols)
-        assert error_bound(s) <= s.T_p * tols.tol + s.T_sv * tols.tol_sv
+        assert s.e <= s.T_p * tols.tol + s.T_sv * tols.tol_sv
 
 
 class TestReconstruct:
@@ -303,6 +302,27 @@ class TestRunStream:
         state, skipped = run_stream(iter(U.T), M, EXACT)
         assert skipped == 1
         assert state.n == 3
+
+    def test_resume_passes_over_consumed_columns(self, rng):
+        M = random_weight(rng, 6)
+        U = rng.standard_normal((6, 12))
+        U[:, :2] = 0.0
+        tols = Tolerances(1e-8, 1e-8)
+        full, _ = run_stream(iter(U.T), M, tols)
+        seen = []
+        part, skipped = run_stream(iter(U[:, :7].T), M, tols,
+                                   on_column=lambda s, r: seen.append((s.n, r is None)))
+        assert skipped == 2 and seen == [(1, True)] + [(n, False) for n in range(2, 6)]
+        resumed, _ = run_stream(iter(U.T), M, tols, state=part)
+        assert resumed.n == full.n and resumed.e == full.e
+        assert np.array_equal(resumed.V, full.V) and np.array_equal(resumed.W, full.W)
+
+    def test_resume_over_short_stream_rejected(self, rng):
+        M = random_weight(rng, 6)
+        U = rng.standard_normal((6, 8))
+        state, _ = run_stream(iter(U.T), M, EXACT)
+        with pytest.raises(FormatError):
+            run_stream(iter(U[:, :5].T), M, EXACT, state=state)
 
     def test_all_zero_stream_rejected(self):
         M = WeightMatrix(np.eye(3))

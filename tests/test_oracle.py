@@ -160,13 +160,3 @@ class TestToleranceSweep:
     def test_empty_stream(self):
         with pytest.raises(InvalidInputError):
             tolerance_sweep(np.zeros((4, 0)), WeightMatrix(np.eye(4)), [Tolerances()])
-
-    def test_sweep_csv_columns(self, rng, tmp_path):
-        from incpod.oracle import write_sweep_csv
-
-        M = random_weight(rng, 6)
-        rows = tolerance_sweep(rng.standard_normal((6, 4)), M, [Tolerances()])
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, rows)
-        header = path.read_text().splitlines()[0]
-        assert header == "tol,tol_sv,rank,exact_error,incr_error_bound"

@@ -9,7 +9,6 @@ from incpod.errors import (
 )
 from incpod.weighted_linalg import (
     WeightMatrix,
-    cholesky,
     m_inner,
     m_norm,
     m_orthonormality_defect,
@@ -90,26 +89,26 @@ class TestMNorm:
 
 class TestCholesky:
     def test_identity(self):
-        assert np.array_equal(cholesky(WeightMatrix(np.eye(3))), np.eye(3))
+        assert np.array_equal(WeightMatrix(np.eye(3)).chol, np.eye(3))
 
     def test_diagonal(self):
-        L = cholesky(WeightMatrix(np.diag([4.0, 9.0])))
+        L = WeightMatrix(np.diag([4.0, 9.0])).chol
         assert np.allclose(L, np.diag([2.0, 3.0]), atol=0)
 
     def test_two_by_two_roundtrip(self):
         M = np.array([[2.0, 1.0], [1.0, 2.0]])
-        L = cholesky(WeightMatrix(M))
+        L = WeightMatrix(M).chol
         assert np.max(np.abs(M - L @ L.T)) <= 1e-14
 
     @pytest.mark.parametrize("m", [5, 50, 200])
     def test_random_spd_roundtrip(self, rng, m):
         M = random_spd(rng, m)
-        L = cholesky(WeightMatrix(M))
+        L = WeightMatrix(M).chol
         assert np.max(np.abs(M - L @ L.T)) <= 1e-12 * np.max(np.abs(M))
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            cholesky(WeightMatrix(np.diag([1.0, -1.0])))
+            WeightMatrix(np.diag([1.0, -1.0])).chol
         assert exc.value.pivot >= 0
 
     def test_sparse_banded_roundtrip(self):
@@ -119,7 +118,7 @@ class TestCholesky:
             [-1, 0, 1],
         )
         W = WeightMatrix(M)
-        L = cholesky(W)
+        L = W.chol
         assert scipy.sparse.issparse(L)
         err = np.max(np.abs((M - L @ L.T).toarray()))
         assert err <= 1e-12 * 4.0
@@ -127,7 +126,7 @@ class TestCholesky:
     def test_sparse_not_positive_definite(self):
         M = scipy.sparse.diags([1.0, -2.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError):
-            cholesky(WeightMatrix(M))
+            WeightMatrix(M).chol
 
     def test_solve_lt_inverts_apply_lt(self, rng):
         for sparse in (False, True):
