@@ -7,11 +7,12 @@ result.
 """
 
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from incpod import Tolerances, WeightMatrix, initialize, update
+from incpod import Tolerances, WeightMatrix, run_stream
 from incpod.io_formats import (
     checkpoint,
     read_stream,
@@ -41,31 +42,19 @@ M2 = read_weight_matrix(weights_path)
 tols = Tolerances(1e-10, 1e-10)
 
 
-def consume(upto=None, state=None, skip=0):
-    consumed = 0
-    with read_stream(stream_path) as reader:
-        for t, w, c in reader:
-            consumed += 1
-            if consumed <= skip:
-                continue
-            if state is None:
-                state = initialize(c, M2)
-            else:
-                update(state, c, M2, tols)
-            if upto and consumed == upto:
-                break
-    return state
-
-
 # one uninterrupted pass
-direct = consume()
+with read_stream(stream_path) as reader:
+    direct, _ = run_stream((c for _, _, c in reader), M2, tols)
 
 # interrupted pass: stop halfway, checkpoint, restore, finish
-half = consume(upto=s // 2)
+with read_stream(stream_path) as reader:
+    half, _ = run_stream(islice((c for _, _, c in reader), s // 2), M2, tols)
 ckpt = workdir / "half.podc"
 checkpoint(half, ckpt, tols)
 resumed, tols2 = restore(ckpt)
-resumed = consume(state=resumed, skip=s // 2)
+with read_stream(stream_path) as reader:
+    # the restored state passes over the columns it already consumed
+    resumed, _ = run_stream((c for _, _, c in reader), M2, tols2, state=resumed)
 
 print(f"direct run:  rank {direct.k}, e = {direct.e:.6e}")
 print(f"resumed run: rank {resumed.k}, e = {resumed.e:.6e}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 
@@ -148,12 +147,6 @@ def cmd_simulate(args):
     return 0
 
 
-def _atomic_checkpoint(state, path, tols):
-    tmp = path + ".tmp"
-    checkpoint(state, tmp, tols)
-    os.replace(tmp, path)
-
-
 def cmd_pod(args):
     if args.no_w and (args.checkpoint_every or args.resume):
         raise UsageError("--no-w keeps no right singular vectors to checkpoint or resume")
@@ -163,7 +156,9 @@ def cmd_pod(args):
     state = None
     with reader:
         if args.resume:
-            state, tols = restore(args.resume)
+            state, ckpt_tols = restore(args.resume)
+            if ckpt_tols != tols:
+                raise FormatError(f"checkpoint was made with {ckpt_tols}, not {tols}")
             if state.V.shape[0] != M.dim:
                 raise FormatError(
                     f"checkpoint dimension {state.V.shape[0]} does not match stream {M.dim}"
@@ -181,7 +176,7 @@ def cmd_pod(args):
                     + [f"{v:.17g}" for v in (*terms, state.e)]
                 )
                 if args.checkpoint_every and state.n % args.checkpoint_every == 0:
-                    _atomic_checkpoint(state, ckpt_path, tols)
+                    checkpoint(state, ckpt_path, tols)
 
             columns = (c for _, _, c in reader)
             state, _ = run_stream(
@@ -189,7 +184,7 @@ def cmd_pod(args):
             )
 
     if state.W is not None:
-        _atomic_checkpoint(state, ckpt_path, tols)
+        checkpoint(state, ckpt_path, tols)
     modes, eigenvalues = pod_output(state)
     write_csv(
         args.output + "_eigenvalues.csv",

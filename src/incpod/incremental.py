@@ -62,12 +62,16 @@ class SvdState:
     V: np.ndarray
     sigma: np.ndarray
     W: np.ndarray | None
-    k: int
     n: int
     e: float = 0.0
     T_p: int = 0
     T_sv: int = 0
     e_comp: float = field(default=0.0, repr=False)  # Kahan compensation
+
+    @property
+    def k(self):
+        """Current rank, the number of singular values kept."""
+        return self.sigma.size
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,6 @@ def initialize(c, M, keep_w=True):
         V=(c / nrm)[:, None],
         sigma=np.array([nrm]),
         W=np.ones((1, 1)) if keep_w else None,
-        k=1,
         n=1,
     )
 
@@ -112,93 +115,84 @@ def _kahan_add(total, comp, term):
     return t, (t - total) - y
 
 
-def update(state, c, M, tols, reorth_threshold=None):
-    """Fold one new column into the decomposition; mutates ``state``.
+def update(state, c, M, tols):
+    """Fold one new column into the decomposition, all or nothing.
 
     Follows the bordered-matrix update: with d = V^T M c and p the M-norm
     of the residual c - V d, the small matrix [diag(sigma) d; 0 p] is
-    decomposed in full, growing the rank by one unless p < tol (or the
-    rank already equals the ambient dimension), in which case the residual
-    direction is discarded and p is added to the error bound. Trailing
-    singular values at or below tol_sv are then truncated, adding the
-    largest one dropped. Finally the basis is reorthogonalized when the
-    first and last columns have drifted measurably out of M-orthogonality.
+    decomposed in full. When p >= tol and the rank is below the ambient
+    dimension, the residual direction joins the basis and the rank grows by
+    one; otherwise it is discarded and p is added to the error bound.
+    Trailing singular values at or below tol_sv are then truncated, adding
+    the largest one dropped. Finally the basis is reorthogonalized when its
+    first and last columns have drifted more than tol out of M-orthogonality.
 
-    ``reorth_threshold`` overrides the drift threshold, which defaults to
-    ``tol``.
+    ``state`` is assigned only after the last step that can raise, so an
+    exception (a bad column, or a :class:`RankDeficientError` from the
+    reorthogonalization) leaves it as it was.
 
     Returns ``(state, UpdateReport)``.
     """
-    m = state.V.shape[0]
+    V, sigma, W = state.V, state.sigma, state.W
+    m, k = V.shape
     c = np.ascontiguousarray(c, dtype=np.float64)  # layout-independent bits
     if c.shape != (m,):
         raise ValueError(f"column has shape {c.shape}, expected ({m},)")
     if not np.isfinite(c).all():
         raise InvalidInputError("column contains non-finite entries")
 
-    k = state.k
     Mc = M.matvec(c)
-    d = state.V.T @ Mc
-    res = c - state.V @ d
+    d = V.T @ Mc
+    res = c - V @ d
     p = float(np.sqrt(abs(res @ M.matvec(res))))
 
     Q = np.zeros((k + 1, k + 1))
-    Q[:k, :k] = np.diag(state.sigma)
+    Q[:k, :k] = np.diag(sigma)
     Q[:k, k] = d
+    # as the paper writes it, p enters Q whenever p >= tol, even at full
+    # rank where the residual direction is then discarded
     Q[k, k] = 0.0 if p < tols.tol else p
     V_Q, sigma_Q, W_Q = small_svd(Q)
 
-    no_growth = (p < tols.tol) or (k >= m)
-    if no_growth:
-        state.V = state.V @ V_Q[:k, :k]
-        state.sigma = sigma_Q[:k].copy()
-        if state.W is not None:
-            state.W = np.vstack(
-                [state.W @ W_Q[:k, :k], W_Q[k, :k][None, :]]
-            )
-        e_p = p
-    else:
+    grow = p >= tols.tol and k < m
+    if grow:
         # One extra projection pass before normalizing: the raw residual
         # carries cancellation round-off of size eps*||c||, which p may not
         # dominate. Re-projecting shrinks the in-span contamination to
         # eps*||res|| so the new direction stays M-orthogonal to V at
         # machine level regardless of how small p is. Exact arithmetic:
         # a no-op.
-        res2 = res - state.V @ (state.V.T @ M.matvec(res))
+        res2 = res - V @ (V.T @ M.matvec(res))
         p2 = float(np.sqrt(abs(res2 @ M.matvec(res2))))
         j = res2 / p2 if p2 > 0.0 else res / p
-        state.V = np.hstack([state.V, j[:, None]]) @ V_Q
-        state.sigma = sigma_Q.copy()
-        if state.W is not None:
-            state.W = np.vstack([state.W @ W_Q[:k, :], W_Q[k, :][None, :]])
-        state.k = k + 1
-        e_p = 0.0
+        V = np.hstack([V, j[:, None]])
+    r = k + grow
+    V = V @ V_Q[:r, :r]
+    sigma = sigma_Q[:r]
+    if W is not None:
+        W = np.vstack([W @ W_Q[:k, :r], W_Q[k, :r][None, :]])
+    e_p = 0.0 if grow else p
 
-    # Singular value truncation: keep the leading r values above tol_sv.
-    k_new = state.k
-    r = int(np.count_nonzero(state.sigma > tols.tol_sv))
-    if r == 0:
-        r = 1  # never produce an empty state
-    if r < k_new:
-        e_sv = float(state.sigma[r])
-        state.V = state.V[:, :r]
-        state.sigma = state.sigma[:r]
-        if state.W is not None:
-            state.W = state.W[:, :r]
-        state.k = r
-    else:
-        e_sv = 0.0
+    # Singular value truncation: keep the leading values above tol_sv,
+    # never fewer than one.
+    keep = max(1, int(np.count_nonzero(sigma > tols.tol_sv)))
+    e_sv = 0.0
+    if keep < r:
+        e_sv = float(sigma[keep])
+        V, sigma = V[:, :keep], sigma[:keep]
+        if W is not None:
+            W = W[:, :keep]
 
-    threshold = tols.tol if reorth_threshold is None else reorth_threshold
-    drift = abs(float(state.V[:, -1] @ M.matvec(state.V[:, 0])))
-    reorthogonalized = False
-    if drift > threshold:
-        state.V = modified_gram_schmidt_weighted(state.V, M)
-        reorthogonalized = True
+    drift = abs(float(V[:, -1] @ M.matvec(V[:, 0])))
+    reorthogonalized = drift > tols.tol
+    if reorthogonalized:
+        V = modified_gram_schmidt_weighted(V, M)
 
-    state.e, state.e_comp = _kahan_add(state.e, state.e_comp, e_p)
-    state.e, state.e_comp = _kahan_add(state.e, state.e_comp, e_sv)
+    e, e_comp = _kahan_add(state.e, state.e_comp, e_p)
+    e, e_comp = _kahan_add(e, e_comp, e_sv)
+    state.V, state.sigma, state.W = V, sigma, W
     state.n += 1
+    state.e, state.e_comp = e, e_comp
     if e_p > 0.0:
         state.T_p += 1
     if e_sv > 0.0:
@@ -208,7 +202,7 @@ def update(state, c, M, tols, reorth_threshold=None):
         p=p,
         e_p=e_p,
         e_sv=e_sv,
-        rank_grew=not no_growth,
+        rank_grew=grow,
         reorthogonalized=reorthogonalized,
     )
     return state, report

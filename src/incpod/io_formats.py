@@ -8,6 +8,7 @@ matrix is tridiagonal per block, so the file stays small).
 from __future__ import annotations
 
 import csv
+import os
 import struct
 import zlib
 
@@ -229,7 +230,11 @@ _CKPT_HEAD = struct.Struct("<QQQddQQdd")
 
 
 def checkpoint(state, path, tols):
-    """Persist a state (requires W) so a stream can resume bitwise."""
+    """Persist a state (requires W) so a stream can resume bitwise.
+
+    The file is written to ``<path>.tmp``, flushed to disk and then renamed
+    over ``path``, so a failed write leaves the previous checkpoint intact.
+    """
     if state.W is None:
         raise ValueError("checkpointing requires the right singular vectors")
     m = state.V.shape[0]
@@ -247,11 +252,15 @@ def checkpoint(state, path, tols):
     payload += np.ascontiguousarray(state.V, dtype="<f8").tobytes()
     payload += np.ascontiguousarray(state.sigma, dtype="<f8").tobytes()
     payload += np.ascontiguousarray(state.W, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(payload)
         fh.write(struct.pack("<I", zlib.crc32(payload)))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def restore(path):
@@ -277,7 +286,7 @@ def restore(path):
     sigma = arrays[m * k : m * k + k].copy()
     W = arrays[m * k + k :].reshape(n, k).copy()
     state = SvdState(
-        V=V, sigma=sigma, W=W, k=k, n=n, e=e, T_p=t_p, T_sv=t_sv, e_comp=e_comp
+        V=V, sigma=sigma, W=W, n=n, e=e, T_p=t_p, T_sv=t_sv, e_comp=e_comp
     )
     return state, Tolerances(tol=tol, tol_sv=tol_sv)
 

@@ -39,12 +39,12 @@ class ExactSvd:
         return self.sigma.size
 
 
-def exact_weighted_svd(U, M, drop_tol_factor=1e-14):
+def exact_weighted_svd(U, M):
     """Core SVD of U in the M-inner product via S = L^T U.
 
     A standard SVD of S is computed and the left factor is mapped back with
     a triangular back substitution. Singular values below
-    ``drop_tol_factor * sigma_1`` are dropped together with their vectors.
+    1e-14 * sigma_1 are dropped together with their vectors.
     """
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[0] != M.dim:
@@ -54,7 +54,7 @@ def exact_weighted_svd(U, M, drop_tol_factor=1e-14):
     if sigma.size == 0 or sigma[0] == 0.0:
         keep = 0
     else:
-        keep = int(np.count_nonzero(sigma >= drop_tol_factor * sigma[0]))
+        keep = int(np.count_nonzero(sigma >= 1e-14 * sigma[0]))
     V = M.solve_lt(V_hat[:, :keep]) if keep else np.zeros((M.dim, 0))
     return ExactSvd(V=np.asarray(V), sigma=sigma[:keep], W=Wh.T[:, :keep])
 

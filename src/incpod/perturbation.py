@@ -158,12 +158,13 @@ class VectorBoundRow:
         )
 
 
-def vector_bound_check(exact, approx, M, eps, k, slack=1e-10):
+def vector_bound_check(exact, approx, M, eps, k):
     """Check the per-vector perturbation bounds for j = 1..k.
 
     ``exact`` and ``approx`` carry (V, sigma, W) triples; pairs are sign
     aligned before differencing. Rows where the gap condition fails are
-    marked not-applicable and no assertion is made about them.
+    marked not-applicable and no assertion is made about them. A bound
+    holds when the measured error exceeds it by at most 1e-10.
     """
     if min(exact.sigma.size, approx.sigma.size) < 1:
         raise PreconditionViolationError("decompositions must be nonempty")
@@ -190,8 +191,8 @@ def vector_bound_check(exact, approx, M, eps, k, slack=1e-10):
             w_err = float(np.linalg.norm(exact.W[:, j - 1] - w_a))
             v_bound = float(np.sqrt(E_j))
             w_bound = float(np.sqrt(E_j) + 2.0 * eps_j / sigma_j)
-            v_ok = v_err <= v_bound + slack
-            w_ok = w_err <= w_bound + slack
+            v_ok = v_err <= v_bound + 1e-10
+            w_ok = w_err <= w_bound + 1e-10
         else:
             v_err = w_err = v_bound = w_bound = np.nan
             v_ok = w_ok = None

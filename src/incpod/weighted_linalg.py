@@ -150,7 +150,7 @@ def m_norm(x, M):
     return float(np.sqrt(abs(x @ M.matvec(x))))
 
 
-def modified_gram_schmidt_weighted(V, M, rank_tol_factor=1e-14):
+def modified_gram_schmidt_weighted(V, M):
     """M-orthonormalize the columns of V by modified Gram-Schmidt.
 
     Every column is passed through the projection sweep twice
@@ -161,15 +161,14 @@ def modified_gram_schmidt_weighted(V, M, rank_tol_factor=1e-14):
     V : (m, k) ndarray
         Numerically full-rank columns.
     M : WeightMatrix
-    rank_tol_factor : float
-        A column whose post-projection M-norm falls below
-        ``rank_tol_factor * m_norm(original column)`` raises
-        :class:`RankDeficientError`.
 
     Returns
     -------
     (m, k) ndarray with max|V^T M V - I| at round-off level, spanning the
     same column space as the input.
+
+    Raises :class:`RankDeficientError` for a column whose post-projection
+    M-norm is at or below 1e-14 times its original M-norm.
     """
     V = np.array(V, dtype=np.float64, copy=True)
     if V.ndim != 2 or V.shape[0] != M.dim:
@@ -183,7 +182,7 @@ def modified_gram_schmidt_weighted(V, M, rank_tol_factor=1e-14):
             for j in range(i):
                 u = u - (MQ[:, j] @ u) * V[:, j]
         nrm = m_norm(u, M)
-        if nrm <= rank_tol_factor * norm0 or norm0 == 0.0:
+        if nrm <= 1e-14 * norm0 or norm0 == 0.0:
             raise RankDeficientError(
                 f"column {i} is numerically rank deficient", column=i
             )

@@ -138,24 +138,26 @@ class TestPod:
             == open(full_out + "_eigenvalues.csv").read()
         )
 
-    @pytest.mark.parametrize("mismatch", ["short_stream", "other_m"])
+    @pytest.mark.parametrize("mismatch", ["short_stream", "other_m", "other_tols"])
     def test_resume_rejects_foreign_checkpoint(self, fhn_prefix, tmp_path, mismatch):
+        source, stream, flags = fhn_prefix, fhn_prefix, []
         if mismatch == "short_stream":
             # the checkpoint consumed the whole stream; resume over 10 columns
-            source = fhn_prefix
             times, weights, cols = read_stream_matrix(fhn_prefix + ".pods")
             stream = str(tmp_path / "short")
             write_prefix(stream, fhn_prefix, times, weights, cols[:, :10])
-        else:
+        elif mismatch == "other_m":
             source = str(tmp_path / "other")
             assert main(["simulate", "--nodes", "30", "--t-final", "0.2",
                          "--output", source]) == 0
-            stream = fhn_prefix
+        else:
+            # the checkpoint is made at the default tolerances
+            flags = ["--tol", "1e-3"]
         ckpt = str(tmp_path / "ckpt")
         assert main(["pod", "--input", source, "--output", ckpt]) == 0
         before = Path(ckpt + ".podc").read_bytes()
         assert main(["pod", "--input", stream, "--output", ckpt,
-                     "--resume", ckpt + ".podc"]) == 2
+                     "--resume", ckpt + ".podc", *flags]) == 2
         assert Path(ckpt + ".podc").read_bytes() == before
 
     def test_no_w_flag(self, fhn_prefix, tmp_path):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from incpod.errors import FormatError, InvalidInputError, ZeroColumnError
+from incpod.errors import (
+    FormatError,
+    InvalidInputError,
+    RankDeficientError,
+    ZeroColumnError,
+)
 from incpod.incremental import (
     SvdState,
     Tolerances,
@@ -158,16 +163,28 @@ class TestUpdate:
         assert a.e == b.e
         assert np.array_equal(a.V, b.V)
 
-    def test_reorth_threshold_override(self, rng):
-        M = random_weight(rng, 6)
-        s = initialize(rng.standard_normal(6), M)
-        s, rep = update(s, rng.standard_normal(6), M, Tolerances(), reorth_threshold=0.0)
-        assert rep.reorthogonalized
-        s2 = initialize(rng.standard_normal(6), M)
-        s2, rep2 = update(
-            s2, rng.standard_normal(6), M, Tolerances(), reorth_threshold=np.inf
-        )
-        assert not rep2.reorthogonalized
+    @pytest.mark.parametrize("drift", [0.0, 1e-6])
+    def test_drifted_basis_is_reorthogonalized(self, rng, drift):
+        M = random_weight(rng, 8)
+        U = rng.standard_normal((8, 5))
+        s = stream_matrix(U[:, :4], M, Tolerances())
+        s.V[:, -1] += drift * s.V[:, 0]
+        s, rep = update(s, U[:, 4], M, Tolerances())
+        assert rep.reorthogonalized == (drift > 0.0)
+        assert m_orthonormality_defect(s.V, M) <= 1e-13
+
+    def test_failed_update_leaves_state_unchanged(self):
+        # two equal basis vectors: the grown basis is rank deficient, so the
+        # reorthogonalization raises after the rotation has been computed
+        M = WeightMatrix(np.eye(4))
+        v = np.array([1.0, 0.0, 0.0, 0.0])
+        V, sigma, W = np.column_stack([v, v]), np.array([2.0, 1.0]), np.eye(2)
+        s = SvdState(V=V.copy(), sigma=sigma.copy(), W=W.copy(), n=2)
+        with pytest.raises(RankDeficientError):
+            update(s, np.array([1.0, 0.5, 0.0, 0.0]), M, Tolerances())
+        assert np.array_equal(s.V, V) and np.array_equal(s.W, W)
+        assert np.array_equal(s.sigma, sigma) and s.k == 2 and s.n == 2
+        assert s.e == 0.0 and s.T_p == 0 and s.T_sv == 0
 
     def test_aggressive_truncation_counters_and_cap(self, rng):
         M = random_weight(rng, 20)
@@ -282,7 +299,7 @@ class TestPodOutput:
 
     def test_two_modes(self):
         s = SvdState(
-            V=np.eye(2), sigma=np.array([3.0, 1.0]), W=np.eye(2), k=2, n=2
+            V=np.eye(2), sigma=np.array([3.0, 1.0]), W=np.eye(2), n=2
         )
         _, eigs = pod_output(s)
         assert np.allclose(eigs, [9.0, 1.0], atol=0)

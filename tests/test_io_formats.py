@@ -1,4 +1,6 @@
 import csv
+import errno
+import os
 
 import numpy as np
 import pytest
@@ -200,6 +202,21 @@ class TestCheckpoint:
         assert np.array_equal(reconstruct(resumed), reconstruct(direct))
         assert np.array_equal(resumed.sigma, direct.sigma)
         assert resumed.e == direct.e
+
+    def test_failed_write_keeps_previous_file(self, rng, tmp_path, monkeypatch):
+        state, M = self._make_state(rng)
+        path = tmp_path / "c.podc"
+        checkpoint(state, path, Tolerances())
+        before = path.read_bytes()
+        update(state, rng.standard_normal(10), M, Tolerances(1e-6, 1e-6))
+
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            checkpoint(state, path, Tolerances())
+        assert path.read_bytes() == before
 
     def test_requires_w(self, rng):
         M = random_weight(rng, 5)

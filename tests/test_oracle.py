@@ -17,8 +17,7 @@ from conftest import engineered_pair, random_weight
 
 def state_from_triple(V, sigma, W):
     return SvdState(
-        V=V.copy(), sigma=np.asarray(sigma, float).copy(), W=W.copy(),
-        k=len(sigma), n=W.shape[0],
+        V=V.copy(), sigma=np.asarray(sigma, float).copy(), W=W.copy(), n=W.shape[0],
     )
 
 
