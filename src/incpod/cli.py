@@ -70,6 +70,7 @@ def _checked(convert, ok, what):
 _POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
 _NODES = _checked(int, lambda v: v >= 2, "at least 2")
 _NONNEGATIVE = _checked(int, lambda v: v >= 0, "nonnegative")
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
 _MAX_COLUMNS = 20000
 
 
@@ -98,7 +99,7 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="tolerance sweep against the exact oracle")
     add_common(p_ver, with_tols=False)  # verify sweeps fixed tolerance grids
-    p_ver.add_argument("--max-columns", type=int, default=_MAX_COLUMNS)
+    p_ver.add_argument("--max-columns", type=_AT_LEAST_ONE, default=_MAX_COLUMNS)
     p_ver.add_argument(
         "--random",
         nargs=3,
@@ -221,6 +222,8 @@ def _distinct_prefix(sigma, k):
 def cmd_verify(args):
     if args.random:
         m, n, seed = args.random
+        if m < 1 or n < 1 or seed < 0:
+            raise UsageError(f"--random needs M, N >= 1 and SEED >= 0, got {m} {n} {seed}")
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((m, m))
         M = WeightMatrix(((A @ A.T) + (A @ A.T).T) / 2.0 + m * np.eye(m))

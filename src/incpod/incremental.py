@@ -12,7 +12,8 @@ largest dropped value to the bound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -54,9 +55,10 @@ class SvdState:
     """Running decomposition: V (m, k) M-orthonormal, sigma descending
     positive, W (n, k) orthonormal or None when right vectors are skipped.
 
-    ``e`` is the accumulated error bound; ``T_p`` and ``T_sv`` count the
-    truncation events that contributed to it. Single-owner mutable state:
-    one update at a time.
+    ``e`` is the accumulated error bound, each term added with upward
+    rounding so that it is never below the exact real sum of its terms;
+    ``T_p`` and ``T_sv`` count the truncation events that contributed to it.
+    Single-owner mutable state: one update at a time.
     """
 
     V: np.ndarray
@@ -66,7 +68,6 @@ class SvdState:
     e: float = 0.0
     T_p: int = 0
     T_sv: int = 0
-    e_comp: float = field(default=0.0, repr=False)  # Kahan compensation
 
     @property
     def k(self):
@@ -107,12 +108,6 @@ def initialize(c, M, keep_w=True):
         W=np.ones((1, 1)) if keep_w else None,
         n=1,
     )
-
-
-def _kahan_add(total, comp, term):
-    y = term - comp
-    t = total + y
-    return t, (t - total) - y
 
 
 def update(state, c, M, tols):
@@ -188,14 +183,14 @@ def update(state, c, M, tols):
     if reorthogonalized:
         V = modified_gram_schmidt_weighted(V, M)
 
-    e, e_comp = _kahan_add(state.e, state.e_comp, e_p)
-    e, e_comp = _kahan_add(e, e_comp, e_sv)
     state.V, state.sigma, state.W = V, sigma, W
     state.n += 1
-    state.e, state.e_comp = e, e_comp
+    # step each rounded sum up to the next float: e stays >= the exact sum
     if e_p > 0.0:
+        state.e = math.nextafter(state.e + e_p, math.inf)
         state.T_p += 1
     if e_sv > 0.0:
+        state.e = math.nextafter(state.e + e_sv, math.inf)
         state.T_sv += 1
 
     report = UpdateReport(

@@ -7,6 +7,7 @@ matrix is tridiagonal per block, so the file stays small).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import struct
@@ -34,7 +35,8 @@ __all__ = [
 
 _STREAM_MAGIC = b"PODS"
 _CHECKPOINT_MAGIC = b"PODC"
-_VERSION = 1
+_STREAM_VERSION = 1
+_CHECKPOINT_VERSION = 2
 _STREAM_HEADER = struct.Struct("<4sIQQ")  # magic, version, m, count
 
 
@@ -50,7 +52,7 @@ class StreamWriter:
         self.count = int(count)
         self._written = 0
         self._fh = open(path, "wb")
-        self._fh.write(_STREAM_HEADER.pack(_STREAM_MAGIC, _VERSION, self.m, self.count))
+        self._fh.write(_STREAM_HEADER.pack(_STREAM_MAGIC, _STREAM_VERSION, self.m, self.count))
 
     def write_column(self, t, weight, column):
         column = np.ascontiguousarray(column, dtype="<f8")
@@ -90,7 +92,7 @@ class StreamReader:
         if magic != _STREAM_MAGIC:
             self._fh.close()
             raise FormatError(f"bad magic {magic!r}, expected {_STREAM_MAGIC!r}")
-        if version != _VERSION:
+        if version != _STREAM_VERSION:
             self._fh.close()
             raise FormatError(f"unsupported stream version {version}")
         self.m = m
@@ -222,18 +224,19 @@ def read_weight_matrix(path):
     return WeightMatrix(M)
 
 
-# checkpoint payload header: m, n, k (u64), e, e_comp (f64), T_p, T_sv (u64),
+# checkpoint payload header: m, n, k (u64), e (f64), T_p, T_sv (u64),
 # tol, tol_sv (f64); then V, sigma, W as f64 runs; trailing CRC32 of the
-# payload. e_comp is the compensation term of the error-bound accumulator;
-# without it a resumed run would not be bitwise identical.
-_CKPT_HEAD = struct.Struct("<QQQddQQdd")
+# payload. ``e`` is the whole error-bound accumulator, so these values are
+# all a resumed run needs to continue bitwise.
+_CKPT_HEAD = struct.Struct("<QQQdQQdd")
 
 
 def checkpoint(state, path, tols):
     """Persist a state (requires W) so a stream can resume bitwise.
 
     The file is written to ``<path>.tmp``, flushed to disk and then renamed
-    over ``path``, so a failed write leaves the previous checkpoint intact.
+    over ``path``, so a failed write leaves the previous checkpoint intact
+    (and removes the ``.tmp`` file).
     """
     if state.W is None:
         raise ValueError("checkpointing requires the right singular vectors")
@@ -243,7 +246,6 @@ def checkpoint(state, path, tols):
         state.n,
         state.k,
         state.e,
-        state.e_comp,
         state.T_p,
         state.T_sv,
         tols.tol,
@@ -253,13 +255,18 @@ def checkpoint(state, path, tols):
     payload += np.ascontiguousarray(state.sigma, dtype="<f8").tobytes()
     payload += np.ascontiguousarray(state.W, dtype="<f8").tobytes()
     tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
-        fh.flush()
-        os.fsync(fh.fileno())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", _CHECKPOINT_VERSION))
+            fh.write(payload)
+            fh.write(struct.pack("<I", zlib.crc32(payload)))
+            fh.flush()
+            os.fsync(fh.fileno())
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -267,27 +274,28 @@ def restore(path):
     """Load a checkpoint; returns ``(state, tolerances)``."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 8 or blob[:4] != _CHECKPOINT_MAGIC:
+    if len(blob) < 12 or blob[:4] != _CHECKPOINT_MAGIC:
         raise FormatError("not a checkpoint file")
     (version,) = struct.unpack_from("<I", blob, 4)
-    if version != _VERSION:
+    if version != _CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     payload, crc_bytes = blob[8:-4], blob[-4:]
     (stored_crc,) = struct.unpack("<I", crc_bytes)
     if zlib.crc32(payload) != stored_crc:
         raise CorruptCheckpointError("checkpoint CRC mismatch")
-    m, n, k, e, e_comp, t_p, t_sv, tol, tol_sv = _CKPT_HEAD.unpack_from(payload)
-    arrays = np.frombuffer(payload, dtype="<f8", offset=_CKPT_HEAD.size)
-    if arrays.size != m * k + k + n * k:
+    if len(payload) < _CKPT_HEAD.size:
+        raise FormatError(f"payload shorter than the {_CKPT_HEAD.size}-byte header")
+    m, n, k, e, t_p, t_sv, tol, tol_sv = _CKPT_HEAD.unpack_from(payload)
+    expected = _CKPT_HEAD.size + 8 * (m * k + k + n * k)
+    if len(payload) != expected:
         raise CorruptCheckpointError(
-            f"payload holds {arrays.size} values, expected {m * k + k + n * k}"
+            f"payload holds {len(payload)} bytes, expected {expected}"
         )
+    arrays = np.frombuffer(payload, dtype="<f8", offset=_CKPT_HEAD.size)
     V = arrays[: m * k].reshape(m, k).copy()
     sigma = arrays[m * k : m * k + k].copy()
     W = arrays[m * k + k :].reshape(n, k).copy()
-    state = SvdState(
-        V=V, sigma=sigma, W=W, n=n, e=e, T_p=t_p, T_sv=t_sv, e_comp=e_comp
-    )
+    state = SvdState(V=V, sigma=sigma, W=W, n=n, e=e, T_p=t_p, T_sv=t_sv)
     return state, Tolerances(tol=tol, tol_sv=tol_sv)
 
 

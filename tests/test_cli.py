@@ -1,5 +1,7 @@
 import csv
 import shutil
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,16 @@ class TestUsageErrors:
 
     def test_same_input_output(self, fhn_prefix):
         assert main(["pod", "--input", fhn_prefix, "--output", fhn_prefix]) == 1
+
+    @pytest.mark.parametrize("args", [["0", "5", "1"], ["-1", "3", "1"], ["3", "3", "-1"]],
+                             ids=["zero_m", "negative_m", "negative_seed"])
+    def test_bad_random_instance(self, tmp_path, args):
+        assert main(["verify", "--output", str(tmp_path / "v"), "--random", *args]) == 1
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_bad_column_cap(self, fhn_prefix, tmp_path, cap):
+        assert main(["verify", "--input", fhn_prefix, "--output", str(tmp_path / "v"),
+                     f"--max-columns={cap}"]) == 1
 
     @pytest.mark.parametrize("flag", [["--checkpoint-every", "5"], ["--resume", "x.podc"]],
                              ids=["checkpoint_every", "resume"])
@@ -159,6 +171,13 @@ class TestPod:
         assert main(["pod", "--input", stream, "--output", ckpt,
                      "--resume", ckpt + ".podc", *flags]) == 2
         assert Path(ckpt + ".podc").read_bytes() == before
+
+    def test_resume_from_empty_checkpoint_exit_code(self, fhn_prefix, tmp_path):
+        # magic, version 1 and the CRC of an empty payload, nothing else
+        ckpt = tmp_path / "empty.podc"
+        ckpt.write_bytes(b"PODC" + struct.pack("<II", 1, zlib.crc32(b"")))
+        assert main(["pod", "--input", fhn_prefix, "--output", str(tmp_path / "p"),
+                     "--resume", str(ckpt)]) == 2
 
     def test_no_w_flag(self, fhn_prefix, tmp_path):
         import os

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -142,11 +144,24 @@ class TestUpdate:
             assert np.all(np.diff(s.sigma) <= 0)
             assert s.e >= e_prev
             assert s.e == pytest.approx(e_prev + rep.e_p + rep.e_sv, abs=1e-18, rel=1e-12)
+            # never below the exact real sum of the terms
+            assert Fraction(s.e) >= Fraction(e_prev) + Fraction(rep.e_p) + Fraction(rep.e_sv)
             assert s.k <= min(15, s.n)
             assert 0.0 <= rep.e_p < tols.tol
             assert 0.0 <= rep.e_sv <= tols.tol_sv
             assert rep.e_p == 0.0 or not rep.rank_grew
             e_prev = s.e
+
+    def test_tiny_term_is_not_rounded_away(self):
+        # e = 1.0 plus an in-span residual of about 5e-17: round to nearest
+        # would leave e at 1.0, below the exact sum
+        M = WeightMatrix(np.eye(3))
+        s = stream_matrix(np.eye(3)[:, :2], M, EXACT)
+        s.e = 1.0
+        s, rep = update(s, np.array([1.0, 1.0, 5e-17]), M, Tolerances(1e-8, 1e-300))
+        assert 0.0 < rep.e_p < 1e-16 and s.T_p == 1
+        assert Fraction(s.e) >= Fraction(1.0) + Fraction(rep.e_p)
+        assert s.e == np.nextafter(1.0, 2.0)
 
     def test_layout_independent_arithmetic(self, rng):
         # strided column views and contiguous copies must produce

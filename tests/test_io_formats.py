@@ -1,6 +1,8 @@
 import csv
 import errno
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -160,7 +162,7 @@ class TestCheckpoint:
         assert np.array_equal(restored.sigma, state.sigma)
         assert np.array_equal(restored.W, state.W)
         assert restored.k == state.k and restored.n == state.n
-        assert restored.e == state.e and restored.e_comp == state.e_comp
+        assert restored.e == state.e
         assert restored.T_p == state.T_p and restored.T_sv == state.T_sv
         assert tols2 == tols
 
@@ -177,6 +179,38 @@ class TestCheckpoint:
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"hello world")
+        with pytest.raises(FormatError):
+            restore(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_empty_payload_rejected(self, tmp_path, version):
+        # magic, version, then the CRC of an empty payload: 12 bytes
+        path = tmp_path / "short.podc"
+        path.write_bytes(b"PODC" + struct.pack("<II", version, zlib.crc32(b"")))
+        with pytest.raises(FormatError):
+            restore(path)
+
+    def test_version_1_rejected(self, rng, tmp_path):
+        # a well-formed version-1 file: its header also held e's compensation term
+        state, _ = self._make_state(rng)
+        m = state.V.shape[0]
+        payload = struct.pack("<QQQddQQdd", m, state.n, state.k, state.e, 0.0,
+                              state.T_p, state.T_sv, 1e-10, 1e-10)
+        for a in (state.V, state.sigma, state.W):
+            payload += np.ascontiguousarray(a, dtype="<f8").tobytes()
+        path = tmp_path / "v1.podc"
+        path.write_bytes(b"PODC" + struct.pack("<I", 1) + payload
+                         + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(FormatError, match="version 1"):
+            restore(path)
+
+    def test_payload_length_checked(self, rng, tmp_path):
+        state, _ = self._make_state(rng)
+        path = tmp_path / "c.podc"
+        checkpoint(state, path, Tolerances())
+        payload = path.read_bytes()[8:-4] + b"\0\0\0"  # not a whole f64
+        path.write_bytes(b"PODC" + struct.pack("<I", 2) + payload
+                         + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(FormatError):
             restore(path)
 
@@ -217,6 +251,7 @@ class TestCheckpoint:
         with pytest.raises(OSError):
             checkpoint(state, path, Tolerances())
         assert path.read_bytes() == before
+        assert not (tmp_path / "c.podc.tmp").exists()
 
     def test_requires_w(self, rng):
         M = random_weight(rng, 5)
