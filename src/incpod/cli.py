@@ -184,7 +184,7 @@ def cmd_pod(args):
                 columns, M, tols, keep_w=not args.no_w, state=state, on_column=on_column
             )
 
-    if state.W is not None:
+    if state.Wp is not None:
         checkpoint(state, ckpt_path, tols)
     modes, eigenvalues = pod_output(state)
     write_csv(

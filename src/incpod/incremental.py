@@ -53,7 +53,14 @@ class Tolerances:
 @dataclass
 class SvdState:
     """Running decomposition: V (m, k) M-orthonormal, sigma descending
-    positive, W (n, k) orthonormal or None when right vectors are skipped.
+    positive, and the orthonormal right vectors W (n, k) kept as two factors,
+    both None when right vectors are skipped:
+
+        W = diag(W0, I) @ Wp = vstack([W0 @ Wp[:k0], Wp[k0:]])
+
+    ``W0`` (n0, k0) holds the rows already rotated at the last fold;
+    ``Wp`` (k0 + n - n0, k) holds the small rotations accumulated since then
+    and the rows appended after it. ``W`` builds the product on each access.
 
     ``e`` is the accumulated error bound, each term added with upward
     rounding so that it is never below the exact real sum of its terms;
@@ -63,7 +70,8 @@ class SvdState:
 
     V: np.ndarray
     sigma: np.ndarray
-    W: np.ndarray | None
+    W0: np.ndarray | None
+    Wp: np.ndarray | None
     n: int
     e: float = 0.0
     T_p: int = 0
@@ -73,6 +81,19 @@ class SvdState:
     def k(self):
         """Current rank, the number of singular values kept."""
         return self.sigma.size
+
+    @property
+    def W(self):
+        """Right singular vectors (n, k), built from the factors; None when
+        they are skipped."""
+        if self.Wp is None:
+            return None
+        return _right_vectors(self.W0, self.Wp)
+
+
+def _right_vectors(W0, Wp):
+    k0 = W0.shape[1]
+    return np.vstack([W0 @ Wp[:k0], Wp[k0:]])
 
 
 @dataclass(frozen=True)
@@ -105,7 +126,8 @@ def initialize(c, M, keep_w=True):
     return SvdState(
         V=(c / nrm)[:, None],
         sigma=np.array([nrm]),
-        W=np.ones((1, 1)) if keep_w else None,
+        W0=np.zeros((0, 0)) if keep_w else None,
+        Wp=np.ones((1, 1)) if keep_w else None,
         n=1,
     )
 
@@ -122,13 +144,19 @@ def update(state, c, M, tols):
     the largest one dropped. Finally the basis is reorthogonalized when its
     first and last columns have drifted more than tol out of M-orthogonality.
 
+    The right vectors are rotated lazily (Brand, LAA 415, 2006): the small
+    rotation and the new row go into ``Wp`` only, at O(k^3) with no n term.
+    When ``Wp`` has more than 2k rows it is folded into ``W0`` (``W0 <- W``,
+    ``Wp <- I``), an O(n k0 k) product once every k or so columns. Nothing
+    here reads W, so V, sigma and e do not depend on whether it is kept.
+
     ``state`` is assigned only after the last step that can raise, so an
     exception (a bad column, or a :class:`RankDeficientError` from the
     reorthogonalization) leaves it as it was.
 
     Returns ``(state, UpdateReport)``.
     """
-    V, sigma, W = state.V, state.sigma, state.W
+    V, sigma, W0, Wp = state.V, state.sigma, state.W0, state.Wp
     m, k = V.shape
     c = np.ascontiguousarray(c, dtype=np.float64)  # layout-independent bits
     if c.shape != (m,):
@@ -164,8 +192,8 @@ def update(state, c, M, tols):
     r = k + grow
     V = V @ V_Q[:r, :r]
     sigma = sigma_Q[:r]
-    if W is not None:
-        W = np.vstack([W @ W_Q[:k, :r], W_Q[k, :r][None, :]])
+    if Wp is not None:
+        Wp = np.vstack([Wp @ W_Q[:k, :r], W_Q[k, :r][None, :]])
     e_p = 0.0 if grow else p
 
     # Singular value truncation: keep the leading values above tol_sv,
@@ -175,15 +203,17 @@ def update(state, c, M, tols):
     if keep < r:
         e_sv = float(sigma[keep])
         V, sigma = V[:, :keep], sigma[:keep]
-        if W is not None:
-            W = W[:, :keep]
+        if Wp is not None:
+            Wp = Wp[:, :keep]
+    if Wp is not None and Wp.shape[0] > 2 * Wp.shape[1]:
+        W0, Wp = _right_vectors(W0, Wp), np.eye(Wp.shape[1])
 
     drift = abs(float(V[:, -1] @ M.matvec(V[:, 0])))
     reorthogonalized = drift > tols.tol
     if reorthogonalized:
         V = modified_gram_schmidt_weighted(V, M)
 
-    state.V, state.sigma, state.W = V, sigma, W
+    state.V, state.sigma, state.W0, state.Wp = V, sigma, W0, Wp
     state.n += 1
     # step each rounded sum up to the next float: e stays >= the exact sum
     if e_p > 0.0:
@@ -205,7 +235,7 @@ def update(state, c, M, tols):
 
 def reconstruct(state):
     """Dense m x n matrix V diag(sigma) W^T of the approximate data."""
-    if state.W is None:
+    if state.Wp is None:
         raise ValueError("right singular vectors were not maintained")
     return (state.V * state.sigma) @ state.W.T
 

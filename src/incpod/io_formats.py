@@ -36,7 +36,7 @@ __all__ = [
 _STREAM_MAGIC = b"PODS"
 _CHECKPOINT_MAGIC = b"PODC"
 _STREAM_VERSION = 1
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 _STREAM_HEADER = struct.Struct("<4sIQQ")  # magic, version, m, count
 
 
@@ -224,11 +224,12 @@ def read_weight_matrix(path):
     return WeightMatrix(M)
 
 
-# checkpoint payload header: m, n, k (u64), e (f64), T_p, T_sv (u64),
-# tol, tol_sv (f64); then V, sigma, W as f64 runs; trailing CRC32 of the
-# payload. ``e`` is the whole error-bound accumulator, so these values are
-# all a resumed run needs to continue bitwise.
-_CKPT_HEAD = struct.Struct("<QQQdQQdd")
+# checkpoint payload header: m, n, k, k0, rows of Wp (u64), e (f64),
+# T_p, T_sv (u64), tol, tol_sv (f64); then V, sigma, W0, Wp as f64 runs;
+# trailing CRC32 of the payload. W0 has n0 = n - (rows of Wp - k0) rows.
+# ``e`` is the whole error-bound accumulator and the factors are stored as
+# they are, so these values are all a resumed run needs to continue bitwise.
+_CKPT_HEAD = struct.Struct("<QQQQQdQQdd")
 
 
 def checkpoint(state, path, tols):
@@ -238,22 +239,23 @@ def checkpoint(state, path, tols):
     over ``path``, so a failed write leaves the previous checkpoint intact
     (and removes the ``.tmp`` file).
     """
-    if state.W is None:
+    if state.Wp is None:
         raise ValueError("checkpointing requires the right singular vectors")
     m = state.V.shape[0]
     payload = _CKPT_HEAD.pack(
         m,
         state.n,
         state.k,
+        state.W0.shape[1],
+        state.Wp.shape[0],
         state.e,
         state.T_p,
         state.T_sv,
         tols.tol,
         tols.tol_sv,
     )
-    payload += np.ascontiguousarray(state.V, dtype="<f8").tobytes()
-    payload += np.ascontiguousarray(state.sigma, dtype="<f8").tobytes()
-    payload += np.ascontiguousarray(state.W, dtype="<f8").tobytes()
+    for a in (state.V, state.sigma, state.W0, state.Wp):
+        payload += np.ascontiguousarray(a, dtype="<f8").tobytes()
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -285,17 +287,25 @@ def restore(path):
         raise CorruptCheckpointError("checkpoint CRC mismatch")
     if len(payload) < _CKPT_HEAD.size:
         raise FormatError(f"payload shorter than the {_CKPT_HEAD.size}-byte header")
-    m, n, k, e, t_p, t_sv, tol, tol_sv = _CKPT_HEAD.unpack_from(payload)
-    expected = _CKPT_HEAD.size + 8 * (m * k + k + n * k)
+    m, n, k, k0, rows_p, e, t_p, t_sv, tol, tol_sv = _CKPT_HEAD.unpack_from(payload)
+    n0 = n - (rows_p - k0)
+    if not 0 <= n0 <= n:
+        raise CorruptCheckpointError(
+            f"Wp has {rows_p} rows and W0 {k0} columns, inconsistent with n = {n}"
+        )
+    sizes = (m * k, k, n0 * k0, rows_p * k)
+    expected = _CKPT_HEAD.size + 8 * sum(sizes)
     if len(payload) != expected:
         raise CorruptCheckpointError(
             f"payload holds {len(payload)} bytes, expected {expected}"
         )
     arrays = np.frombuffer(payload, dtype="<f8", offset=_CKPT_HEAD.size)
-    V = arrays[: m * k].reshape(m, k).copy()
-    sigma = arrays[m * k : m * k + k].copy()
-    W = arrays[m * k + k :].reshape(n, k).copy()
-    state = SvdState(V=V, sigma=sigma, W=W, n=n, e=e, T_p=t_p, T_sv=t_sv)
+    # one copy per array, so each gets its own buffer as in an uninterrupted run
+    V, sigma, W0, Wp = (a.copy() for a in np.split(arrays, np.cumsum(sizes[:-1])))
+    state = SvdState(
+        V=V.reshape(m, k), sigma=sigma, W0=W0.reshape(n0, k0), Wp=Wp.reshape(rows_p, k),
+        n=n, e=e, T_p=t_p, T_sv=t_sv,
+    )
     return state, Tolerances(tol=tol, tol_sv=tol_sv)
 
 

@@ -173,6 +173,7 @@ def vector_bound_check(exact, approx, M, eps, k):
             f"approximate decomposition has rank {approx.sigma.size}, need {k}"
         )
     seq = bound_sequence(exact.sigma, eps, k)
+    W_exact, W_approx = exact.W, approx.W  # a streamed state builds W on access
     rows = []
     for j in range(1, k + 1):
         applicable = bool(seq.gap_ok[j - 1])
@@ -182,13 +183,13 @@ def vector_bound_check(exact, approx, M, eps, k):
         if applicable:
             v_a, w_a = align_singular_pair(
                 exact.V[:, j - 1],
-                exact.W[:, j - 1],
+                W_exact[:, j - 1],
                 approx.V[:, j - 1],
-                approx.W[:, j - 1],
+                W_approx[:, j - 1],
                 M,
             )
             v_err = m_norm(exact.V[:, j - 1] - v_a, M)
-            w_err = float(np.linalg.norm(exact.W[:, j - 1] - w_a))
+            w_err = float(np.linalg.norm(W_exact[:, j - 1] - w_a))
             v_bound = float(np.sqrt(E_j))
             w_bound = float(np.sqrt(E_j) + 2.0 * eps_j / sigma_j)
             v_ok = v_err <= v_bound + 1e-10

@@ -194,10 +194,11 @@ class TestUpdate:
         M = WeightMatrix(np.eye(4))
         v = np.array([1.0, 0.0, 0.0, 0.0])
         V, sigma, W = np.column_stack([v, v]), np.array([2.0, 1.0]), np.eye(2)
-        s = SvdState(V=V.copy(), sigma=sigma.copy(), W=W.copy(), n=2)
+        s = SvdState(V=V.copy(), sigma=sigma.copy(), W0=W.copy(), Wp=np.eye(2), n=2)
         with pytest.raises(RankDeficientError):
             update(s, np.array([1.0, 0.5, 0.0, 0.0]), M, Tolerances())
         assert np.array_equal(s.V, V) and np.array_equal(s.W, W)
+        assert np.array_equal(s.W0, W) and np.array_equal(s.Wp, np.eye(2))
         assert np.array_equal(s.sigma, sigma) and s.k == 2 and s.n == 2
         assert s.e == 0.0 and s.T_p == 0 and s.T_sv == 0
 
@@ -246,6 +247,65 @@ class TestUpdate:
         assert s.W is None and s.k == 4
         with pytest.raises(ValueError):
             reconstruct(s)
+
+
+def mixed_stream(rng, M, n=300, zeros=3):
+    """Leading zero columns, then columns whose rank grows to 8 over the
+    first 80, with noise of 1e-10 everywhere and of 1e-6 in every tenth
+    column. At MIXED_TOLS the rank grows and is truncated again at nearly
+    every column, and some columns are projected."""
+    base = m_orthonormal_columns(rng, M, 8)
+    coeffs = rng.standard_normal((8, n)) * np.geomspace(1.0, 1e-3, 8)[:, None]
+    coeffs *= np.arange(8)[:, None] < 1 + np.arange(n)[None, :] // 10
+    U = base @ coeffs + 1e-10 * rng.standard_normal((M.dim, n))
+    U[:, ::10] += 1e-6 * rng.standard_normal((M.dim, U[:, ::10].shape[1]))
+    U[:, :zeros] = 0.0
+    return U
+
+
+MIXED_TOLS = Tolerances(tol=1e-8, tol_sv=1e-5)
+
+
+class TestFactoredW:
+    def test_w_never_feeds_back(self, rng):
+        M = random_weight(rng, 20)
+        U = mixed_stream(rng, M)
+        with_w = stream_matrix(U, M, MIXED_TOLS, keep_w=True)
+        without = stream_matrix(U, M, MIXED_TOLS, keep_w=False)
+        assert with_w.T_p > 0 and with_w.T_sv > 0 and with_w.k > 1
+        assert np.array_equal(with_w.V, without.V)
+        assert np.array_equal(with_w.sigma, without.sigma)
+        assert (with_w.e, with_w.T_p, with_w.T_sv, with_w.n) == (
+            without.e, without.T_p, without.T_sv, without.n
+        )
+
+    def test_factors_match_eager_reference(self, rng):
+        # the eager rotation W <- [W W_Q[:k, :r]; W_Q[k, :r]] of every
+        # column, from the same small SVD that update computes
+        M = random_weight(rng, 20)
+        U = mixed_stream(rng, M, zeros=3)
+        s = initialize(U[:, 3], M)
+        W_ref, folds = np.ones((1, 1)), 0
+        for c in U[:, 4:].T:
+            V, sigma, W0, k = s.V, s.sigma, s.W0, s.k
+            res = c - V @ (V.T @ M.matvec(c))
+            p = float(np.sqrt(abs(res @ M.matvec(res))))
+            Q = np.zeros((k + 1, k + 1))
+            Q[:k, :k] = np.diag(sigma)
+            Q[:k, k] = V.T @ M.matvec(c)
+            Q[k, k] = 0.0 if p < MIXED_TOLS.tol else p
+            _, _, W_Q = small_svd(Q)
+
+            s, rep = update(s, c, M, MIXED_TOLS)
+            r = k + rep.rank_grew
+            W_ref = np.vstack([W_ref @ W_Q[:k, :r], W_Q[k, :r][None, :]])[:, : s.k]
+            folds += s.W0 is not W0
+            assert np.max(np.abs(s.W - W_ref)) <= 1e-13
+            assert s.W0.shape[0] + s.Wp.shape[0] - s.W0.shape[1] == s.n
+            assert s.Wp.shape[0] <= 2 * s.k + 1
+        assert s.T_p > 0 and s.T_sv > 0
+        assert folds > 0
+        assert np.max(np.abs(s.W.T @ s.W - np.eye(s.k))) <= 1e-12
 
 
 class TestZeroRowStructure:
@@ -314,7 +374,7 @@ class TestPodOutput:
 
     def test_two_modes(self):
         s = SvdState(
-            V=np.eye(2), sigma=np.array([3.0, 1.0]), W=np.eye(2), n=2
+            V=np.eye(2), sigma=np.array([3.0, 1.0]), W0=np.eye(2), Wp=np.eye(2), n=2
         )
         _, eigs = pod_output(s)
         assert np.allclose(eigs, [9.0, 1.0], atol=0)

@@ -24,7 +24,7 @@ from incpod.io_formats import (
 )
 from incpod.weighted_linalg import WeightMatrix
 
-from conftest import random_weight
+from conftest import m_orthonormal_columns, random_weight
 
 
 class TestStream:
@@ -182,7 +182,7 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             restore(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_empty_payload_rejected(self, tmp_path, version):
         # magic, version, then the CRC of an empty payload: 12 bytes
         path = tmp_path / "short.podc"
@@ -204,38 +204,76 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="version 1"):
             restore(path)
 
+    def test_version_2_rejected(self, rng, tmp_path):
+        # a well-formed version-2 file: W whole, no factor shapes in the header
+        state, _ = self._make_state(rng)
+        m = state.V.shape[0]
+        payload = struct.pack("<QQQdQQdd", m, state.n, state.k, state.e,
+                              state.T_p, state.T_sv, 1e-10, 1e-10)
+        for a in (state.V, state.sigma, state.W):
+            payload += np.ascontiguousarray(a, dtype="<f8").tobytes()
+        path = tmp_path / "v2.podc"
+        path.write_bytes(b"PODC" + struct.pack("<I", 2) + payload
+                         + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(FormatError, match="version 2"):
+            restore(path)
+
+    @pytest.mark.parametrize("k0, rows_p", [(8, 7), (8, 17), (0, 8)],
+                             ids=["n0_above_n", "n0_negative", "length_mismatch"])
+    def test_inconsistent_factor_shapes_rejected(self, rng, tmp_path, k0, rows_p):
+        # forged k0 and rows of Wp with a valid CRC, on a state just after a
+        # fold (k0 = k = 8, n = 8). n0 = n - (rows_p - k0) must lie in [0, n]:
+        # it is 9 and -1 in the first two, whose payload length still
+        # matches; the third has n0 = 0 and a payload 64 values too long
+        state, _ = self._make_state(rng)
+        state.W0, state.Wp = state.W, np.eye(state.k)
+        path = tmp_path / "c.podc"
+        checkpoint(state, path, Tolerances())
+        blob = path.read_bytes()
+        payload = blob[8:32] + struct.pack("<QQ", k0, rows_p) + blob[48:-4]
+        path.write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(CorruptCheckpointError):
+            restore(path)
+
     def test_payload_length_checked(self, rng, tmp_path):
         state, _ = self._make_state(rng)
         path = tmp_path / "c.podc"
         checkpoint(state, path, Tolerances())
-        payload = path.read_bytes()[8:-4] + b"\0\0\0"  # not a whole f64
-        path.write_bytes(b"PODC" + struct.pack("<I", 2) + payload
-                         + struct.pack("<I", zlib.crc32(payload)))
-        with pytest.raises(FormatError):
+        blob = path.read_bytes()
+        payload = blob[8:-4] + b"\0\0\0"  # not a whole f64
+        path.write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(CorruptCheckpointError):
             restore(path)
 
-    def test_resume_is_bitwise_identical(self, rng, tmp_path):
-        # dual path: checkpoint/restore mid-stream vs uninterrupted
-        M = random_weight(rng, 9)
-        U = rng.standard_normal((9, 7))
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before_fold", "on_fold", "after_fold"])
+    def test_resume_is_bitwise_identical(self, rng, tmp_path, offset):
+        # dual path: checkpoint/restore mid-stream vs uninterrupted, cut at
+        # each phase of the W0/Wp fold cycle
+        M = random_weight(rng, 12)
+        U = m_orthonormal_columns(rng, M, 3) @ rng.standard_normal((3, 30))
         tols = Tolerances(1e-8, 1e-8)
 
-        direct = initialize(U[:, 0], M)
-        for j in range(1, 7):
+        direct, folds = initialize(U[:, 0], M), []
+        for j in range(1, 30):
+            W0 = direct.W0
             update(direct, U[:, j], M, tols)
+            if direct.W0 is not W0:
+                folds.append(j)
+        cut = folds[1] + offset  # columns 0..cut go in before the checkpoint
 
         half = initialize(U[:, 0], M)
-        for j in range(1, 4):
+        for j in range(1, cut + 1):
             update(half, U[:, j], M, tols)
+        assert half.Wp.shape[0] == {-1: 2 * half.k, 0: half.k, 1: half.k + 1}[offset]
         path = tmp_path / "mid.podc"
         checkpoint(half, path, tols)
         resumed, tols2 = restore(path)
-        for j in range(4, 7):
+        for j in range(cut + 1, 30):
             update(resumed, U[:, j], M, tols2)
 
-        assert np.array_equal(reconstruct(resumed), reconstruct(direct))
-        assert np.array_equal(resumed.sigma, direct.sigma)
-        assert resumed.e == direct.e
+        checkpoint(direct, tmp_path / "direct.podc", tols)
+        checkpoint(resumed, tmp_path / "resumed.podc", tols)
+        assert (tmp_path / "resumed.podc").read_bytes() == (tmp_path / "direct.podc").read_bytes()
 
     def test_failed_write_keeps_previous_file(self, rng, tmp_path, monkeypatch):
         state, M = self._make_state(rng)

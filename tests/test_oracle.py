@@ -17,7 +17,8 @@ from conftest import engineered_pair, random_weight
 
 def state_from_triple(V, sigma, W):
     return SvdState(
-        V=V.copy(), sigma=np.asarray(sigma, float).copy(), W=W.copy(), n=W.shape[0],
+        V=V.copy(), sigma=np.asarray(sigma, float).copy(), W0=W.copy(),
+        Wp=np.eye(W.shape[1]), n=W.shape[0],
     )
 
 
