@@ -8,10 +8,10 @@ matrix: singular values, reconstruction, and the running error bound.
 import numpy as np
 
 from incpod import (
+    SvdState,
     Tolerances,
     WeightMatrix,
     exact_weighted_svd,
-    initialize,
     reconstruct,
     update,
     weighted_operator_norm,
@@ -28,11 +28,13 @@ M = WeightMatrix((X + X.T) / 2.0)
 
 U = rng.standard_normal((m, n))
 
-# Stream the columns. With tolerances far below round-off nothing is ever
-# truncated, so the update is exact and the error bound stays at zero.
+# Stream the columns, starting from the empty (rank-0) decomposition: the
+# first update is the initialization. With tolerances far below round-off
+# nothing is ever truncated, so the update is exact and the error bound
+# stays at zero.
 tols = Tolerances(tol=1e-300, tol_sv=1e-300)
-state = initialize(U[:, 0], M)
-for j in range(1, n):
+state = SvdState.empty(m)
+for j in range(n):
     state, report = update(state, U[:, j], M, tols)
 
 exact = exact_weighted_svd(U, M)
@@ -48,8 +50,8 @@ print("running error bound e:", state.e)
 # stays low, and the accumulated bound e dominates the true error.
 decayed = (exact.V * np.geomspace(5.0, 1e-10, exact.k)) @ exact.W.T
 tols = Tolerances(tol=1e-6, tol_sv=1e-6)
-state = initialize(decayed[:, 0], M)
-for j in range(1, n):
+state = SvdState.empty(m)
+for j in range(n):
     state, report = update(state, decayed[:, j], M, tols)
 
 err = weighted_operator_norm(decayed - reconstruct(state), M)

@@ -44,17 +44,17 @@ tols = Tolerances(1e-10, 1e-10)
 
 # one uninterrupted pass
 with read_stream(stream_path) as reader:
-    direct, _ = run_stream((c for _, _, c in reader), M2, tols)
+    direct = run_stream((c for _, _, c in reader), M2, tols)
 
 # interrupted pass: stop halfway, checkpoint, restore, finish
 with read_stream(stream_path) as reader:
-    half, _ = run_stream(islice((c for _, _, c in reader), s // 2), M2, tols)
+    half = run_stream(islice((c for _, _, c in reader), s // 2), M2, tols)
 ckpt = workdir / "half.podc"
 checkpoint(half, ckpt, tols)
 resumed, tols2 = restore(ckpt)
 with read_stream(stream_path) as reader:
     # the restored state passes over the columns it already consumed
-    resumed, _ = run_stream((c for _, _, c in reader), M2, tols2, state=resumed)
+    resumed = run_stream((c for _, _, c in reader), M2, tols2, state=resumed)
 
 print(f"direct run:  rank {direct.k}, e = {direct.e:.6e}")
 print(f"resumed run: rank {resumed.k}, e = {resumed.e:.6e}")

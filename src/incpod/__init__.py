@@ -20,7 +20,6 @@ from .errors import (
     NotPositiveDefiniteError,
     PreconditionViolationError,
     RankDeficientError,
-    ZeroColumnError,
 )
 from .fhn import (
     FhnParams,
@@ -35,7 +34,6 @@ from .incremental import (
     SvdState,
     Tolerances,
     UpdateReport,
-    initialize,
     pod_output,
     reconstruct,
     run_stream,

@@ -171,16 +171,15 @@ def cmd_pod(args):
             trace.writerow(["n", "k", "p", "e_p", "e_sv", "e"])
 
             def on_column(state, rep):
-                terms = (0.0, 0.0, 0.0) if rep is None else (rep.p, rep.e_p, rep.e_sv)
                 trace.writerow(
                     [str(state.n), str(state.k)]
-                    + [f"{v:.17g}" for v in (*terms, state.e)]
+                    + [f"{v:.17g}" for v in (rep.p, rep.e_p, rep.e_sv, state.e)]
                 )
                 if args.checkpoint_every and state.n % args.checkpoint_every == 0:
                     checkpoint(state, ckpt_path, tols)
 
             columns = (c for _, _, c in reader)
-            state, _ = run_stream(
+            state = run_stream(
                 columns, M, tols, keep_w=not args.no_w, state=state, on_column=on_column
             )
 

@@ -25,10 +25,6 @@ class InvalidInputError(ValueError):
     """Non-finite or otherwise malformed numerical input."""
 
 
-class ZeroColumnError(ValueError):
-    """Column with (numerically) zero weighted norm; caller may skip it."""
-
-
 class FormatError(ValueError):
     """Bad magic, version, or structure in a data file."""
 

@@ -18,18 +18,13 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError, ZeroColumnError
-from .weighted_linalg import (
-    m_norm,
-    modified_gram_schmidt_weighted,
-    small_svd,
-)
+from .errors import FormatError, InvalidInputError
+from .weighted_linalg import modified_gram_schmidt_weighted, small_svd
 
 __all__ = [
     "Tolerances",
     "SvdState",
     "UpdateReport",
-    "initialize",
     "update",
     "reconstruct",
     "pod_output",
@@ -62,10 +57,11 @@ class SvdState:
     ``Wp`` (k0 + n - n0, k) holds the small rotations accumulated since then
     and the rows appended after it. ``W`` builds the product on each access.
 
-    ``e`` is the accumulated error bound, each term added with upward
-    rounding so that it is never below the exact real sum of its terms;
-    ``T_p`` and ``T_sv`` count the truncation events that contributed to it.
-    Single-owner mutable state: one update at a time.
+    ``n`` counts every column consumed, zero columns included; each has a
+    row of W. ``e`` is the accumulated error bound, each term added with
+    upward rounding so that it is never below the exact real sum of its
+    terms; ``T_p`` and ``T_sv`` count the truncation events that contributed
+    to it. Single-owner mutable state: one update at a time.
     """
 
     V: np.ndarray
@@ -76,6 +72,13 @@ class SvdState:
     e: float = 0.0
     T_p: int = 0
     T_sv: int = 0
+
+    @classmethod
+    def empty(cls, m, keep_w=True):
+        """The rank-0 decomposition of no columns, where every stream starts:
+        its first :func:`update` is the initialization."""
+        W0, Wp = (np.zeros((0, 0)), np.zeros((0, 0))) if keep_w else (None, None)
+        return cls(V=np.zeros((m, 0)), sigma=np.zeros(0), W0=W0, Wp=Wp, n=0)
 
     @property
     def k(self):
@@ -107,31 +110,6 @@ class UpdateReport:
     reorthogonalized: bool
 
 
-def initialize(c, M, keep_w=True):
-    """Start a decomposition from a single nonzero column.
-
-    A column whose M-norm is at or below 1e-14 * sqrt(max diagonal of M)
-    raises :class:`ZeroColumnError` (the caller may skip the column and
-    retry with the next one).
-    """
-    # contiguous copy: memory layout must not influence the arithmetic,
-    # so every caller (file reader, matrix view) produces identical bits
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    if not np.isfinite(c).all():
-        raise InvalidInputError("column contains non-finite entries")
-    init_tol = 1e-14 * float(np.sqrt(np.max(M.diagonal())))
-    nrm = m_norm(c, M)
-    if nrm <= init_tol:
-        raise ZeroColumnError(f"column norm {nrm:.3e} is at or below {init_tol:.3e}")
-    return SvdState(
-        V=(c / nrm)[:, None],
-        sigma=np.array([nrm]),
-        W0=np.zeros((0, 0)) if keep_w else None,
-        Wp=np.ones((1, 1)) if keep_w else None,
-        n=1,
-    )
-
-
 def update(state, c, M, tols):
     """Fold one new column into the decomposition, all or nothing.
 
@@ -141,8 +119,14 @@ def update(state, c, M, tols):
     dimension, the residual direction joins the basis and the rank grows by
     one; otherwise it is discarded and p is added to the error bound.
     Trailing singular values at or below tol_sv are then truncated, adding
-    the largest one dropped. Finally the basis is reorthogonalized when its
-    first and last columns have drifted more than tol out of M-orthogonality.
+    the largest one dropped. Finally a basis of two or more columns is
+    reorthogonalized when its first and last columns have drifted more than
+    tol out of M-orthogonality.
+
+    From :meth:`SvdState.empty` (k = 0) the first update is the
+    initialization: Q = [p], so V = c / p, sigma = p and W = [1]. A column
+    with p < tol, a zero column in particular, is an ordinary non-growing
+    update at any rank: it adds p to e and a row to W, and n counts it.
 
     The right vectors are rotated lazily (Brand, LAA 415, 2006): the small
     rotation and the new row go into ``Wp`` only, at O(k^3) with no n term.
@@ -208,8 +192,10 @@ def update(state, c, M, tols):
     if Wp is not None and Wp.shape[0] > 2 * Wp.shape[1]:
         W0, Wp = _right_vectors(W0, Wp), np.eye(Wp.shape[1])
 
-    drift = abs(float(V[:, -1] @ M.matvec(V[:, 0])))
-    reorthogonalized = drift > tols.tol
+    # at rank one V[:, -1] is V[:, 0]: there is no pair to compare
+    reorthogonalized = (
+        V.shape[1] >= 2 and abs(float(V[:, -1] @ M.matvec(V[:, 0]))) > tols.tol
+    )
     if reorthogonalized:
         V = modified_gram_schmidt_weighted(V, M)
 
@@ -246,39 +232,23 @@ def pod_output(state):
 
 
 def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
-    """Feed an iterable of columns through initialize + update.
+    """Feed an iterable of columns through :func:`update`, one at a time.
 
-    Leading columns rejected as :class:`ZeroColumnError` are skipped (they
-    carry no information for the decomposition); their count is returned so
-    callers comparing against the full matrix can left-pad.
+    The stream starts from :meth:`SvdState.empty`, or from ``state``, a
+    restored decomposition of a prefix of this stream: the ``state.n``
+    columns it consumed are passed over (a :class:`FormatError` if the
+    stream ends first) and the remaining ones update it.
+    ``on_column(state, report)`` is called after every update with its
+    :class:`UpdateReport`. A stream that ends at rank 0 (no columns, or only
+    columns with p < tol) raises :class:`InvalidInputError`.
 
-    ``state``, if given, is a restored decomposition of a prefix of this
-    stream: its leading zero columns and the ``state.n`` columns it consumed
-    are passed over (a :class:`FormatError` if the stream ends first), and
-    the remaining columns update it. ``on_column(state, report)`` is called
-    after every column that changes the state; ``report`` is the
-    :class:`UpdateReport`, or None for the column that initialized it.
-
-    Returns ``(state, n_skipped)``.
+    Returns the final state.
     """
     columns = iter(columns)
-    first, n_skipped = None, 0
-    for c in columns:
-        try:
-            first = initialize(c, M, keep_w=keep_w)
-            break
-        except ZeroColumnError:
-            n_skipped += 1
     if state is None:
-        if first is None:
-            raise InvalidInputError("stream contained no usable columns")
-        state = first
-        if on_column is not None:
-            on_column(state, None)
+        state = SvdState.empty(M.dim, keep_w=keep_w)
     else:
-        # the restored state also started from ``first``; pass over the
-        # state.n - 1 columns it consumed after that one
-        passed = 0 if first is None else 1 + sum(1 for _ in islice(columns, state.n - 1))
+        passed = sum(1 for _ in islice(columns, state.n))
         if passed < state.n:
             raise FormatError(
                 f"stream ends after {passed} of the {state.n} columns the state consumed"
@@ -287,4 +257,6 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
         state, report = update(state, c, M, tols)
         if on_column is not None:
             on_column(state, report)
-    return state, n_skipped
+    if state.k == 0:
+        raise InvalidInputError("stream contained no usable columns")
+    return state

@@ -36,7 +36,7 @@ __all__ = [
 _STREAM_MAGIC = b"PODS"
 _CHECKPOINT_MAGIC = b"PODC"
 _STREAM_VERSION = 1
-_CHECKPOINT_VERSION = 3
+_CHECKPOINT_VERSION = 4
 _STREAM_HEADER = struct.Struct("<4sIQQ")  # magic, version, m, count
 
 
@@ -194,7 +194,12 @@ def read_weight_matrix(path):
         dims = fh.readline().split()
         if len(dims) != 3:
             raise FormatError("malformed dims line")
-        m1, m2, nnz = (int(v) for v in dims)
+        try:
+            m1, m2, nnz = (int(v) for v in dims)
+        except ValueError:
+            raise FormatError(f"malformed dims line {dims}") from None
+        if min(m1, m2, nnz) < 0:
+            raise FormatError(f"negative size in dims line {dims}")
         if m1 != m2:
             raise FormatError(f"weight matrix must be square, got {m1} x {m2}")
         rows, cols, vals = [], [], []
@@ -205,12 +210,18 @@ def read_weight_matrix(path):
             parts = line.split()
             if len(parts) != 3:
                 raise FormatError(f"malformed entry line {line!r}")
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+            try:
+                i, j, v = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
+            except ValueError:
+                raise FormatError(f"malformed entry line {line!r}") from None
+            if not (0 <= i < m1 and 0 <= j < m1):
+                raise FormatError(f"entry ({i + 1}, {j + 1}) outside a {m1} x {m1} matrix")
+            if not np.isfinite(v):
+                raise FormatError(f"non-finite entry line {line!r}")
             if i < j:
                 raise FormatError(
                     f"upper-triangle entry ({i + 1}, {j + 1}); store the lower triangle"
                 )
-            v = float(parts[2])
             rows.append(i)
             cols.append(j)
             vals.append(v)
@@ -229,6 +240,9 @@ def read_weight_matrix(path):
 # trailing CRC32 of the payload. W0 has n0 = n - (rows of Wp - k0) rows.
 # ``e`` is the whole error-bound accumulator and the factors are stored as
 # they are, so these values are all a resumed run needs to continue bitwise.
+# Version 4 has the layout of version 3, but n counts every column of the
+# stream; a version-3 n left out leading zero columns, and resuming from it
+# would start at the wrong column.
 _CKPT_HEAD = struct.Struct("<QQQQQdQQdd")
 
 

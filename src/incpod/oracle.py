@@ -105,23 +105,17 @@ def tolerance_sweep(snapshots, M, tol_grid):
     the incrementally accumulated bound.
     """
     U = _as_matrix(snapshots)
-    if U.shape[1] == 0:
-        raise InvalidInputError("empty snapshot stream")
     rows = []
     for tols in tol_grid:
         if not isinstance(tols, Tolerances):
             tols = Tolerances(*tols)
-        state, n_skipped = run_stream(iter(U.T), M, tols)
-        R = reconstruct(state)
-        if n_skipped:
-            R = np.hstack([np.zeros((U.shape[0], n_skipped)), R])
-        err = weighted_operator_norm(U - R, M)
+        state = run_stream(iter(U.T), M, tols)
         rows.append(
             SweepRow(
                 tol=tols.tol,
                 tol_sv=tols.tol_sv,
                 rank=state.k,
-                exact_error=err,
+                exact_error=exact_error(U, state, M),
                 incr_error_bound=state.e,
                 t_p=state.T_p,
                 t_sv=state.T_sv,

@@ -117,7 +117,7 @@ def test_c3_exactness_without_truncation():
         n = int(rng.integers(5, 61))
         M = random_weight(rng, m)
         U = rng.standard_normal((m, n))
-        state, _ = run_stream(iter(U.T), M, tols)
+        state = run_stream(iter(U.T), M, tols)
         ex = exact_weighted_svd(U, M)
         k = min(state.k, ex.k)
         assert np.max(np.abs(state.sigma[:k] - ex.sigma[:k])) <= 1e-11 * ex.sigma[0]

@@ -83,6 +83,10 @@ class TestPod:
                      "--tol", "1e-12", "--tol-sv", "1e-12"]) == 0
         rows = read_csv_rows(out + "_trace.csv")
         assert rows[0] == ["n", "k", "p", "e_p", "e_sv", "e"]
+        # one row per stream column, the first one's p its norm
+        with read_stream(fhn_prefix + ".pods") as reader:
+            assert [r[0] for r in rows[1:]] == [str(n) for n in range(1, reader.count + 1)]
+        assert rows[1][1] == "1" and float(rows[1][2]) > 0.0
         e_vals = [float(r[5]) for r in rows[1:]]
         assert all(b >= a for a, b in zip(e_vals, e_vals[1:]))
         assert e_vals[-1] > 0.0
@@ -111,20 +115,43 @@ class TestPod:
         shutil.copy(other + ".wm", mixed + ".wm")
         assert main(["pod", "--input", mixed, "--output", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("dims, entry", [
+        ("3 3 x", "1 1 1.0"),
+        ("3 3 -1", "1 1 1.0"),
+        ("-3 -3 1", "1 1 1.0"),
+        ("3 3 1", "5 1 1.0"),
+        ("3 3 1", "0 0 1.0"),
+        ("3 3 1", "a 1 1.0"),
+        ("3 3 1", "1 1 abc"),
+        ("3 3 1", "1 1 nan"),
+    ], ids=["dims", "negative_nnz", "negative_m", "row_outside", "index_zero",
+            "index", "value", "nonfinite"])
+    def test_malformed_weight_matrix_exit_code(self, fhn_prefix, tmp_path, dims, entry):
+        bad = str(tmp_path / "bad")
+        shutil.copy(fhn_prefix + ".pods", bad + ".pods")
+        with open(bad + ".wm", "w") as fh:
+            fh.write(f"%%WeightMatrix symmetric\n{dims}\n{entry}\n")
+        assert main(["pod", "--input", bad, "--output", str(tmp_path / "o")]) == 2
+
     def test_missing_input_exit_code(self, tmp_path):
         assert main(["pod", "--input", str(tmp_path / "nope"),
                      "--output", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("leading_zeros", [0, 3])
-    def test_checkpoint_resume_bitwise(self, fhn_prefix, tmp_path, leading_zeros):
+    @pytest.mark.parametrize("leading_zeros, cut", [
+        pytest.param(0, None, id="0"),
+        pytest.param(3, None, id="3"),
+        pytest.param(5, 2, id="cut_in_zeros"),
+    ])
+    def test_checkpoint_resume_bitwise(self, fhn_prefix, tmp_path, leading_zeros, cut):
         times, weights, cols = read_stream_matrix(fhn_prefix + ".pods")
-        # zero columns ahead of the data: skipped, and passed over on resume
+        # zero columns ahead of the data: counted by n, passed over on resume
         cols = np.hstack([np.zeros((cols.shape[0], leading_zeros)), cols])
         times = np.concatenate([np.zeros(leading_zeros), times])
         weights = np.concatenate([np.ones(leading_zeros), weights])
         full_prefix = str(tmp_path / "data")
         write_prefix(full_prefix, fhn_prefix, times, weights, cols)
-        cut = leading_zeros + (cols.shape[1] - leading_zeros) // 2
+        if cut is None:
+            cut = leading_zeros + (cols.shape[1] - leading_zeros) // 2
 
         # uninterrupted reference
         full_out = str(tmp_path / "full")
@@ -134,7 +161,10 @@ class TestPod:
         part_prefix = str(tmp_path / "part")
         write_prefix(part_prefix, fhn_prefix, times, weights, cols[:, :cut])
         part_out = str(tmp_path / "part_run")
-        assert main(["pod", "--input", part_prefix, "--output", part_out]) == 0
+        # a prefix of zeros ends at rank 0 (exit 2), after its checkpoint
+        code = main(["pod", "--input", part_prefix, "--output", part_out,
+                     "--checkpoint-every", str(cut)])
+        assert code == (2 if cut <= leading_zeros else 0)
 
         # resume over the full stream from the mid-run checkpoint
         resumed_out = str(tmp_path / "resumed")

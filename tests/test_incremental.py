@@ -3,16 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from incpod.errors import (
-    FormatError,
-    InvalidInputError,
-    RankDeficientError,
-    ZeroColumnError,
-)
+from incpod.errors import FormatError, InvalidInputError, RankDeficientError
 from incpod.incremental import (
     SvdState,
     Tolerances,
-    initialize,
+    UpdateReport,
     pod_output,
     reconstruct,
     run_stream,
@@ -33,8 +28,17 @@ EXACT = Tolerances(tol=1e-300, tol_sv=1e-300)
 
 
 def stream_matrix(U, M, tols, **kw):
-    state, _ = run_stream(iter(np.asarray(U, dtype=float).T), M, tols, **kw)
-    return state
+    return run_stream(iter(np.asarray(U, dtype=float).T), M, tols, **kw)
+
+
+def first_update(c, M, tols=EXACT, keep_w=True):
+    """The update of the empty state by its first column, and its report."""
+    return update(SvdState.empty(M.dim, keep_w=keep_w), c, M, tols)
+
+
+def started(c, M, keep_w=True):
+    """The state after one nonzero column."""
+    return first_update(c, M, keep_w=keep_w)[0]
 
 
 class TestTolerances:
@@ -49,32 +53,53 @@ class TestTolerances:
 
 
 class TestInitialize:
+    """The first column is an ordinary update of the empty state."""
+
+    def test_empty_state(self):
+        s = SvdState.empty(3)
+        assert s.V.shape == (3, 0) and s.sigma.shape == (0,) and s.k == 0
+        assert s.W0.shape == (0, 0) and s.Wp.shape == (0, 0) and s.W.shape == (0, 0)
+        assert s.n == 0 and s.e == 0.0 and s.T_p == 0 and s.T_sv == 0
+        assert SvdState.empty(3, keep_w=False).W is None
+
     def test_euclidean(self):
-        s = initialize([3.0, 4.0], WeightMatrix(np.eye(2)))
+        s, rep = first_update([3.0, 4.0], WeightMatrix(np.eye(2)))
         assert np.allclose(s.sigma, [5.0], atol=0)
         assert np.allclose(s.V[:, 0], [0.6, 0.8], atol=1e-16)
         assert s.W.shape == (1, 1) and s.W[0, 0] == 1.0
         assert s.e == 0.0 and s.k == 1 and s.n == 1
         assert s.T_p == 0 and s.T_sv == 0
+        assert rep == UpdateReport(p=5.0, e_p=0.0, e_sv=0.0, rank_grew=True,
+                                   reorthogonalized=False)
 
     def test_weighted(self):
-        s = initialize([1.0, 0.0], WeightMatrix(np.diag([4.0, 1.0])))
+        s = started([1.0, 0.0], WeightMatrix(np.diag([4.0, 1.0])))
         assert np.allclose(s.sigma, [2.0], atol=0)
         assert s.V[0, 0] == 0.5
 
     def test_zero_column(self):
-        with pytest.raises(ZeroColumnError):
-            initialize(np.zeros(3), WeightMatrix(np.eye(3)))
+        # an ordinary non-growing update: p = 0 adds nothing to e, n counts
+        # the column and W gets a (zero-width) row for it
+        s, rep = first_update(np.zeros(3), WeightMatrix(np.eye(3)), Tolerances())
+        assert s.k == 0 and s.e == 0.0 and s.n == 1 and s.T_p == 0 and s.T_sv == 0
+        assert s.V.shape == (3, 0) and s.W.shape == (1, 0)
+        assert rep.p == 0.0 and not rep.rank_grew and not rep.reorthogonalized
+
+    def test_small_first_column_is_p_truncated(self):
+        # 0 < p < tol: projected onto the empty basis like any later column
+        s, rep = first_update([1e-12, 0.0], WeightMatrix(np.eye(2)), Tolerances(1e-10, 1e-10))
+        assert s.k == 0 and s.n == 1 and s.T_p == 1
+        assert rep.e_p == rep.p == 1e-12 and s.e >= 1e-12
 
     def test_skip_w(self):
-        s = initialize([1.0, 1.0], WeightMatrix(np.eye(2)), keep_w=False)
-        assert s.W is None
+        s = started([1.0, 1.0], WeightMatrix(np.eye(2)), keep_w=False)
+        assert s.W is None and s.W0 is None and s.k == 1
 
 
 class TestUpdate:
     def test_orthogonal_growth(self):
         M = WeightMatrix(np.eye(2))
-        s = initialize([1.0, 0.0], M)
+        s = started([1.0, 0.0], M)
         s, rep = update(s, np.array([0.0, 1.0]), M, Tolerances(1e-12, 1e-12))
         assert s.k == 2
         assert np.allclose(s.sigma, [1.0, 1.0], atol=1e-15)
@@ -134,9 +159,9 @@ class TestUpdate:
         M = random_weight(rng, 15)
         U = rng.standard_normal((15, 20))
         tols = Tolerances(tol=1e-6, tol_sv=1e-6)
-        s = initialize(U[:, 0], M)
+        s = SvdState.empty(15)
         e_prev = 0.0
-        for i in range(1, 20):
+        for i in range(20):
             s, rep = update(s, U[:, i], M, tols)
             assert m_orthonormality_defect(s.V, M) <= 1e-10 * s.k
             assert np.max(np.abs(s.W.T @ s.W - np.eye(s.k))) <= 1e-10 * s.k
@@ -169,9 +194,8 @@ class TestUpdate:
         M = random_weight(rng, 12)
         U = rng.standard_normal((12, 15))
         tols = Tolerances(1e-6, 1e-6)
-        a = initialize(U[:, 0], M)
-        b = initialize(np.ascontiguousarray(U[:, 0]), M)
-        for i in range(1, 15):
+        a, b = SvdState.empty(12), SvdState.empty(12)
+        for i in range(15):
             a, ra = update(a, U[:, i], M, tols)  # strided view
             b, rb = update(b, U[:, i].copy(), M, tols)  # contiguous
             assert ra.p == rb.p and ra.e_p == rb.e_p and ra.e_sv == rb.e_sv
@@ -186,6 +210,17 @@ class TestUpdate:
         s.V[:, -1] += drift * s.V[:, 0]
         s, rep = update(s, U[:, 4], M, Tolerances())
         assert rep.reorthogonalized == (drift > 0.0)
+        assert m_orthonormality_defect(s.V, M) <= 1e-13
+
+    def test_rank_one_stream_is_not_reorthogonalized(self, rng):
+        # multiples of one vector: V has one column, so the drift probe has
+        # no pair of columns to compare and must not fire
+        M = random_weight(rng, 8)
+        v = rng.standard_normal(8)
+        s = SvdState.empty(8)
+        for a in rng.uniform(0.5, 2.0, 20) * rng.choice([-1.0, 1.0], 20):
+            s, rep = update(s, a * v, M, Tolerances())
+            assert s.k == 1 and not rep.reorthogonalized
         assert m_orthonormality_defect(s.V, M) <= 1e-13
 
     def test_failed_update_leaves_state_unchanged(self):
@@ -214,7 +249,7 @@ class TestUpdate:
 
     def test_sv_truncation_records_first_discarded(self, rng):
         M = WeightMatrix(np.eye(6))
-        s = initialize(np.array([10.0, 0, 0, 0, 0, 0]), M)
+        s = started(np.array([10.0, 0, 0, 0, 0, 0]), M)
         c = np.array([0.0, 1e-6, 0, 0, 0, 0])
         s, rep = update(s, c, M, Tolerances(tol=1e-12, tol_sv=1e-3))
         assert s.k == 1
@@ -223,22 +258,24 @@ class TestUpdate:
 
     def test_all_values_below_tolsv_keeps_rank_one(self, rng):
         M = WeightMatrix(np.eye(4))
-        s = initialize(np.array([1e-6, 0, 0, 0.0]), M)
+        s = started(np.array([1e-6, 0, 0, 0.0]), M)
         s, rep = update(s, np.array([0, 1e-7, 0, 0.0]), M, Tolerances(tol=1e-12, tol_sv=1.0))
         assert s.k == 1
         assert rep.e_sv == pytest.approx(1e-7, rel=1e-10)
 
     def test_wrong_length_column(self):
         M = WeightMatrix(np.eye(3))
-        s = initialize([1.0, 0.0, 0.0], M)
+        s = started([1.0, 0.0, 0.0], M)
         with pytest.raises(ValueError):
             update(s, np.ones(4), M, Tolerances())
 
     def test_nonfinite_column(self):
         M = WeightMatrix(np.eye(2))
-        s = initialize([1.0, 0.0], M)
+        s = started([1.0, 0.0], M)
         with pytest.raises(InvalidInputError):
             update(s, np.array([np.inf, 0.0]), M, Tolerances())
+        with pytest.raises(InvalidInputError):
+            first_update(np.array([0.0, np.nan]), M)
 
     def test_keep_w_false_update(self, rng):
         M = random_weight(rng, 6)
@@ -284,9 +321,9 @@ class TestFactoredW:
         # column, from the same small SVD that update computes
         M = random_weight(rng, 20)
         U = mixed_stream(rng, M, zeros=3)
-        s = initialize(U[:, 3], M)
-        W_ref, folds = np.ones((1, 1)), 0
-        for c in U[:, 4:].T:
+        s = SvdState.empty(20)
+        W_ref, folds = np.zeros((0, 0)), 0
+        for c in U.T:
             V, sigma, W0, k = s.V, s.sigma, s.W0, s.k
             res = c - V @ (V.T @ M.matvec(c))
             p = float(np.sqrt(abs(res @ M.matvec(res))))
@@ -300,7 +337,7 @@ class TestFactoredW:
             r = k + rep.rank_grew
             W_ref = np.vstack([W_ref @ W_Q[:k, :r], W_Q[k, :r][None, :]])[:, : s.k]
             folds += s.W0 is not W0
-            assert np.max(np.abs(s.W - W_ref)) <= 1e-13
+            assert s.W.shape == W_ref.shape and np.abs(s.W - W_ref).max(initial=0.0) <= 1e-13
             assert s.W0.shape[0] + s.Wp.shape[0] - s.W0.shape[1] == s.n
             assert s.Wp.shape[0] <= 2 * s.k + 1
         assert s.T_p > 0 and s.T_sv > 0
@@ -328,7 +365,8 @@ class TestZeroRowStructure:
 
 class TestErrorBound:
     def test_fresh_state_zero(self):
-        s = initialize([1.0, 2.0], WeightMatrix(np.eye(2)))
+        assert SvdState.empty(2).e == 0.0
+        s = started([1.0, 2.0], WeightMatrix(np.eye(2)))
         assert s.e == 0.0
 
     def test_zero_after_exact_updates(self, rng):
@@ -348,7 +386,7 @@ class TestErrorBound:
 
 class TestReconstruct:
     def test_rank_one_roundtrip(self):
-        s = initialize([3.0, 4.0], WeightMatrix(np.eye(2)))
+        s = started([3.0, 4.0], WeightMatrix(np.eye(2)))
         assert np.allclose(reconstruct(s), [[3.0], [4.0]], atol=1e-15)
 
     def test_two_orthogonal_columns(self):
@@ -367,7 +405,7 @@ class TestReconstruct:
 
 class TestPodOutput:
     def test_single_mode(self):
-        s = initialize([3.0, 4.0], WeightMatrix(np.eye(2)))
+        s = started([3.0, 4.0], WeightMatrix(np.eye(2)))
         modes, eigs = pod_output(s)
         assert np.allclose(eigs, [25.0], atol=0)
         assert modes.shape == (2, 1)
@@ -388,35 +426,49 @@ class TestPodOutput:
 
 class TestRunStream:
     def test_skips_leading_zero_columns(self, rng):
+        # leading zeros are ordinary updates that leave the rank at 0: n
+        # counts them, W has a zero row for each, and nothing else moves
         M = random_weight(rng, 5)
         U = rng.standard_normal((5, 4))
-        U[:, 0] = 0.0
-        state, skipped = run_stream(iter(U.T), M, EXACT)
-        assert skipped == 1
-        assert state.n == 3
+        U[:, :2] = 0.0
+        state = run_stream(iter(U.T), M, EXACT)
+        plain = run_stream(iter(U[:, 2:].T), M, EXACT)
+        assert state.n == 4 and plain.n == 2
+        assert np.array_equal(state.V, plain.V)
+        assert np.array_equal(state.sigma, plain.sigma)
+        assert (state.e, state.T_p, state.T_sv) == (plain.e, plain.T_p, plain.T_sv)
+        assert state.W.shape == (4, 2)
+        assert np.array_equal(state.W[:2], np.zeros((2, 2)))
+        assert np.max(np.abs(state.W[2:] - plain.W)) <= 1e-15
+        assert np.max(np.abs(reconstruct(state) - U)) <= 1e-13
 
     def test_resume_passes_over_consumed_columns(self, rng):
         M = random_weight(rng, 6)
         U = rng.standard_normal((6, 12))
         U[:, :2] = 0.0
         tols = Tolerances(1e-8, 1e-8)
-        full, _ = run_stream(iter(U.T), M, tols)
+        full = run_stream(iter(U.T), M, tols)
         seen = []
-        part, skipped = run_stream(iter(U[:, :7].T), M, tols,
-                                   on_column=lambda s, r: seen.append((s.n, r is None)))
-        assert skipped == 2 and seen == [(1, True)] + [(n, False) for n in range(2, 6)]
-        resumed, _ = run_stream(iter(U.T), M, tols, state=part)
-        assert resumed.n == full.n and resumed.e == full.e
-        assert np.array_equal(resumed.V, full.V) and np.array_equal(resumed.W, full.W)
+        part = run_stream(iter(U[:, :7].T), M, tols,
+                          on_column=lambda s, r: seen.append((s.n, type(r))))
+        assert seen == [(n, UpdateReport) for n in range(1, 8)]
+        # a state cut inside the leading zeros resumes like any other
+        inside = update(SvdState.empty(6), U[:, 0], M, tols)[0]
+        for cut in (part, inside):
+            resumed = run_stream(iter(U.T), M, tols, state=cut)
+            assert resumed.n == full.n and resumed.e == full.e
+            assert np.array_equal(resumed.V, full.V) and np.array_equal(resumed.W, full.W)
 
     def test_resume_over_short_stream_rejected(self, rng):
         M = random_weight(rng, 6)
         U = rng.standard_normal((6, 8))
-        state, _ = run_stream(iter(U.T), M, EXACT)
+        state = run_stream(iter(U.T), M, EXACT)
         with pytest.raises(FormatError):
             run_stream(iter(U[:, :5].T), M, EXACT, state=state)
 
     def test_all_zero_stream_rejected(self):
+        # a stream that ends at rank 0, with or without columns
         M = WeightMatrix(np.eye(3))
-        with pytest.raises(InvalidInputError):
-            run_stream(iter(np.zeros((3, 3)).T), M, EXACT)
+        for n in (0, 3):
+            with pytest.raises(InvalidInputError):
+                run_stream(iter(np.zeros((3, n)).T), M, EXACT)

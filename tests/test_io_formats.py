@@ -10,7 +10,7 @@ import scipy.sparse
 
 from incpod.errors import CorruptCheckpointError, CorruptStreamError, FormatError
 from incpod.fhn import Mesh1D, build_weight_matrix
-from incpod.incremental import Tolerances, initialize, reconstruct, run_stream, update
+from incpod.incremental import SvdState, Tolerances, reconstruct, run_stream, update
 from incpod.io_formats import (
     StreamWriter,
     checkpoint,
@@ -149,7 +149,7 @@ class TestCheckpoint:
     def _make_state(self, rng, m=10, n=8):
         M = random_weight(rng, m)
         U = rng.standard_normal((m, n))
-        state, _ = run_stream(iter(U.T), M, Tolerances(1e-6, 1e-6))
+        state = run_stream(iter(U.T), M, Tolerances(1e-6, 1e-6))
         return state, M
 
     def test_roundtrip_bitwise(self, rng, tmp_path):
@@ -182,7 +182,7 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             restore(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_empty_payload_rejected(self, tmp_path, version):
         # magic, version, then the CRC of an empty payload: 12 bytes
         path = tmp_path / "short.podc"
@@ -217,6 +217,28 @@ class TestCheckpoint:
                          + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(FormatError, match="version 2"):
             restore(path)
+
+    def test_version_3_rejected(self, rng, tmp_path):
+        # version 3 had this layout, but its n left out leading zero columns
+        state, _ = self._make_state(rng)
+        path = tmp_path / "v3.podc"
+        checkpoint(state, path, Tolerances())
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 3) + blob[8:])
+        with pytest.raises(FormatError, match="version 3"):
+            restore(path)
+
+    def test_rank_zero_roundtrip(self, tmp_path):
+        # a state cut inside the leading zero columns: k = 0, W has 3 rows
+        M = WeightMatrix(np.eye(4))
+        state = SvdState.empty(4)
+        for _ in range(3):
+            update(state, np.zeros(4), M, Tolerances())
+        path = tmp_path / "zero.podc"
+        checkpoint(state, path, Tolerances())
+        restored, _ = restore(path)
+        assert restored.k == 0 and restored.n == 3 and restored.e == 0.0
+        assert restored.V.shape == (4, 0) and restored.W.shape == (3, 0)
 
     @pytest.mark.parametrize("k0, rows_p", [(8, 7), (8, 17), (0, 8)],
                              ids=["n0_above_n", "n0_negative", "length_mismatch"])
@@ -253,16 +275,16 @@ class TestCheckpoint:
         U = m_orthonormal_columns(rng, M, 3) @ rng.standard_normal((3, 30))
         tols = Tolerances(1e-8, 1e-8)
 
-        direct, folds = initialize(U[:, 0], M), []
-        for j in range(1, 30):
+        direct, folds = SvdState.empty(12), []
+        for j in range(30):
             W0 = direct.W0
             update(direct, U[:, j], M, tols)
             if direct.W0 is not W0:
                 folds.append(j)
         cut = folds[1] + offset  # columns 0..cut go in before the checkpoint
 
-        half = initialize(U[:, 0], M)
-        for j in range(1, cut + 1):
+        half = SvdState.empty(12)
+        for j in range(cut + 1):
             update(half, U[:, j], M, tols)
         assert half.Wp.shape[0] == {-1: 2 * half.k, 0: half.k, 1: half.k + 1}[offset]
         path = tmp_path / "mid.podc"
@@ -293,7 +315,7 @@ class TestCheckpoint:
 
     def test_requires_w(self, rng):
         M = random_weight(rng, 5)
-        state = initialize(rng.standard_normal(5), M, keep_w=False)
+        state = run_stream(iter(rng.standard_normal((1, 5))), M, Tolerances(), keep_w=False)
         with pytest.raises(ValueError):
             checkpoint(state, "/tmp/never-written.podc", Tolerances())
 

@@ -12,7 +12,7 @@ from incpod.weighted_linalg import (
     weighted_operator_norm,
 )
 
-from conftest import engineered_pair, random_weight
+from conftest import engineered_pair, m_orthonormal_columns, random_weight
 
 
 def state_from_triple(V, sigma, W):
@@ -107,7 +107,7 @@ class TestOracleIncrementalAgreement:
         M = random_weight(rng, 30)
         sigmas = np.geomspace(10.0, 1e-3, 8)
         U, _, _, _ = engineered_pair(rng, M, 18, sigmas)
-        state, _ = run_stream(iter(U.T), M, Tolerances(1e-300, 1e-300))
+        state = run_stream(iter(U.T), M, Tolerances(1e-300, 1e-300))
         ex = exact_weighted_svd(U, M)
         assert np.max(np.abs(state.sigma[: ex.k] - ex.sigma)) <= 1e-11 * ex.sigma[0]
         # leading vectors with a healthy spectral gap agree to angle 1e-8
@@ -150,6 +150,17 @@ class TestToleranceSweep:
         for row in rows:
             assert row.exact_error <= row.incr_error_bound + 1e-10 * sigma1
             assert row.incr_error_bound <= row.t_p * row.tol + row.t_sv * row.tol_sv
+
+    def test_leading_zero_columns(self, rng):
+        # the state has a (zero) row of W for every stream column, so the
+        # exact error compares it with U as it is
+        M = random_weight(rng, 12)
+        U = m_orthonormal_columns(rng, M, 3) @ rng.standard_normal((3, 9))
+        U[:, :3] = 0.0
+        (row,) = tolerance_sweep(U, M, [Tolerances(1e-8, 1e-8)])
+        assert row.state.n == 9 and row.state.W.shape == (9, 3)
+        assert row.exact_error == exact_error(U, row.state, M)
+        assert row.exact_error <= row.incr_error_bound + 1e-12
 
     def test_accepts_tolerance_pairs(self, rng):
         M = random_weight(rng, 6)
