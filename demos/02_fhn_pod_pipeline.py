@@ -5,8 +5,10 @@ excitable-medium system is integrated with an adaptive implicit stepper,
 the sqrt(dt)-scaled snapshot columns are streamed through the incremental
 SVD for a grid of truncation tolerances, and each run is compared against
 the exact weighted SVD of the full snapshot matrix. Every row must show
-exact_error <= error bound.
+exact_error <= error bound; the script exits with status 1 if one does not.
 """
+
+import sys
 
 import numpy as np
 
@@ -34,8 +36,10 @@ rows = tolerance_sweep(snaps, M, grid)
 
 print(f"\n{'tol':>8} {'tol_sv':>8} {'rank':>5} {'exact error':>13} "
       f"{'error bound':>13}  dominated")
+all_dominated = True
 for row in rows:
     ok = row.exact_error <= row.incr_error_bound + 1e-10 * exact.sigma[0]
+    all_dominated &= ok
     print(f"{row.tol:>8.0e} {row.tol_sv:>8.0e} {row.rank:>5d} "
           f"{row.exact_error:>13.4e} {row.incr_error_bound:>13.4e}  {ok}")
 
@@ -45,3 +49,6 @@ tight = rows[-1].state
 energy = np.cumsum(tight.sigma**2) / np.sum(tight.sigma**2)
 hold = int(np.searchsorted(energy, 0.9999) + 1)
 print(f"\n{hold} modes capture 99.99% of the snapshot energy")
+
+if not all_dominated:
+    sys.exit("a sweep row is not dominated by its error bound")

@@ -14,8 +14,8 @@ import numpy as np
 
 from incpod import Tolerances, WeightMatrix, run_stream
 from incpod.io_formats import (
+    StreamReader,
     checkpoint,
-    read_stream,
     read_weight_matrix,
     restore,
     write_stream,
@@ -43,16 +43,16 @@ tols = Tolerances(1e-10, 1e-10)
 
 
 # one uninterrupted pass
-with read_stream(stream_path) as reader:
+with StreamReader(stream_path) as reader:
     direct = run_stream((c for _, _, c in reader), M2, tols)
 
 # interrupted pass: stop halfway, checkpoint, restore, finish
-with read_stream(stream_path) as reader:
+with StreamReader(stream_path) as reader:
     half = run_stream(islice((c for _, _, c in reader), s // 2), M2, tols)
 ckpt = workdir / "half.podc"
 checkpoint(half, ckpt, tols)
 resumed, tols2 = restore(ckpt)
-with read_stream(stream_path) as reader:
+with StreamReader(stream_path) as reader:
     # the restored state passes over the columns it already consumed
     resumed = run_stream((c for _, _, c in reader), M2, tols2, state=resumed)
 

@@ -25,7 +25,6 @@ from .fhn import (
     FhnParams,
     Mesh1D,
     SnapshotSet,
-    StepperConfig,
     assemble_fem,
     build_weight_matrix,
     simulate,

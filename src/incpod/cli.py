@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 
@@ -28,8 +29,8 @@ from .fhn import FhnParams, Mesh1D, build_weight_matrix, simulate
 # by name and expects it to exist.
 from .incremental import Tolerances, pod_output, run_stream, update  # noqa: F401
 from .io_formats import (
+    StreamReader,
     checkpoint,
-    read_stream,
     read_stream_matrix,
     read_weight_matrix,
     restore,
@@ -127,7 +128,7 @@ def _load_inputs(args, materialize=False):
                 f"stream dimension {U.shape[0]} does not match weight matrix {M.dim}"
             )
         return M, U
-    reader = read_stream(args.input + ".pods")
+    reader = StreamReader(args.input + ".pods")
     if reader.m != M.dim:
         reader.close()
         raise FormatError(
@@ -148,6 +149,33 @@ def cmd_simulate(args):
     return 0
 
 
+_TRACE_HEADER = "n,k,p,e_p,e_sv,e\r\n"  # as csv.writer ends its rows
+
+
+def _open_trace(path, state):
+    """Open the trace for the rows after ``state``. A resumed run keeps the
+    rows of the trace at ``path`` up to a complete row n = ``state.n`` that
+    carries the state's k and e, and drops later ones; any other file is
+    replaced by a trace that starts at the header."""
+    keep = None
+    if state is not None and os.path.exists(path):
+        n, k, e = (str(v).encode() for v in (state.n, state.k, f"{state.e:.17g}\r\n"))
+        with open(path, "rb") as fh:
+            offset = 0
+            for line in fh:
+                offset += len(line)
+                fields = line.split(b",")
+                if fields[0] == n:
+                    keep = offset if (fields[1], fields[-1]) == (k, e) else None
+                    break
+    if keep is not None:
+        os.truncate(path, keep)
+        return open(path, "a", newline="")
+    fh = open(path, "w", newline="")
+    fh.write(_TRACE_HEADER)
+    return fh
+
+
 def cmd_pod(args):
     if args.no_w and (args.checkpoint_every or args.resume):
         raise UsageError("--no-w keeps no right singular vectors to checkpoint or resume")
@@ -164,11 +192,10 @@ def cmd_pod(args):
                 raise FormatError(
                     f"checkpoint dimension {state.V.shape[0]} does not match stream {M.dim}"
                 )
-        with open(args.output + "_trace.csv", "w", newline="") as trace_fh:
+        with _open_trace(args.output + "_trace.csv", state) as trace_fh:
             # rows go straight to the file, so the trace's memory does not
             # grow with the column count
             trace = csv.writer(trace_fh)
-            trace.writerow(["n", "k", "p", "e_p", "e_sv", "e"])
 
             def on_column(state, rep):
                 trace.writerow(

@@ -30,7 +30,7 @@ class FormatError(ValueError):
 
 
 class CorruptStreamError(FormatError):
-    """Snapshot stream ends mid-record. ``offset`` is the byte position."""
+    """Snapshot stream cut mid-record or overlong. ``offset`` is the byte position."""
 
     def __init__(self, message, offset):
         super().__init__(message)

@@ -30,7 +30,6 @@ from .weighted_linalg import WeightMatrix
 __all__ = [
     "FhnParams",
     "Mesh1D",
-    "StepperConfig",
     "SnapshotSet",
     "assemble_fem",
     "build_weight_matrix",
@@ -45,6 +44,13 @@ _GAMMA = 2.0 - math.sqrt(2.0)
 _D = _GAMMA / 2.0  # shared implicit coefficient; also the b3 weight
 _B1 = math.sqrt(2.0) / 4.0  # = b2
 _EHAT = ((1.0 - math.sqrt(2.0)) / 3.0, 1.0 / 3.0, (math.sqrt(2.0) - 2.0) / 3.0)
+
+# step control: first step, smallest step before giving up, and the Newton
+# iteration cap and tolerance (on the error-weighted rms of the update)
+_H0 = 1e-4
+_H_MIN = 1e-13
+_NEWTON_MAXITER = 8
+_NEWTON_TOL = 0.03
 
 
 @dataclass(frozen=True)
@@ -79,18 +85,6 @@ class Mesh1D:
     @property
     def x(self):
         return np.linspace(0.0, 1.0, self.nodes)
-
-
-@dataclass(frozen=True)
-class StepperConfig:
-    rtol: float = 1e-6
-    atol: float = 1e-8
-    h0: float = 1e-4
-    h_min: float = 1e-13
-    h_max: float = np.inf
-    max_steps: int = 1_000_000
-    newton_maxiter: int = 8
-    newton_tol: float = 0.03
 
 
 @dataclass
@@ -163,109 +157,95 @@ def _f_cubic_prime(v):
 
 
 class _FhnSystem:
-    """Semidiscrete right-hand side M_sys y' = F(t, y) and its Jacobian."""
+    """Semidiscrete system M_sys y' = A y + M_sys g(y) + b(t).
+
+    A = [[-mu K, -M/mu], [b M, -gamma M]] is assembled once; the cubic
+    enters through the nodal g(y) = [f(v)/mu; 0], so only the diagonal
+    scaling M_sys diag(g'(y)) of the Jacobian changes with the state.
+    """
 
     def __init__(self, params, mesh):
-        self.params = params
+        p = self.params = params
         self.n = mesh.nodes
-        self.mass, self.stiff = assemble_fem(mesh)
-        self.msys = scipy.sparse.block_diag([self.mass, self.mass], format="csc")
-        self.mass_one = self.mass @ np.ones(self.n)
-        p = params
-        self._const_v = (p.c_const / p.mu) * self.mass_one
-        self._const_w = p.c_const * self.mass_one
-        # constant Jacobian blocks; only d(Bv')/dv changes with v
-        self._jvw = -(1.0 / p.mu) * self.mass
-        self._jwv = p.b * self.mass
-        self._jww = -p.gamma * self.mass
+        mass, stiff = assemble_fem(mesh)
+        self.msys = scipy.sparse.block_diag([mass, mass], format="csc")
+        self.A = scipy.sparse.bmat(
+            [[-p.mu * stiff, -(1.0 / p.mu) * mass], [p.b * mass, -p.gamma * mass]],
+            format="csc",
+        )
+        mass_one = mass @ np.ones(self.n)
+        self._b_const = np.concatenate([(p.c_const / p.mu) * mass_one, p.c_const * mass_one])
+
+    def _nodal(self, fv):
+        """[fv/mu; 0]: a nodal function of v lifted to the stacked vector."""
+        return np.concatenate([fv / self.params.mu, np.zeros(self.n)])
 
     def rhs(self, t, y):
-        p, n = self.params, self.n
-        v, w = y[:n], y[n:]
-        Fv = (
-            -p.mu * (self.stiff @ v)
-            - (1.0 / p.mu) * (self.mass @ w)
-            + (1.0 / p.mu) * (self.mass @ _f_cubic(v))
-            + self._const_v
-        )
-        Fv[0] += neumann_forcing(t, p)
-        Fw = p.b * (self.mass @ v) - p.gamma * (self.mass @ w) + self._const_w
-        return np.concatenate([Fv, Fw])
+        F = self.A @ y + self.msys @ self._nodal(_f_cubic(y[: self.n])) + self._b_const
+        F[0] += neumann_forcing(t, self.params)
+        return F
 
     def jacobian(self, y):
-        p, n = self.params, self.n
-        v = y[:n]
-        jvv = -p.mu * self.stiff + (1.0 / p.mu) * (
-            self.mass @ scipy.sparse.diags(_f_cubic_prime(v))
-        )
-        return scipy.sparse.bmat(
-            [[jvv, self._jvw], [self._jwv, self._jww]], format="csc"
-        )
+        g_prime = self._nodal(_f_cubic_prime(y[: self.n]))
+        return self.A + self.msys @ scipy.sparse.diags(g_prime)
 
 
 def _scaled_rms(vec, scale):
     return float(np.sqrt(np.mean((vec / scale) ** 2)))
 
 
-def simulate(params, mesh, t_final, stepper_cfg=None, scale=True):
+def simulate(params, mesh, t_final, rtol=1e-6, atol=1e-8, max_steps=1_000_000):
     """Integrate the semidiscrete system from zero initial data to t_final.
 
     Uses TR-BDF2 with Newton inner solves on the sparse iteration matrix
     and a filtered embedded error estimate; the step sequence is fully
     deterministic for fixed inputs. Returns a :class:`SnapshotSet` with one
     column per accepted step (the zero initial state is excluded), scaled
-    by sqrt(dt) unless ``scale`` is False (weights are still recorded).
+    by sqrt(dt). ``rtol`` and ``atol`` weight the local error estimate;
+    ``max_steps`` caps the attempted steps.
 
     Raises :class:`IntegrationFailureError` with the last reached time if
     the step size underflows or the step budget runs out.
     """
     if not t_final > 0.0:
         raise InvalidInputError("t_final must be positive")
-    cfg = stepper_cfg or StepperConfig()
     sys_ = _FhnSystem(params, mesh)
-    m = 2 * mesh.nodes
 
     t = 0.0
-    y = np.zeros(m)
+    y = np.zeros(2 * mesh.nodes)
     f_now = sys_.rhs(t, y)
-    h = min(cfg.h0, t_final, cfg.h_max)
+    h = min(_H0, t_final)
 
-    times, raws, weights = [], [], []
+    times, columns, weights = [], [], []
     steps = 0
     while t < t_final:
-        if steps >= cfg.max_steps:
+        if steps >= max_steps:
             raise IntegrationFailureError(
-                f"step budget {cfg.max_steps} exhausted at t={t:.6g}", t_reached=t
+                f"step budget {max_steps} exhausted at t={t:.6g}", t_reached=t
             )
-        if h < cfg.h_min:
-            raise IntegrationFailureError(
-                f"step size underflow at t={t:.6g}", t_reached=t
-            )
+        if h < _H_MIN:
+            raise IntegrationFailureError(f"step size underflow at t={t:.6g}", t_reached=t)
         h = min(h, t_final - t)
         steps += 1
 
         J = sys_.jacobian(y)
         lu = scipy.sparse.linalg.splu((sys_.msys - (_D * h) * J).tocsc())
-        wt = cfg.atol + cfg.rtol * np.abs(y)
+        wt = atol + rtol * np.abs(y)
 
         def stage(y_guess, t_stage, rhs_fixed):
             """Solve M(Y - y) = rhs_fixed + d*h*F(t_stage, Y) by Newton."""
             Y = y_guess.copy()
-            for _ in range(cfg.newton_maxiter):
+            for _ in range(_NEWTON_MAXITER):
                 G = sys_.msys @ (Y - y) - rhs_fixed - (_D * h) * sys_.rhs(t_stage, Y)
                 delta = lu.solve(-G)
                 Y += delta
-                if _scaled_rms(delta, wt) <= cfg.newton_tol:
+                if _scaled_rms(delta, wt) <= _NEWTON_TOL:
                     return Y
             return None
 
         y2 = stage(y, t + _GAMMA * h, (_D * h) * f_now)
         f2 = None if y2 is None else sys_.rhs(t + _GAMMA * h, y2)
-        y3 = (
-            None
-            if y2 is None
-            else stage(y2, t + h, h * (_B1 * f_now + _B1 * f2))
-        )
+        y3 = None if y2 is None else stage(y2, t + h, h * (_B1 * f_now + _B1 * f2))
         if y3 is None:
             h *= 0.25
             continue
@@ -273,7 +253,7 @@ def simulate(params, mesh, t_final, stepper_cfg=None, scale=True):
 
         est_rhs = h * (_EHAT[0] * f_now + _EHAT[1] * f2 + _EHAT[2] * f3)
         est = lu.solve(est_rhs)
-        err = _scaled_rms(est, cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y3)))
+        err = _scaled_rms(est, atol + rtol * np.maximum(np.abs(y), np.abs(y3)))
 
         if err <= 1.0:
             t_prev = t
@@ -281,18 +261,12 @@ def simulate(params, mesh, t_final, stepper_cfg=None, scale=True):
             y = y3
             f_now = f3
             times.append(t)
-            raws.append(y.copy())
             weights.append(np.sqrt(t - t_prev))  # dt from recorded times
+            columns.append(y * weights[-1])
             h = h * min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0) if err > 0 else 5.0))
         else:
             h = h * max(0.1, min(0.5, 0.9 * err ** (-1.0 / 3.0)))
-        h = min(h, cfg.h_max)
 
-    weights = np.asarray(weights)
-    raw_matrix = np.column_stack(raws)
-    columns = raw_matrix * weights if scale else raw_matrix
     return SnapshotSet(
-        times=np.asarray(times),
-        columns=columns,
-        weights=weights,
+        times=np.asarray(times), columns=np.column_stack(columns), weights=np.asarray(weights)
     )

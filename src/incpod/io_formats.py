@@ -24,7 +24,6 @@ __all__ = [
     "StreamWriter",
     "StreamReader",
     "write_stream",
-    "read_stream",
     "read_stream_matrix",
     "write_weight_matrix",
     "read_weight_matrix",
@@ -80,7 +79,8 @@ class StreamWriter:
 
 
 class StreamReader:
-    """Iterates (t, weight, column) records with O(m) memory."""
+    """Iterates (t, weight, column) records with O(m) memory; a declared
+    count of records must end the file (else :class:`CorruptStreamError`)."""
 
     def __init__(self, path):
         self._fh = open(path, "rb")
@@ -102,9 +102,11 @@ class StreamReader:
         record_bytes = 16 + 8 * self.m
         yielded = 0
         while True:
-            if self.count and yielded == self.count:
-                return
             offset = self._fh.tell()
+            if self.count and yielded == self.count:
+                if self._fh.read(1):
+                    raise CorruptStreamError(f"data after the last record at byte {offset}", offset)
+                return
             blob = self._fh.read(record_bytes)
             if not blob and not self.count:
                 return
@@ -137,11 +139,6 @@ def write_stream(path, times, weights, columns):
             w.write_column(times[j], weights[j], columns[:, j])
 
 
-def read_stream(path):
-    """Open a stream for one-column-at-a-time iteration."""
-    return StreamReader(path)
-
-
 def read_stream_matrix(path, max_columns=None):
     """Materialize a stream: (times, weights, m x s column matrix).
 
@@ -172,8 +169,7 @@ def write_weight_matrix(path, M):
     Header line ``%%WeightMatrix symmetric``, dims line ``m m nnz``, then
     1-based ``i j value`` triplets with i >= j.
     """
-    entries = M.entries if isinstance(M, WeightMatrix) else M
-    coo = scipy.sparse.coo_matrix(entries)
+    coo = scipy.sparse.coo_matrix(M.entries)
     mask = coo.row >= coo.col
     rows, cols, vals = coo.row[mask], coo.col[mask], coo.data[mask]
     order = np.lexsort((cols, rows))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from incpod.cli import main
-from incpod.io_formats import StreamWriter, read_stream, read_stream_matrix
+from incpod.io_formats import StreamReader, StreamWriter, read_stream_matrix
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ class TestUsageErrors:
 
 class TestSimulate:
     def test_outputs_exist_with_expected_dimension(self, fhn_prefix):
-        with read_stream(fhn_prefix + ".pods") as reader:
+        with StreamReader(fhn_prefix + ".pods") as reader:
             assert reader.m == 80
             # adaptive step count, observed once and pinned as a range
             assert 50 <= reader.count <= 2000
@@ -84,7 +84,7 @@ class TestPod:
         rows = read_csv_rows(out + "_trace.csv")
         assert rows[0] == ["n", "k", "p", "e_p", "e_sv", "e"]
         # one row per stream column, the first one's p its norm
-        with read_stream(fhn_prefix + ".pods") as reader:
+        with StreamReader(fhn_prefix + ".pods") as reader:
             assert [r[0] for r in rows[1:]] == [str(n) for n in range(1, reader.count + 1)]
         assert rows[1][1] == "1" and float(rows[1][2]) > 0.0
         e_vals = [float(r[5]) for r in rows[1:]]
@@ -166,19 +166,44 @@ class TestPod:
                      "--checkpoint-every", str(cut)])
         assert code == (2 if cut <= leading_zeros else 0)
 
-        # resume over the full stream from the mid-run checkpoint
-        resumed_out = str(tmp_path / "resumed")
-        assert main(["pod", "--input", full_prefix, "--output", resumed_out,
+        # resume over the full stream from the mid-run checkpoint, into the
+        # interrupted run's own prefix: its trace is continued
+        assert main(["pod", "--input", full_prefix, "--output", part_out,
                      "--resume", part_out + ".podc"]) == 0
 
-        assert (
-            open(resumed_out + ".podc", "rb").read()
-            == open(full_out + ".podc", "rb").read()
-        )
-        assert (
-            open(resumed_out + "_eigenvalues.csv").read()
-            == open(full_out + "_eigenvalues.csv").read()
-        )
+        for suffix in (".podc", "_eigenvalues.csv", "_trace.csv"):
+            assert Path(part_out + suffix).read_bytes() == Path(full_out + suffix).read_bytes()
+
+    @pytest.mark.parametrize("left_trace", ["none", "other_run", "past_checkpoint"])
+    def test_resumed_trace(self, fhn_prefix, tmp_path, left_trace):
+        times, weights, cols = read_stream_matrix(fhn_prefix + ".pods")
+        cut = cols.shape[1] // 2
+        part_prefix = str(tmp_path / "part")
+        write_prefix(part_prefix, fhn_prefix, times, weights, cols[:, :cut])
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["pod", "--input", part_prefix, "--output", ckpt]) == 0
+        full_out = str(tmp_path / "full")
+        assert main(["pod", "--input", fhn_prefix, "--output", full_out]) == 0
+        full_trace = Path(full_out + "_trace.csv").read_bytes()
+        header, *rows = full_trace.splitlines(keepends=True)
+
+        out = str(tmp_path / "out")
+        if left_trace == "other_run":
+            # the stream and tolerances halved: every row has the same n and
+            # k as the resumed run's, but half its e
+            halved = str(tmp_path / "halved")
+            write_prefix(halved, fhn_prefix, times, weights, cols * 0.5)
+            assert main(["pod", "--input", halved, "--output", out,
+                         "--tol", "5e-11", "--tol-sv", "5e-11"]) == 0
+        elif left_trace == "past_checkpoint":
+            # the interrupted run traced columns after its last checkpoint
+            Path(out + "_trace.csv").write_bytes(full_trace)
+        assert main(["pod", "--input", fhn_prefix, "--output", out,
+                     "--resume", ckpt + ".podc"]) == 0
+
+        expected = full_trace if left_trace == "past_checkpoint" else b"".join(
+            [header, *rows[cut:]])
+        assert Path(out + "_trace.csv").read_bytes() == expected
 
     @pytest.mark.parametrize("mismatch", ["short_stream", "other_m", "other_tols"])
     def test_resume_rejects_foreign_checkpoint(self, fhn_prefix, tmp_path, mismatch):
@@ -225,6 +250,14 @@ class TestPod:
         assert (
             open(plain + ".podc", "rb").read() == open(every + ".podc", "rb").read()
         )
+
+
+@pytest.mark.parametrize("subcommand", ["pod", "verify"])
+def test_bytes_after_declared_records_exit_code(fhn_prefix, tmp_path, subcommand):
+    padded = str(tmp_path / "padded")
+    shutil.copy(fhn_prefix + ".wm", padded + ".wm")
+    Path(padded + ".pods").write_bytes(Path(fhn_prefix + ".pods").read_bytes() + bytes(1000))
+    assert main([subcommand, "--input", padded, "--output", str(tmp_path / "o")]) == 2
 
 
 class TestVerify:

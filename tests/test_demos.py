@@ -1,7 +1,7 @@
-"""Smoke test: the quick demos run to completion against this checkout.
+"""Smoke test: every demo runs to completion against this checkout.
 
-Demo 02 (a full FHN simulate/pod/verify pipeline, several seconds) is left
-out; the acceptance suite covers the same path.
+Demo 02 is the one that calls ``simulate``; it exits 1 if a row of its
+tolerance sweep is not dominated by the error bound.
 """
 
 import os
@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "name, expected",
     [
         ("01_streaming_svd_basics.py", ""),
+        ("02_fhn_pod_pipeline.py", "snapshot energy"),
         ("03_perturbation_bounds.py", ""),
         ("04_files_and_checkpoints.py", "bitwise identical: True"),
     ],

@@ -6,7 +6,7 @@ from incpod.fhn import (
     FhnParams,
     Mesh1D,
     SnapshotSet,
-    StepperConfig,
+    _FhnSystem,
     assemble_fem,
     build_weight_matrix,
     neumann_forcing,
@@ -97,6 +97,34 @@ class TestForcing:
         )
 
 
+class TestSystem:
+    @pytest.fixture
+    def system(self):
+        params, mesh = FhnParams(), Mesh1D(12)
+        y = np.random.default_rng(5).uniform(-0.5, 1.2, 2 * mesh.nodes)
+        return params, mesh, _FhnSystem(params, mesh), y
+
+    def test_rhs_matches_the_field_equations(self, system):
+        params, mesh, sys_, y = system
+        p, n = params, mesh.nodes
+        mass, stiff = assemble_fem(mesh)
+        v, w = y[:n], y[n:]
+        ones = np.ones(n)
+        Fv = (-p.mu * (stiff @ v) - (mass @ w) / p.mu
+              + (mass @ (v * (v - 0.1) * (1.0 - v))) / p.mu
+              + (p.c_const / p.mu) * (mass @ ones))
+        Fv[0] += neumann_forcing(0.2, p)
+        Fw = p.b * (mass @ v) - p.gamma * (mass @ w) + p.c_const * (mass @ ones)
+        assert np.allclose(sys_.rhs(0.2, y), np.concatenate([Fv, Fw]), rtol=0, atol=1e-12)
+
+    def test_jacobian_matches_central_differences(self, system):
+        _, _, sys_, y = system
+        dy = np.random.default_rng(6).standard_normal(y.size)
+        step = 1e-5
+        fd = (sys_.rhs(0.2, y + step * dy) - sys_.rhs(0.2, y - step * dy)) / (2 * step)
+        assert np.allclose(sys_.jacobian(y) @ dy, fd, rtol=0, atol=1e-7 * np.abs(fd).max())
+
+
 class TestSimulate:
     def test_zero_forced_system_stays_at_rest(self):
         params = FhnParams(bc_amplitude=0.0, c_const=0.0)
@@ -111,24 +139,14 @@ class TestSimulate:
             simulate(FhnParams(), Mesh1D(10), 0.0)
 
     def test_step_budget_failure_reports_time(self):
-        cfg = StepperConfig(max_steps=3)
         with pytest.raises(IntegrationFailureError) as exc:
-            simulate(FhnParams(), Mesh1D(10), 10.0, stepper_cfg=cfg)
+            simulate(FhnParams(), Mesh1D(10), 10.0, max_steps=3)
         assert exc.value.t_reached >= 0.0
 
     def test_weights_are_sqrt_of_time_steps(self):
         snaps = simulate(FhnParams(), Mesh1D(30), 0.5)
         dts = np.diff(np.concatenate([[0.0], snaps.times]))
         assert np.array_equal(snaps.weights, np.sqrt(dts))
-
-    def test_scaling_is_one_stored_multiplication(self):
-        # identical deterministic runs, scaled and unscaled
-        mesh = Mesh1D(25)
-        scaled = simulate(FhnParams(), mesh, 0.4)
-        raw = simulate(FhnParams(), mesh, 0.4, scale=False)
-        assert np.array_equal(scaled.times, raw.times)
-        assert np.array_equal(scaled.columns, raw.columns * scaled.weights)
-        assert np.allclose(scaled.raw_columns(), raw.columns, rtol=1e-15, atol=0)
 
     def test_deterministic_repeat(self):
         a = simulate(FhnParams(), Mesh1D(25), 0.3)
@@ -147,13 +165,12 @@ class TestSimulate:
 class TestSelfConvergence:
     def test_mesh_refinement_order(self):
         # successive-refinement differences must shrink by >= 3x (P1 gives ~4x)
-        cfg = StepperConfig(rtol=1e-9, atol=1e-11)
         t_final = 0.5
         x_fine = np.linspace(0.0, 1.0, 4001)
 
         def final_profile(n):
             mesh = Mesh1D(n)
-            snaps = simulate(FhnParams(), mesh, t_final, stepper_cfg=cfg)
+            snaps = simulate(FhnParams(), mesh, t_final, rtol=1e-9, atol=1e-11)
             raw = snaps.raw_columns()[:, -1]
             v = np.interp(x_fine, mesh.x, raw[: mesh.nodes])
             w = np.interp(x_fine, mesh.x, raw[mesh.nodes :])

@@ -12,9 +12,9 @@ from incpod.errors import CorruptCheckpointError, CorruptStreamError, FormatErro
 from incpod.fhn import Mesh1D, build_weight_matrix
 from incpod.incremental import SvdState, Tolerances, reconstruct, run_stream, update
 from incpod.io_formats import (
+    StreamReader,
     StreamWriter,
     checkpoint,
-    read_stream,
     read_stream_matrix,
     read_weight_matrix,
     restore,
@@ -43,7 +43,7 @@ class TestStream:
         path = tmp_path / "s.pods"
         cols = rng.standard_normal((4, 5))
         write_stream(path, np.arange(1.0, 6.0), np.ones(5), cols)
-        with read_stream(path) as reader:
+        with StreamReader(path) as reader:
             assert reader.m == 4 and reader.count == 5
             for j, (t, w, c) in enumerate(reader):
                 assert t == float(j + 1)
@@ -53,13 +53,13 @@ class TestStream:
         path = tmp_path / "empty.pods"
         path.write_bytes(b"")
         with pytest.raises(FormatError):
-            read_stream(path)
+            StreamReader(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pods"
         path.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(FormatError):
-            read_stream(path)
+            StreamReader(path)
 
     def test_truncated_record_offset(self, rng, tmp_path):
         path = tmp_path / "t.pods"
@@ -69,7 +69,7 @@ class TestStream:
         record = 16 + 6 * 8
         blob = path.read_bytes()
         path.write_bytes(blob[: header + record + 10])  # cut inside record 2
-        with read_stream(path) as reader:
+        with StreamReader(path) as reader:
             it = iter(reader)
             next(it)
             with pytest.raises(CorruptStreamError) as exc:
