@@ -32,7 +32,7 @@ print(f"  weighted singular values: sigma_1={exact.sigma[0]:.3e}, "
 grid = [Tolerances(t, tsv)
         for t in (1e-8, 1e-10, 1e-12)
         for tsv in (1e-8, 1e-10, 1e-12)]
-rows = tolerance_sweep(snaps, M, grid)
+rows = tolerance_sweep(snaps.columns, M, grid)
 
 print(f"\n{'tol':>8} {'tol_sv':>8} {'rank':>5} {'exact error':>13} "
       f"{'error bound':>13}  dominated")

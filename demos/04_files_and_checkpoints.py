@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from incpod import Tolerances, WeightMatrix, run_stream
+from incpod import Tolerances, WeightMatrix, flush, run_stream
 from incpod.io_formats import (
     StreamReader,
     checkpoint,
@@ -56,6 +56,10 @@ with StreamReader(stream_path) as reader:
     # the restored state passes over the columns it already consumed
     resumed = run_stream((c for _, _, c in reader), M2, tols2, state=resumed)
 
+# both streams end inside the same open run (a checkpoint never closes one);
+# the flush folds it into V, sigma and W in the same way for both
+print(f"open run at the end: {direct.j} and {resumed.j} columns")
+direct, resumed = flush(direct, M2, tols), flush(resumed, M2, tols)
 print(f"direct run:  rank {direct.k}, e = {direct.e:.6e}")
 print(f"resumed run: rank {resumed.k}, e = {resumed.e:.6e}")
 print("bitwise identical:",

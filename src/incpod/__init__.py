@@ -33,6 +33,7 @@ from .incremental import (
     SvdState,
     Tolerances,
     UpdateReport,
+    flush,
     pod_output,
     reconstruct,
     run_stream,

@@ -27,7 +27,7 @@ from .errors import (
 from .fhn import FhnParams, Mesh1D, build_weight_matrix, simulate
 # ``update`` is not called here; bench/tracer.py wraps ``incpod.cli.update``
 # by name and expects it to exist.
-from .incremental import Tolerances, pod_output, run_stream, update  # noqa: F401
+from .incremental import Tolerances, flush, pod_output, run_stream, update  # noqa: F401
 from .io_formats import (
     StreamReader,
     checkpoint,
@@ -210,8 +210,11 @@ def cmd_pod(args):
                 columns, M, tols, keep_w=not args.no_w, state=state, on_column=on_column
             )
 
+    # the final checkpoint holds the open run, as a resumed run's does, so
+    # that the two are byte-identical; the outputs come from the closed run
     if state.Wp is not None:
         checkpoint(state, ckpt_path, tols)
+    flush(state, M, tols)
     modes, eigenvalues = pod_output(state)
     write_csv(
         args.output + "_eigenvalues.csv",

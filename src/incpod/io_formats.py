@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import CorruptCheckpointError, CorruptStreamError, FormatError
-from .incremental import SvdState, Tolerances
+from .incremental import RUN, SvdState, Tolerances
 from .weighted_linalg import WeightMatrix
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
 _STREAM_MAGIC = b"PODS"
 _CHECKPOINT_MAGIC = b"PODC"
 _STREAM_VERSION = 1
-_CHECKPOINT_VERSION = 4
+_CHECKPOINT_VERSION = 5
 _STREAM_HEADER = struct.Struct("<4sIQQ")  # magic, version, m, count
 
 
@@ -231,15 +231,15 @@ def read_weight_matrix(path):
     return WeightMatrix(M)
 
 
-# checkpoint payload header: m, n, k, k0, rows of Wp (u64), e (f64),
-# T_p, T_sv (u64), tol, tol_sv (f64); then V, sigma, W0, Wp as f64 runs;
-# trailing CRC32 of the payload. W0 has n0 = n - (rows of Wp - k0) rows.
-# ``e`` is the whole error-bound accumulator and the factors are stored as
-# they are, so these values are all a resumed run needs to continue bitwise.
-# Version 4 has the layout of version 3, but n counts every column of the
-# stream; a version-3 n left out leading zero columns, and resuming from it
-# would start at the wrong column.
-_CKPT_HEAD = struct.Struct("<QQQQQdQQdd")
+# checkpoint payload header: m, n, k, k0, rows of Wp, j (u64), e (f64),
+# T_p, T_sv (u64), tol, tol_sv (f64); then V, sigma, W0, Wp and the open
+# run D[:, :j] as f64 runs; trailing CRC32 of the payload. The run's j
+# columns have no rows of W yet, so W0 has n0 = n - j - (rows of Wp - k0)
+# rows. ``e`` is the whole error-bound accumulator and the factors and the
+# run are stored as they are (a checkpoint never flushes), so these values
+# are all a resumed run needs to continue bitwise. Version 5 added j and D
+# to version 4.
+_CKPT_HEAD = struct.Struct("<QQQQQQdQQdd")
 
 
 def checkpoint(state, path, tols):
@@ -258,13 +258,14 @@ def checkpoint(state, path, tols):
         state.k,
         state.W0.shape[1],
         state.Wp.shape[0],
+        state.j,
         state.e,
         state.T_p,
         state.T_sv,
         tols.tol,
         tols.tol_sv,
     )
-    for a in (state.V, state.sigma, state.W0, state.Wp):
+    for a in (state.V, state.sigma, state.W0, state.Wp, state.run):
         payload += np.ascontiguousarray(a, dtype="<f8").tobytes()
     tmp = os.fspath(path) + ".tmp"
     try:
@@ -297,13 +298,18 @@ def restore(path):
         raise CorruptCheckpointError("checkpoint CRC mismatch")
     if len(payload) < _CKPT_HEAD.size:
         raise FormatError(f"payload shorter than the {_CKPT_HEAD.size}-byte header")
-    m, n, k, k0, rows_p, e, t_p, t_sv, tol, tol_sv = _CKPT_HEAD.unpack_from(payload)
-    n0 = n - (rows_p - k0)
+    m, n, k, k0, rows_p, j, e, t_p, t_sv, tol, tol_sv = _CKPT_HEAD.unpack_from(payload)
+    if j >= RUN:
+        raise CorruptCheckpointError(f"open run of {j} columns; a run holds fewer than {RUN}")
+    if j and not k:
+        raise CorruptCheckpointError(f"open run of {j} columns at rank 0")
+    n0 = n - j - (rows_p - k0)
     if not 0 <= n0 <= n:
         raise CorruptCheckpointError(
-            f"Wp has {rows_p} rows and W0 {k0} columns, inconsistent with n = {n}"
+            f"Wp has {rows_p} rows, W0 {k0} columns and the run {j} columns, "
+            f"inconsistent with n = {n}"
         )
-    sizes = (m * k, k, n0 * k0, rows_p * k)
+    sizes = (m * k, k, n0 * k0, rows_p * k, k * j)
     expected = _CKPT_HEAD.size + 8 * sum(sizes)
     if len(payload) != expected:
         raise CorruptCheckpointError(
@@ -311,10 +317,14 @@ def restore(path):
         )
     arrays = np.frombuffer(payload, dtype="<f8", offset=_CKPT_HEAD.size)
     # one copy per array, so each gets its own buffer as in an uninterrupted run
-    V, sigma, W0, Wp = (a.copy() for a in np.split(arrays, np.cumsum(sizes[:-1])))
+    V, sigma, W0, Wp, run = (a.copy() for a in np.split(arrays, np.cumsum(sizes[:-1])))
+    D = None
+    if j:
+        D = np.empty((k, RUN))
+        D[:, :j] = run.reshape(k, j)
     state = SvdState(
         V=V.reshape(m, k), sigma=sigma, W0=W0.reshape(n0, k0), Wp=Wp.reshape(rows_p, k),
-        n=n, e=e, T_p=t_p, T_sv=t_sv,
+        n=n, e=e, T_p=t_p, T_sv=t_sv, D=D, j=j,
     )
     return state, Tolerances(tol=tol, tol_sv=tol_sv)
 

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidInputError
-from .incremental import Tolerances, reconstruct, run_stream
+from .incremental import Tolerances, flush, reconstruct, run_stream
 from .weighted_linalg import weighted_operator_norm
 
 __all__ = [
@@ -60,7 +60,8 @@ def exact_weighted_svd(U, M):
 
 
 def exact_error(U, state, M):
-    """Weighted operator-norm distance between U and the streamed result."""
+    """Weighted operator-norm distance between U and the streamed result;
+    a state with an open run is a ValueError (:func:`reconstruct`)."""
     U = np.asarray(U, dtype=np.float64)
     R = reconstruct(state)
     if U.shape != R.shape:
@@ -72,16 +73,14 @@ def exact_error(U, state, M):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One tolerance-grid cell. ``t_p``/``t_sv``/``state`` carry extra
-    diagnostics beyond the serialized columns."""
+    """One tolerance-grid cell. ``state`` carries the streamed result, its
+    event counts included, beyond the serialized columns."""
 
     tol: float
     tol_sv: float
     rank: int
     exact_error: float
     incr_error_bound: float
-    t_p: int
-    t_sv: int
     state: object
 
     def csv_values(self):
@@ -89,8 +88,7 @@ class SweepRow:
 
 
 def _as_matrix(snapshots):
-    columns = getattr(snapshots, "columns", snapshots)
-    U = np.asarray(columns, dtype=np.float64)
+    U = np.asarray(snapshots, dtype=np.float64)
     if U.ndim != 2:
         raise InvalidInputError("snapshots must form an m x s matrix")
     return U
@@ -99,17 +97,16 @@ def _as_matrix(snapshots):
 def tolerance_sweep(snapshots, M, tol_grid):
     """Run the streaming decomposition once per tolerance pair.
 
-    ``snapshots`` is an m x s matrix (or anything with a ``.columns``
-    attribute holding one). Returns one :class:`SweepRow` per pair with the
-    final rank, the exact operator-norm error against the full matrix, and
-    the incrementally accumulated bound.
+    ``snapshots`` is an m x s matrix. Returns one :class:`SweepRow` per
+    pair with the final rank, the exact operator-norm error against the full
+    matrix, and the incrementally accumulated bound, of the flushed state.
     """
     U = _as_matrix(snapshots)
     rows = []
     for tols in tol_grid:
         if not isinstance(tols, Tolerances):
             tols = Tolerances(*tols)
-        state = run_stream(iter(U.T), M, tols)
+        state = flush(run_stream(iter(U.T), M, tols), M, tols)
         rows.append(
             SweepRow(
                 tol=tols.tol,
@@ -117,8 +114,6 @@ def tolerance_sweep(snapshots, M, tol_grid):
                 rank=state.k,
                 exact_error=exact_error(U, state, M),
                 incr_error_bound=state.e,
-                t_p=state.T_p,
-                t_sv=state.T_sv,
                 state=state,
             )
         )

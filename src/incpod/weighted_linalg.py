@@ -192,18 +192,20 @@ def modified_gram_schmidt_weighted(V, M):
 
 
 def small_svd(Q):
-    """Full standard SVD of a small square dense matrix.
+    """Thin standard SVD of a small dense matrix.
 
-    Returns (V_Q, sigma_Q, W_Q) with Q = V_Q @ diag(sigma_Q) @ W_Q.T,
-    sigma_Q nonnegative and descending. The QR-based LAPACK driver is used
-    for its orthogonality and residual accuracy at these sizes.
+    Returns (V_Q, sigma_Q, W_Q) with Q = V_Q @ diag(sigma_Q) @ W_Q.T, where
+    for Q of shape (a, b) V_Q is (a, r), W_Q is (b, r) and r = min(a, b);
+    sigma_Q is nonnegative and descending. A square Q gets its full SVD.
+    The QR-based LAPACK driver is used for its orthogonality and residual
+    accuracy at these sizes.
     """
     Q = np.asarray(Q, dtype=np.float64)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {Q.shape}")
+    if Q.ndim != 2:
+        raise InvalidInputError(f"expected a matrix, got shape {Q.shape}")
     if not np.isfinite(Q).all():
         raise InvalidInputError("matrix contains non-finite entries")
-    V_Q, sigma, Wh = scipy.linalg.svd(Q, lapack_driver="gesvd")
+    V_Q, sigma, Wh = scipy.linalg.svd(Q, full_matrices=False, lapack_driver="gesvd")
     return V_Q, sigma, Wh.T
 
 

@@ -73,7 +73,7 @@ def fhn_oracle(fhn_data):
 def fhn_sweep(fhn_data):
     snaps, M = fhn_data
     t0 = time.perf_counter()
-    rows = tolerance_sweep(snaps, M, TOL_GRID)
+    rows = tolerance_sweep(snaps.columns, M, TOL_GRID)
     _timings["sweep"] = time.perf_counter() - t0
     return rows
 
@@ -100,10 +100,10 @@ def test_c1_bound_domination(fhn_sweep, fhn_oracle):
 @criterion("criterion 2: error bound capped by T_p tol + T_sv tol_sv")
 def test_c2_corollary_cap(fhn_sweep):
     for row in fhn_sweep:
-        cap = row.t_p * row.tol + row.t_sv * row.tol_sv
+        t_p, t_sv = row.state.T_p, row.state.T_sv
+        cap = t_p * row.tol + t_sv * row.tol_sv
         assert row.incr_error_bound <= cap, (
-            f"e={row.incr_error_bound:e} exceeds cap {cap:e} "
-            f"(T_p={row.t_p}, T_sv={row.t_sv})"
+            f"e={row.incr_error_bound:e} exceeds cap {cap:e} (T_p={t_p}, T_sv={t_sv})"
         )
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from incpod.cli import main
+from incpod.incremental import RUN
 from incpod.io_formats import StreamReader, StreamWriter, read_stream_matrix
 
 
@@ -32,6 +33,23 @@ def write_prefix(prefix, source, times, weights, cols):
         for j in range(n):
             w.write_column(times[j], weights[j], cols[:, j])
     shutil.copy(source + ".wm", prefix + ".wm")
+
+
+def run_cut(rows, where):
+    """The first column n of a trace where a checkpoint falls inside an
+    open run, where a run closes at n = 0 (mod RUN), or on a growth column
+    that closes an open run. A column joined a run if it was p-truncated
+    (e_p > 0) at rank >= 1 before it."""
+    joined = {int(n): float(e_p) > 0.0 for n, _, _, e_p, _, _ in rows[1:]}
+    grew = {int(n): float(e_p) == 0.0 and float(p) > 0.0 for n, _, p, e_p, _, _ in rows}
+    for n in sorted(joined):
+        if not joined.get(n - 1):
+            continue
+        if (where == "in_run" and joined[n] and n % RUN
+                or where == "run_boundary" and joined[n] and n % RUN == 0
+                or where == "growth" and grew[n]):
+            return n
+    raise AssertionError(f"no {where} column in the trace")
 
 
 class TestUsageErrors:
@@ -141,6 +159,9 @@ class TestPod:
         pytest.param(0, None, id="0"),
         pytest.param(3, None, id="3"),
         pytest.param(5, 2, id="cut_in_zeros"),
+        pytest.param(0, "in_run", id="in_run"),
+        pytest.param(0, "run_boundary", id="run_boundary"),
+        pytest.param(0, "growth", id="growth"),
     ])
     def test_checkpoint_resume_bitwise(self, fhn_prefix, tmp_path, leading_zeros, cut):
         times, weights, cols = read_stream_matrix(fhn_prefix + ".pods")
@@ -156,6 +177,8 @@ class TestPod:
         # uninterrupted reference
         full_out = str(tmp_path / "full")
         assert main(["pod", "--input", full_prefix, "--output", full_out]) == 0
+        if isinstance(cut, str):
+            cut = run_cut(read_csv_rows(full_out + "_trace.csv")[1:], cut)
 
         # interrupted: pod over a truncated copy, checkpointing as we go
         part_prefix = str(tmp_path / "part")
@@ -226,6 +249,14 @@ class TestPod:
         assert main(["pod", "--input", stream, "--output", ckpt,
                      "--resume", ckpt + ".podc", *flags]) == 2
         assert Path(ckpt + ".podc").read_bytes() == before
+
+    def test_resume_from_version_4_exit_code(self, fhn_prefix, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["pod", "--input", fhn_prefix, "--output", ckpt]) == 0
+        blob = Path(ckpt + ".podc").read_bytes()
+        Path(ckpt + ".podc").write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:])
+        assert main(["pod", "--input", fhn_prefix, "--output", str(tmp_path / "p"),
+                     "--resume", ckpt + ".podc"]) == 2
 
     def test_resume_from_empty_checkpoint_exit_code(self, fhn_prefix, tmp_path):
         # magic, version 1 and the CRC of an empty payload, nothing else

@@ -3,17 +3,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import incpod.incremental
 from incpod.errors import FormatError, InvalidInputError, RankDeficientError
 from incpod.incremental import (
+    RUN,
     SvdState,
     Tolerances,
     UpdateReport,
+    flush,
     pod_output,
     reconstruct,
     run_stream,
     update,
 )
-from incpod.oracle import exact_weighted_svd
+from incpod.oracle import exact_error, exact_weighted_svd
 from incpod.weighted_linalg import (
     WeightMatrix,
     m_norm,
@@ -472,3 +475,109 @@ class TestRunStream:
         for n in (0, 3):
             with pytest.raises(InvalidInputError):
                 run_stream(iter(np.zeros((3, n)).T), M, EXACT)
+
+
+def run_data(rng, M, n=200, zeros=2):
+    """Leading zero columns, then a rank-6 signal whose directions appear
+    every 15 columns, noise of 1e-10 everywhere and of 1e-8 in every 30th
+    column from column 100 on. At RUN_TOLS the new directions grow the
+    rank, the noisy columns grow it and are sigma-truncated again, and the
+    other columns are p-truncated, in runs that reach n = 0 (mod RUN)."""
+    base = m_orthonormal_columns(rng, M, 6)
+    coeffs = rng.standard_normal((6, n)) * np.geomspace(1.0, 1e-3, 6)[:, None]
+    coeffs *= np.arange(6)[:, None] < 1 + np.arange(n)[None, :] // 15
+    U = base @ coeffs + 1e-10 * rng.standard_normal((M.dim, n))
+    U[:, 100::30] += 1e-8 * rng.standard_normal((M.dim, U[:, 100::30].shape[1]))
+    U[:, :zeros] = 0.0
+    return U
+
+
+RUN_TOLS = Tolerances(tol=1e-8, tol_sv=1e-6)
+
+
+def sequential(U, M, tols):
+    """Test-local reference: one update per column, no runs. Returns the
+    state and the (n, k, T_p, T_sv) of every column."""
+    s, rows = SvdState.empty(M.dim), []
+    for c in U.T:
+        s, _ = update(s, c, M, tols)
+        rows.append((s.n, s.k, s.T_p, s.T_sv))
+    return s, rows
+
+
+class TestRuns:
+    def test_matches_sequential_updates(self, rng, monkeypatch):
+        M = random_weight(rng, 20)
+        U = run_data(rng, M)
+        ref, ref_rows = sequential(U, M, RUN_TOLS)
+
+        calls = {"small_svd": 0, "update": 0}
+        for name in calls:
+
+            def counted(*a, _orig=getattr(incpod.incremental, name), _name=name):
+                calls[_name] += 1
+                return _orig(*a)
+
+            monkeypatch.setattr(incpod.incremental, name, counted)
+        rows, closed_at = [], []
+
+        def on_column(s, rep):
+            rows.append((s.n, s.k, s.T_p, s.T_sv))
+            if s.j == 0 and not rep.rank_grew and rep.e_p > 0.0:
+                closed_at.append(s.n)
+
+        s = flush(run_stream(iter(U.T), M, RUN_TOLS, on_column=on_column), M, RUN_TOLS)
+        assert rows == ref_rows
+        assert ref.T_p > 100 and ref.T_sv > 0 and ref.k == 6
+        # runs closed by the n = 0 (mod RUN) rule, and one thin SVD per run
+        # or growth column instead of one per column
+        assert closed_at and all(n % RUN == 0 for n in closed_at)
+        assert calls["update"] < U.shape[1] // 4
+        assert calls["small_svd"] <= calls["update"] + U.shape[1] // RUN + 1
+        assert (s.n, s.k, s.T_p, s.T_sv) == (ref.n, ref.k, ref.T_p, ref.T_sv)
+        assert np.max(np.abs(s.sigma - ref.sigma)) <= 1e-12 * ref.sigma[0]
+        assert np.max(np.abs(reconstruct(s) - reconstruct(ref))) <= 1e-12
+        assert s.e == pytest.approx(ref.e, rel=1e-7)
+        assert s.e <= s.T_p * RUN_TOLS.tol + s.T_sv * RUN_TOLS.tol_sv
+        assert m_orthonormality_defect(s.V, M) <= 1e-13
+        assert np.max(np.abs(s.W.T @ s.W - np.eye(s.k))) <= 1e-13
+
+    def test_open_run_is_refused(self, rng):
+        M = random_weight(rng, 8)
+        U = m_orthonormal_columns(rng, M, 2) @ rng.standard_normal((2, 10))
+        s = run_stream(iter(U.T), M, RUN_TOLS)
+        assert s.j == 8 and s.W.shape == (2, 2)  # the run's columns have no W rows yet
+        for read in (reconstruct, pod_output, lambda s: exact_error(U, s, M)):
+            with pytest.raises(ValueError, match="open run"):
+                read(s)
+        flush(s, M, RUN_TOLS)
+        assert s.j == 0 and s.D is None and s.n == 10
+        assert np.max(np.abs(reconstruct(s) - U)) <= 1e-13
+        assert flush(s, M, RUN_TOLS) is s and s.n == 10  # nothing left to close
+
+    def test_update_closes_the_open_run(self, rng):
+        M = random_weight(rng, 8)
+        U = m_orthonormal_columns(rng, M, 2) @ rng.standard_normal((2, 10))
+        s = run_stream(iter(U[:, :9].T), M, RUN_TOLS)
+        assert s.j == 7
+        s, rep = update(s, U[:, 9], M, RUN_TOLS)
+        assert s.j == 0 and s.n == 10 and not rep.rank_grew
+        assert np.max(np.abs(reconstruct(s) - U)) <= 1e-13
+
+    def test_failed_flush_leaves_state_unchanged(self, rng, monkeypatch):
+        # the flush inside the column that closes a run raises: the column
+        # is not consumed and the run stays open as it was
+        M = random_weight(rng, 8)
+        U = m_orthonormal_columns(rng, M, 2) @ rng.standard_normal((2, RUN))
+        s = run_stream(iter(U[:, : RUN - 1].T), M, RUN_TOLS)
+        before = (s.n, s.j, s.e, s.T_p, s.D[:, : s.j].copy(), s.V, s.sigma, s.Wp)
+
+        def broken(_):
+            raise RankDeficientError("forced", column=0)
+
+        monkeypatch.setattr(incpod.incremental, "small_svd", broken)
+        with pytest.raises(RankDeficientError):
+            run_stream(iter(U.T), M, RUN_TOLS, state=s)
+        assert (s.n, s.j, s.e, s.T_p) == before[:4]
+        assert np.array_equal(s.D[:, : s.j], before[4])
+        assert s.V is before[5] and s.sigma is before[6] and s.Wp is before[7]

@@ -10,7 +10,7 @@ import scipy.sparse
 
 from incpod.errors import CorruptCheckpointError, CorruptStreamError, FormatError
 from incpod.fhn import Mesh1D, build_weight_matrix
-from incpod.incremental import SvdState, Tolerances, reconstruct, run_stream, update
+from incpod.incremental import RUN, SvdState, Tolerances, flush, reconstruct, run_stream, update
 from incpod.io_formats import (
     StreamReader,
     StreamWriter,
@@ -182,7 +182,7 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             restore(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_empty_payload_rejected(self, tmp_path, version):
         # magic, version, then the CRC of an empty payload: 12 bytes
         path = tmp_path / "short.podc"
@@ -228,6 +228,64 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="version 3"):
             restore(path)
 
+    def test_version_4_rejected(self, rng, tmp_path):
+        # version 4 had no open run: j and D came in version 5
+        state, _ = self._make_state(rng)
+        path = tmp_path / "v4.podc"
+        checkpoint(state, path, Tolerances())
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:])
+        with pytest.raises(FormatError, match="version 4"):
+            restore(path)
+
+    @staticmethod
+    def _open_run(rng, m=8, n=10):
+        """A state whose last n - 2 columns, in the span of the first two,
+        are an open run."""
+        M = random_weight(rng, m)
+        U = m_orthonormal_columns(rng, M, 2) @ rng.standard_normal((2, n))
+        return run_stream(iter(U.T), M, Tolerances(1e-8, 1e-8)), M, U
+
+    def test_open_run_roundtrip(self, rng, tmp_path):
+        state, M, U = self._open_run(rng)
+        assert state.j == 8 and state.W.shape == (2, 2)
+        path = tmp_path / "run.podc"
+        checkpoint(state, path, Tolerances(1e-8, 1e-8))
+        restored, tols = restore(path)
+        assert restored.j == state.j and restored.D.shape == (state.k, RUN)
+        assert np.array_equal(restored.D[:, : state.j], state.D[:, : state.j])
+        assert np.array_equal(restored.W, state.W) and restored.n == state.n
+        assert np.array_equal(reconstruct(flush(restored, M, tols)),
+                              reconstruct(flush(state, M, tols)))
+
+    @staticmethod
+    def _forge_j(path, j):
+        """Rewrite the header's j (payload bytes 40-48) under a valid CRC."""
+        blob = path.read_bytes()
+        payload = blob[8:48] + struct.pack("<Q", j) + blob[56:-4]
+        path.write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
+
+    @pytest.mark.parametrize("case, j, match", [
+        ("open_run", RUN, "fewer than"),
+        ("rank_zero", 1, "rank 0"),
+        ("open_run", 9, "inconsistent with n"),
+    ], ids=["full_run", "run_at_rank_zero", "n0_negative"])
+    def test_inconsistent_run_rejected(self, rng, tmp_path, case, j, match):
+        # forged j with a valid CRC: a run holds fewer than RUN columns,
+        # there is none at rank 0, and n0 = n - j - (rows of Wp - k0) must
+        # lie in [0, n] (n = 10, j = 9, two rows of Wp: n0 = -1)
+        if case == "open_run":
+            state = self._open_run(rng)[0]
+        else:
+            state = SvdState.empty(4)
+            for _ in range(3):
+                update(state, np.zeros(4), WeightMatrix(np.eye(4)), Tolerances())
+        path = tmp_path / "c.podc"
+        checkpoint(state, path, Tolerances())
+        self._forge_j(path, j)
+        with pytest.raises(CorruptCheckpointError, match=match):
+            restore(path)
+
     def test_rank_zero_roundtrip(self, tmp_path):
         # a state cut inside the leading zero columns: k = 0, W has 3 rows
         M = WeightMatrix(np.eye(4))
@@ -267,35 +325,58 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError):
             restore(path)
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before_fold", "on_fold", "after_fold"])
-    def test_resume_is_bitwise_identical(self, rng, tmp_path, offset):
+    @pytest.mark.parametrize(
+        "where", ["before_fold", "on_fold", "after_fold", "in_run", "run_boundary", "growth"]
+    )
+    def test_resume_is_bitwise_identical(self, rng, tmp_path, where):
         # dual path: checkpoint/restore mid-stream vs uninterrupted, cut at
-        # each phase of the W0/Wp fold cycle
+        # each phase of the W0/Wp fold cycle, inside an open run, where a
+        # run closes at n = 0 (mod RUN) and on a growth column that closes one
         M = random_weight(rng, 12)
-        U = m_orthonormal_columns(rng, M, 3) @ rng.standard_normal((3, 30))
-        tols = Tolerances(1e-8, 1e-8)
+        U = m_orthonormal_columns(rng, M, 3) @ rng.standard_normal((3, 100))
+        U[:, 40::25] += 1e-6 * rng.standard_normal((12, 3))  # grown, then truncated
+        tols = Tolerances(1e-8, 1e-6)
 
-        direct, folds = SvdState.empty(12), []
-        for j in range(30):
-            W0 = direct.W0
-            update(direct, U[:, j], M, tols)
-            if direct.W0 is not W0:
-                folds.append(j)
-        cut = folds[1] + offset  # columns 0..cut go in before the checkpoint
+        seen = []  # (n, j, rank_grew, folded) after each column
+        last = {"W0": None}
 
-        half = SvdState.empty(12)
-        for j in range(cut + 1):
-            update(half, U[:, j], M, tols)
-        assert half.Wp.shape[0] == {-1: 2 * half.k, 0: half.k, 1: half.k + 1}[offset]
+        def on_column(s, rep):
+            seen.append((s.n, s.j, rep.rank_grew, s.W0 is not last["W0"]))
+            last["W0"] = s.W0
+
+        direct = run_stream(iter(U.T), M, tols, on_column=on_column)
+        folds = [n for n, _, _, folded in seen[1:] if folded]
+        open_before = {n + 1: j > 0 for n, j, _, _ in seen}
+        cut = {
+            "before_fold": folds[1] - 1,
+            "on_fold": folds[1],
+            "after_fold": folds[1] + 1,
+            "in_run": next(n for n, j, _, _ in seen if j >= 2),
+            "run_boundary": next(n for n, j, _, _ in seen if n % RUN == 0 and open_before[n]),
+            "growth": next(n for n, _, grew, _ in seen if n > 3 and grew and open_before[n]),
+        }[where]  # columns 1..cut go in before the checkpoint
+
+        half = run_stream(iter(U[:, :cut].T), M, tols)
+        assert half.n == cut
+        assert {
+            "on_fold": half.Wp.shape[0] == half.k,
+            "in_run": half.j >= 2,
+            "run_boundary": half.j == 0 and half.n % RUN == 0,
+            "growth": half.j == 0,
+        }.get(where, True)
         path = tmp_path / "mid.podc"
         checkpoint(half, path, tols)
         resumed, tols2 = restore(path)
-        for j in range(cut + 1, 30):
-            update(resumed, U[:, j], M, tols2)
+        resumed = run_stream(iter(U.T), M, tols2, state=resumed)
 
-        checkpoint(direct, tmp_path / "direct.podc", tols)
-        checkpoint(resumed, tmp_path / "resumed.podc", tols)
-        assert (tmp_path / "resumed.podc").read_bytes() == (tmp_path / "direct.podc").read_bytes()
+        for s, name in ((direct, "direct"), (resumed, "resumed")):
+            checkpoint(s, tmp_path / f"{name}.podc", tols)
+            flush(s, M, tols)
+            checkpoint(s, tmp_path / f"{name}_flushed.podc", tols)
+        for name in ("", "_flushed"):
+            assert (tmp_path / f"resumed{name}.podc").read_bytes() == (
+                tmp_path / f"direct{name}.podc"
+            ).read_bytes()
 
     def test_failed_write_keeps_previous_file(self, rng, tmp_path, monkeypatch):
         state, M = self._make_state(rng)

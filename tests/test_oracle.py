@@ -149,7 +149,7 @@ class TestToleranceSweep:
         assert len(rows) == 4
         for row in rows:
             assert row.exact_error <= row.incr_error_bound + 1e-10 * sigma1
-            assert row.incr_error_bound <= row.t_p * row.tol + row.t_sv * row.tol_sv
+            assert row.incr_error_bound <= row.state.T_p * row.tol + row.state.T_sv * row.tol_sv
 
     def test_leading_zero_columns(self, rng):
         # the state has a (zero) row of W for every stream column, so the

@@ -206,9 +206,21 @@ class TestSmallSvd:
         with pytest.raises(InvalidInputError):
             small_svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
-    def test_nonsquare_rejected(self):
+    @pytest.mark.parametrize("shape", [(3, 8), (8, 3)], ids=["wide", "tall"])
+    def test_rectangular_is_thin(self, rng, shape):
+        # a run's flush decomposes the wide k x (k + j) matrix [diag(sigma) D]
+        Q = rng.standard_normal(shape)
+        V, s, W = small_svd(Q)
+        r = min(shape)
+        assert V.shape == (shape[0], r) and s.shape == (r,) and W.shape == (shape[1], r)
+        assert np.max(np.abs(V.T @ V - np.eye(r))) <= 1e-14
+        assert np.max(np.abs(W.T @ W - np.eye(r))) <= 1e-14
+        assert np.max(np.abs((V * s) @ W.T - Q)) <= 1e-14 * np.max(np.abs(Q)) * 10
+        assert np.allclose(s, np.linalg.svd(Q, compute_uv=False), rtol=1e-13, atol=0)
+
+    def test_non_matrix_rejected(self):
         with pytest.raises(InvalidInputError):
-            small_svd(np.ones((2, 3)))
+            small_svd(np.ones(3))
 
 
 class TestWeightedOperatorNorm:
