@@ -220,7 +220,7 @@ def _bordered(sigma, D, border):
     return B
 
 
-def update(state, c, M, tols):
+def update(state, c, M, tols, projection=None):
     """Fold one new column into the decomposition, all or nothing.
 
     Follows the bordered-matrix update: with d = V^T M c and p the M-norm
@@ -253,13 +253,19 @@ def update(state, c, M, tols):
     exception (a bad column, or a :class:`RankDeficientError` from the
     reorthogonalization) leaves it as it was.
 
+    ``projection`` is the ``(d, res, p)`` of c against ``state.V`` when the
+    caller has already computed it (:func:`run_stream` does, to decide
+    between the run and this update); c is then not checked or projected
+    again.
+
     Returns ``(state, UpdateReport)``.
     """
     V = state.V
     m, k = V.shape
-    c = _column(c, m)
-
-    d, res, p = _project(V, c, M)
+    if projection is None:
+        c = _column(c, m)
+        projection = _project(V, c, M)
+    d, res, p = projection
     Q = _bordered(state.sigma, state.run, True)
     Q[:k, -1] = d
     # as the paper writes it, p enters Q whenever p >= tol, even at full
@@ -360,6 +366,8 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
     A column at rank k >= 1 with p < tol joins the open run (see
     :func:`flush`); every other column, p >= tol or at rank 0, goes
     through :func:`update`, which closes the run in its own small SVD.
+    Each column is projected once: the projection that decides is the one
+    :func:`update` uses.
     Runs also close at absolute n = 0 (mod RUN), so where they close does
     not depend on where a stream was interrupted. ``on_column(state,
     report)`` is called after
@@ -381,14 +389,12 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
                 f"stream ends after {passed} of the {state.n} columns the state consumed"
             )
     for c in columns:
-        report = None
-        if state.k:
-            c = _column(c, M.dim)
-            d, _, p = _project(state.V, c, M)
-            if p < tols.tol:
-                report = _append(state, d, p, M, tols)
-        if report is None:
-            state, report = update(state, c, M, tols)
+        c = _column(c, M.dim)
+        d, res, p = _project(state.V, c, M)
+        if state.k and p < tols.tol:
+            report = _append(state, d, p, M, tols)
+        else:
+            state, report = update(state, c, M, tols, (d, res, p))
         if on_column is not None:
             on_column(state, report)
     if state.k == 0:

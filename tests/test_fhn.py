@@ -1,18 +1,31 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
+from incpod import fhn
+from incpod.cli import main
 from incpod.errors import IntegrationFailureError, InvalidInputError
 from incpod.fhn import (
     FhnParams,
     Mesh1D,
     SnapshotSet,
     _FhnSystem,
+    _interleave,
+    _stack,
     assemble_fem,
     build_weight_matrix,
     neumann_forcing,
     simulate,
 )
 from incpod.weighted_linalg import m_norm
+
+
+def _unband(ab):
+    """Dense matrix of LAPACK band storage with 3 subdiagonals; its
+    superdiagonal count follows from the rows (7 for band storage, 10 for
+    dgbtrf's, whose first 3 rows are room for fill-in)."""
+    ku, m = ab.shape[0] - 4, ab.shape[1]
+    return sum(np.diag(ab[ku - o, max(o, 0) : m + min(o, 0)], o) for o in range(-3, ku + 1))
 
 
 class TestTypes:
@@ -105,6 +118,7 @@ class TestSystem:
         return params, mesh, _FhnSystem(params, mesh), y
 
     def test_rhs_matches_the_field_equations(self, system):
+        # in the stacked order: the system works on the interleaved one
         params, mesh, sys_, y = system
         p, n = params, mesh.nodes
         mass, stiff = assemble_fem(mesh)
@@ -115,14 +129,34 @@ class TestSystem:
               + (p.c_const / p.mu) * (mass @ ones))
         Fv[0] += neumann_forcing(0.2, p)
         Fw = p.b * (mass @ v) - p.gamma * (mass @ w) + p.c_const * (mass @ ones)
-        assert np.allclose(sys_.rhs(0.2, y), np.concatenate([Fv, Fw]), rtol=0, atol=1e-12)
+        F = _stack(sys_.rhs(0.2, _interleave(y)))
+        assert np.allclose(F, np.concatenate([Fv, Fw]), rtol=0, atol=1e-12)
 
     def test_jacobian_matches_central_differences(self, system):
         _, _, sys_, y = system
+        y = _interleave(y)
         dy = np.random.default_rng(6).standard_normal(y.size)
         step = 1e-5
         fd = (sys_.rhs(0.2, y + step * dy) - sys_.rhs(0.2, y - step * dy)) / (2 * step)
-        assert np.allclose(sys_.jacobian(y) @ dy, fd, rtol=0, atol=1e-7 * np.abs(fd).max())
+        J = _unband(sys_.jacobian(y))
+        assert np.allclose(J @ dy, fd, rtol=0, atol=1e-7 * np.abs(fd).max())
+
+    def test_iteration_matrix_is_the_permuted_sparse_one(self, system):
+        # P (M_sys - dh J) P^T from the stacked sparse operators
+        params, mesh, sys_, y = system
+        p, n = params, mesh.nodes
+        mass, stiff = assemble_fem(mesh)
+        msys = scipy.sparse.block_diag([mass, mass])
+        A = scipy.sparse.bmat([[-p.mu * stiff, -mass / p.mu], [p.b * mass, -p.gamma * mass]])
+        v = y[:n]
+        g_prime = np.concatenate([(-3.0 * v**2 + 2.2 * v - 0.1) / p.mu, np.zeros(n)])
+        dh = 0.0371
+        stacked = (msys - dh * (A + msys @ scipy.sparse.diags(g_prime))).toarray()
+        P = np.eye(2 * n)[_interleave(np.arange(2 * n))]
+        ab = sys_.iteration_matrix(_interleave(y), dh)
+        assert ab.shape == (10, 2 * n) and not ab[:3].any()
+        expected = P @ stacked @ P.T
+        assert np.abs(_unband(ab) - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestSimulate:
@@ -142,6 +176,22 @@ class TestSimulate:
         with pytest.raises(IntegrationFailureError) as exc:
             simulate(FhnParams(), Mesh1D(10), 10.0, max_steps=3)
         assert exc.value.t_reached >= 0.0
+
+    @pytest.fixture
+    def singular_factor(self, monkeypatch):
+        def dgbtrf(ab, kl, ku, **kwargs):
+            return ab, np.zeros(ab.shape[1], dtype=np.int32), 1
+
+        monkeypatch.setattr(fhn, "dgbtrf", dgbtrf)
+
+    def test_singular_iteration_matrix_reports_time(self, singular_factor):
+        with pytest.raises(IntegrationFailureError) as exc:
+            simulate(FhnParams(), Mesh1D(10), 1.0)
+        assert exc.value.t_reached == 0.0
+
+    def test_singular_iteration_matrix_exit_code(self, singular_factor, tmp_path):
+        assert main(["simulate", "--nodes", "10", "--t-final", "1",
+                     "--output", str(tmp_path / "x")]) == 3
 
     def test_weights_are_sqrt_of_time_steps(self):
         snaps = simulate(FhnParams(), Mesh1D(30), 0.5)

@@ -542,6 +542,19 @@ class TestRuns:
         assert m_orthonormality_defect(s.V, M) <= 1e-13
         assert np.max(np.abs(s.W.T @ s.W - np.eye(s.k))) <= 1e-13
 
+    def test_each_column_projected_once(self, rng, monkeypatch):
+        M = random_weight(rng, 20)
+        U = run_data(rng, M)
+        calls, grew = [], []
+        project = incpod.incremental._project
+        monkeypatch.setattr(
+            incpod.incremental, "_project", lambda *a: calls.append(1) or project(*a)
+        )
+        s = run_stream(iter(U.T), M, RUN_TOLS, on_column=lambda s, r: grew.append(r.rank_grew))
+        # leading zero, growth and p-truncated columns are all among them
+        assert not U[:, 0].any() and any(grew) and s.T_p > 100
+        assert len(calls) == U.shape[1]
+
     def test_open_run_is_refused(self, rng):
         M = random_weight(rng, 8)
         U = m_orthonormal_columns(rng, M, 2) @ rng.standard_normal((2, 10))
