@@ -142,10 +142,11 @@ def _column(c, m):
 
 
 def _project(V, c, M):
-    """d = V^T M c, the residual c - V d and its M-norm p."""
+    """d = V^T M c, the residual res = c - V d, its M-norm p and M res."""
     d = V.T @ M.matvec(c)
     res = c - V @ d
-    return d, res, float(np.sqrt(abs(res @ M.matvec(res))))
+    Mres = M.matvec(res)
+    return d, res, float(np.sqrt(abs(res @ Mres))), Mres
 
 
 def _rotate(state, V, B, M, tols, columns, e_p):
@@ -253,10 +254,10 @@ def update(state, c, M, tols, projection=None):
     exception (a bad column, or a :class:`RankDeficientError` from the
     reorthogonalization) leaves it as it was.
 
-    ``projection`` is the ``(d, res, p)`` of c against ``state.V`` when the
-    caller has already computed it (:func:`run_stream` does, to decide
-    between the run and this update); c is then not checked or projected
-    again.
+    ``projection`` is the ``(d, res, p, M res)`` of c against ``state.V``
+    when the caller has already computed it (:func:`run_stream` does, to
+    decide between the run and this update); c is then not checked or
+    projected again.
 
     Returns ``(state, UpdateReport)``.
     """
@@ -265,7 +266,7 @@ def update(state, c, M, tols, projection=None):
     if projection is None:
         c = _column(c, m)
         projection = _project(V, c, M)
-    d, res, p = projection
+    d, res, p, Mres = projection
     Q = _bordered(state.sigma, state.run, True)
     Q[:k, -1] = d
     # as the paper writes it, p enters Q whenever p >= tol, even at full
@@ -280,7 +281,7 @@ def update(state, c, M, tols, projection=None):
         # eps*||res|| so the new direction stays M-orthogonal to V at
         # machine level regardless of how small p is. Exact arithmetic:
         # a no-op.
-        res2 = res - V @ (V.T @ M.matvec(res))
+        res2 = res - V @ (V.T @ Mres)
         p2 = float(np.sqrt(abs(res2 @ M.matvec(res2))))
         u = res2 / p2 if p2 > 0.0 else res / p
         V = np.hstack([V, u[:, None]])
@@ -390,11 +391,12 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
             )
     for c in columns:
         c = _column(c, M.dim)
-        d, res, p = _project(state.V, c, M)
+        projection = _project(state.V, c, M)
+        d, _, p, _ = projection
         if state.k and p < tols.tol:
             report = _append(state, d, p, M, tols)
         else:
-            state, report = update(state, c, M, tols, (d, res, p))
+            state, report = update(state, c, M, tols, projection)
         if on_column is not None:
             on_column(state, report)
     if state.k == 0:

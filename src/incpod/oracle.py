@@ -63,12 +63,12 @@ def exact_error(U, state, M):
     """Weighted operator-norm distance between U and the streamed result;
     a state with an open run is a ValueError (:func:`reconstruct`)."""
     U = np.asarray(U, dtype=np.float64)
-    R = reconstruct(state)
+    R = reconstruct(state)  # a new array: the difference goes into it
     if U.shape != R.shape:
         raise ValueError(
             f"data matrix has shape {U.shape} but the state reconstructs {R.shape}"
         )
-    return weighted_operator_norm(U - R, M)
+    return weighted_operator_norm(np.subtract(U, R, out=R), M)
 
 
 @dataclass(frozen=True)

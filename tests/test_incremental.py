@@ -469,6 +469,46 @@ class TestRunStream:
         with pytest.raises(FormatError):
             run_stream(iter(U[:, :5].T), M, EXACT, state=state)
 
+    def test_growth_column_reuses_projection_matvec(self, rng, monkeypatch):
+        # M c and M res for the projection, M res2 for the new direction and
+        # one for the drift probe; the second pass reuses the projection's M res
+        M = random_weight(rng, 10)
+        U = rng.standard_normal((10, 4))
+        tols = Tolerances(1e-8, 1e-8)
+        by_update, by_stream = (run_stream(iter(U[:, :3].T), M, tols) for _ in range(2))
+        assert by_update.k == 3 and by_update.j == 0
+        calls = []
+        matvec = WeightMatrix.matvec
+        monkeypatch.setattr(
+            WeightMatrix, "matvec", lambda self, x: calls.append(1) or matvec(self, x)
+        )
+        _, rep = update(by_update, U[:, 3], M, tols)
+        assert rep.rank_grew and not rep.reorthogonalized
+        assert len(calls) == 4
+        del calls[:]
+        assert run_stream(iter(U.T), M, tols, state=by_stream).k == 4
+        assert len(calls) == 4
+
+    def test_passed_projection_is_bitwise_the_recomputed_one(self, rng):
+        # every column goes through update (no p < tol): growth, non-growing
+        # updates at full rank and sigma-truncations of the small columns
+        M = random_weight(rng, 12)
+        U = rng.standard_normal((12, 40))
+        U[:, 3::5] *= 1e-9
+        tols = Tolerances(1e-300, 1e-6)
+        reports = []
+        got = flush(
+            run_stream(iter(U.T), M, tols, on_column=lambda s, r: reports.append(r)), M, tols
+        )
+        ref = SvdState.empty(M.dim)
+        for c in U.T:
+            ref, _ = update(ref, c, M, tols)
+        assert any(r.rank_grew for r in reports) and got.k == M.dim
+        assert any(not r.rank_grew and r.e_p > 0.0 for r in reports) and got.T_sv > 0
+        for name in ("V", "sigma", "W0", "Wp"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert (got.n, got.e, got.T_p, got.T_sv) == (ref.n, ref.e, ref.T_p, ref.T_sv)
+
     def test_all_zero_stream_rejected(self):
         # a stream that ends at rank 0, with or without columns
         M = WeightMatrix(np.eye(3))

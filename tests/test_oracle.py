@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from incpod.cli import VERIFY_GRID
 from incpod.errors import InvalidInputError
-from incpod.incremental import SvdState, Tolerances, run_stream
+from incpod.fhn import FhnParams, Mesh1D, build_weight_matrix, simulate
+from incpod.incremental import SvdState, Tolerances, flush, reconstruct, run_stream
 from incpod.oracle import exact_error, exact_weighted_svd, tolerance_sweep
 from incpod.weighted_linalg import (
     WeightMatrix,
@@ -92,6 +95,29 @@ class TestExactError:
         r = 3
         s = state_from_triple(ex.V[:, :r], ex.sigma[:r], ex.W[:, :r])
         assert exact_error(U, s, M) == pytest.approx(ex.sigma[r], rel=1e-11)
+
+    def test_inputs_unmodified(self, rng):
+        # the difference U - R is formed in the array reconstruct returns
+        M = random_weight(rng, 12)
+        U = rng.standard_normal((12, 30))
+        tols = Tolerances(0.5, 0.5)
+        state = flush(run_stream(iter(U.T), M, tols), M, tols)
+        arrays = (U, state.V, state.sigma, state.W0, state.Wp)
+        before = [a.copy() for a in arrays]
+        e = exact_error(U, state, M)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+        assert e > 0.0 and e == weighted_operator_norm(U - reconstruct(state), M)
+
+    def test_fhn_sweep_cells_match_svdvals(self):
+        # verify's nine cells on a small FHN data set, against all
+        # singular values of L^T (U - R)
+        mesh = Mesh1D(40)
+        U = simulate(FhnParams(), mesh, 2.5).columns
+        M = build_weight_matrix(mesh)
+        for row in tolerance_sweep(U, M, VERIFY_GRID):
+            S = M.apply_lt(U - reconstruct(row.state))
+            expected = scipy.linalg.svdvals(S)[0]
+            assert row.exact_error == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_shape_mismatch(self, rng):
         M = random_weight(rng, 5)

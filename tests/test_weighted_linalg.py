@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from incpod.errors import (
@@ -247,3 +248,58 @@ class TestWeightedOperatorNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             weighted_operator_norm(np.ones((3, 2)), WeightMatrix(np.eye(2)))
+
+
+def banded_weight(m):
+    """A sparse tridiagonal SPD weight, as a 1D FEM mass matrix is."""
+    off = np.full(m - 1, 1.0)
+    return WeightMatrix(scipy.sparse.diags([off, np.full(m, 4.0), off], [-1, 0, 1]))
+
+
+def svdvals_norm(A, M):
+    """The reference: the largest singular value of L^T A from all of them."""
+    return scipy.linalg.svdvals(M.apply_lt(A))[0]
+
+
+class TestOperatorNormFromGram:
+    @pytest.mark.parametrize("weight", ["dense", "banded"])
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [((30, 7), 7), ((12, 40), 12), ((25, 25), 25), ((30, 40), 4), ((40, 9), 2)],
+        ids=["tall", "wide", "square", "rank_deficient_wide", "rank_deficient_tall"],
+    )
+    def test_matches_svdvals(self, rng, weight, shape, rank):
+        m, n = shape
+        M = random_weight(rng, m) if weight == "dense" else banded_weight(m)
+        A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        expected = svdvals_norm(A, M)
+        assert weighted_operator_norm(A, M) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e150, 1e160])
+    def test_scaled_input_scales_the_norm(self, rng, scale):
+        # squaring the unscaled entries would underflow to 0 or overflow to inf
+        M = banded_weight(20)
+        A = rng.standard_normal((20, 30))
+        got = weighted_operator_norm(A * scale, M)
+        assert got == pytest.approx(svdvals_norm(A, M) * scale, rel=1e-12, abs=0)
+
+    def test_vector(self, rng):
+        M = banded_weight(15)
+        x = rng.standard_normal(15)
+        assert weighted_operator_norm(x, M) == pytest.approx(m_norm(x, M), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        for M in (WeightMatrix(np.eye(4)), banded_weight(4)):
+            A = np.ones((4, 3))
+            A[2, 1] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                weighted_operator_norm(A, M)
+
+    def test_input_unmodified(self, rng):
+        M = WeightMatrix(np.eye(6))  # L = I: L^T A must still be a copy
+        A = rng.standard_normal((6, 4)) * 1e-200
+        before = A.copy()
+        weighted_operator_norm(A, M)
+        assert np.array_equal(A, before)
