@@ -18,6 +18,9 @@ Inside the integrator the unknowns are interleaved, [v_1, w_1, v_2, w_2,
 ...]: every operator then couples node i only to nodes i-1..i+1, so the
 iteration matrix is banded with three sub- and three superdiagonals and is
 factored with LAPACK's band LU. Snapshots are returned in the stacked order.
+
+scipy is imported by the functions that use it (assembly and the
+integrator), so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import IntegrationFailureError, InvalidInputError
 from .weighted_linalg import WeightMatrix
@@ -127,6 +128,8 @@ def assemble_fem(mesh):
     Stiffness (Neumann): interior diagonal 2/h, off-diagonal -1/h,
     boundary diagonal 1/h.
     """
+    import scipy.sparse
+
     n, h = mesh.nodes, mesh.h
     main_m = np.full(n, 2.0 * h / 3.0)
     main_m[0] = main_m[-1] = h / 3.0
@@ -143,6 +146,8 @@ def assemble_fem(mesh):
 def build_weight_matrix(mesh):
     """Weight matrix for the stacked [v; w] coefficient vector: the
     product-L2 inner product, i.e. block diagonal (mass, mass)."""
+    import scipy.sparse
+
     mass, _ = assemble_fem(mesh)
     return WeightMatrix(scipy.sparse.block_diag([mass, mass], format="csr"))
 
@@ -200,6 +205,8 @@ class _FhnSystem:
     """
 
     def __init__(self, params, mesh):
+        import scipy.sparse
+
         p = self.params = params
         mass, stiff = assemble_fem(mesh)
         perm = _interleave(np.arange(2 * mesh.nodes))
@@ -256,6 +263,8 @@ def simulate(params, mesh, t_final, rtol=1e-6, atol=1e-8, max_steps=1_000_000):
     the step size underflows, the step budget runs out or the iteration
     matrix is singular.
     """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     if not t_final > 0.0:
         raise InvalidInputError("t_final must be positive")
     sys_ = _FhnSystem(params, mesh)

@@ -14,7 +14,6 @@ import struct
 import zlib
 
 import numpy as np
-import scipy.sparse
 
 from .errors import CorruptCheckpointError, CorruptStreamError, FormatError
 from .incremental import RUN, SvdState, Tolerances
@@ -169,6 +168,8 @@ def write_weight_matrix(path, M):
     Header line ``%%WeightMatrix symmetric``, dims line ``m m nnz``, then
     1-based ``i j value`` triplets with i >= j.
     """
+    import scipy.sparse
+
     coo = scipy.sparse.coo_matrix(M.entries)
     mask = coo.row >= coo.col
     rows, cols, vals = coo.row[mask], coo.col[mask], coo.data[mask]
@@ -181,8 +182,9 @@ def write_weight_matrix(path, M):
 
 
 def read_weight_matrix(path):
-    """Parse the triplet format back into a :class:`WeightMatrix`,
-    mirroring the lower triangle."""
+    """Parse the triplet format back into a sparse :class:`WeightMatrix`,
+    mirroring the lower triangle. A repeated triplet is summed into the
+    first, in file order, as scipy's COO to CSR conversion does."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != "%%WeightMatrix symmetric":
@@ -227,8 +229,17 @@ def read_weight_matrix(path):
                 vals.append(v)
         if fh.readline():
             raise FormatError("trailing data after declared entries")
-    M = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m1, m1)).tocsr()
-    return WeightMatrix(M)
+    rows, cols, vals = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals)
+    order = np.lexsort((cols, rows))  # stable: repeats stay in file order
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    # the first entry of each (row, col) keeps its place; repeats are added to it
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    data = vals[first]
+    np.add.at(data, np.cumsum(first)[~first] - 1, vals[~first])
+    indptr = np.zeros(m1 + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows[first], minlength=m1), out=indptr[1:])
+    return WeightMatrix.from_csr(data, cols[first], indptr)
 
 
 # checkpoint payload header: m, n, k, k0, rows of Wp, j (u64), e (f64),

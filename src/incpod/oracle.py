@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError
 from .incremental import Tolerances, flush, reconstruct, run_stream
@@ -44,8 +43,11 @@ def exact_weighted_svd(U, M):
 
     A standard SVD of S is computed and the left factor is mapped back with
     a triangular back substitution. Singular values below
-    1e-14 * sigma_1 are dropped together with their vectors.
+    1e-14 * sigma_1 are dropped together with their vectors. W is a copy
+    of the kept columns, so it does not hold the whole right factor alive.
     """
+    import scipy.linalg
+
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[0] != M.dim:
         raise ValueError(f"U has shape {U.shape}, expected ({M.dim}, n)")
@@ -56,7 +58,7 @@ def exact_weighted_svd(U, M):
     else:
         keep = int(np.count_nonzero(sigma >= 1e-14 * sigma[0]))
     V = M.solve_lt(V_hat[:, :keep]) if keep else np.zeros((M.dim, 0))
-    return ExactSvd(V=np.asarray(V), sigma=sigma[:keep], W=Wh.T[:, :keep])
+    return ExactSvd(V=np.asarray(V), sigma=sigma[:keep], W=Wh[:keep].T.copy())
 
 
 def exact_error(U, state, M):

@@ -4,17 +4,20 @@ All routines work with respect to a symmetric positive definite weight
 matrix M, i.e. the inner product (x, y)_M = y^T M x and the induced norm.
 M may be dense or sparse; banded sparse matrices (FEM mass matrices) get a
 banded Cholesky factorization.
+
+The streaming path (products with M, inner products, ``small_svd``) needs
+numpy only. scipy is imported by the functions that use it: the Cholesky
+factor with ``apply_lt``/``solve_lt``, ``weighted_operator_norm`` and the
+scipy form of a sparse M's ``entries``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import InvalidInputError, NotPositiveDefiniteError, RankDeficientError
 
@@ -40,16 +43,24 @@ class WeightMatrix:
 
     Parameters
     ----------
-    entries : (m, m) array_like or sparse matrix
+    entries : (m, m) array_like or scipy sparse matrix
         Symmetric matrix defining the inner product. Symmetry is checked
         exactly on the stored entries.
 
-    Instances are immutable after construction (the cached factor is filled
-    in lazily but never changes), so they are safe to share across threads.
+    A sparse M is held as CSR arrays (:meth:`from_csr` builds one without
+    scipy). ``matvec`` then multiplies with numpy alone: ``np.bincount`` over
+    the row of each stored entry sums a row's products in CSR order starting
+    from 0.0, as scipy's ``csr_matvec`` does, so it equals ``entries @ x``
+    bit for bit. ``entries`` is that scipy CSR matrix, built on first access.
+
+    Instances are immutable after construction (the cached factor and scipy
+    matrix are filled in lazily but never change), so they are safe to share
+    across threads.
     """
 
     def __init__(self, entries):
-        if scipy.sparse.issparse(entries):
+        sparse = sys.modules.get("scipy.sparse")  # loaded if entries is sparse
+        if sparse is not None and sparse.issparse(entries):
             entries = entries.tocsr().astype(np.float64)
         else:
             entries = np.asarray(entries, dtype=np.float64)
@@ -57,23 +68,71 @@ class WeightMatrix:
                 raise ValueError("weight matrix must be 2-dimensional")
         if entries.shape[0] != entries.shape[1]:
             raise ValueError(f"weight matrix must be square, got {entries.shape}")
+        dense = isinstance(entries, np.ndarray)
         asym = abs(entries - entries.T)
-        asym_max = asym.max() if asym.size or scipy.sparse.issparse(asym) else 0.0
+        asym_max = asym.max() if asym.size or not dense else 0.0
         if asym_max != 0.0:
             raise ValueError("weight matrix is not symmetric")
-        self.entries = entries
+        self._m = entries.shape[0]
+        self._entries = entries
+        self._csr = None if dense else _csr_arrays(entries.data, entries.indices, entries.indptr)
         self._chol = None
+
+    @classmethod
+    def from_csr(cls, data, indices, indptr):
+        """Sparse M from the CSR arrays of an m x m matrix, m = len(indptr) - 1,
+        without scipy. Symmetry is checked exactly on the stored entries."""
+        self = cls.__new__(cls)
+        self._m = len(indptr) - 1
+        self._csr = _csr_arrays(data, indices, indptr)
+        data, indices, _, rows = self._csr
+        mine = np.lexsort((data, indices, rows))
+        mirrored = np.lexsort((data, rows, indices))
+        if not (
+            np.array_equal(rows[mine], indices[mirrored])
+            and np.array_equal(indices[mine], rows[mirrored])
+            and np.array_equal(data[mine], data[mirrored])
+        ):
+            raise ValueError("weight matrix is not symmetric")
+        self._entries = None
+        self._chol = None
+        return self
+
+    @property
+    def entries(self):
+        """The matrix: a dense array, or a scipy CSR matrix for a sparse M."""
+        if self._entries is None:
+            import scipy.sparse
+
+            self._entries = scipy.sparse.csr_matrix(self._csr[:3], shape=(self._m, self._m))
+        return self._entries
 
     @property
     def dim(self):
-        return self.entries.shape[0]
+        return self._m
 
     @property
     def is_sparse(self):
-        return scipy.sparse.issparse(self.entries)
+        return self._csr is not None
 
     def matvec(self, x):
-        return self.entries @ x
+        """M @ x for x of shape (m,) or (m, w), equal to ``entries @ x`` bit
+        for bit."""
+        if self._csr is None:
+            return self._entries @ x
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self._m:
+            raise ValueError(f"operand has shape {x.shape}, expected {self._m} rows")
+        if x.ndim == 1:
+            return self._csr_matvec(x)
+        y = np.empty(x.shape)
+        for i in range(x.shape[1]):
+            y[:, i] = self._csr_matvec(x[:, i])
+        return y
+
+    def _csr_matvec(self, x):
+        data, indices, _, rows = self._csr
+        return np.bincount(rows, weights=data * x[indices], minlength=self._m)
 
     def diagonal(self):
         return self.entries.diagonal()
@@ -86,6 +145,9 @@ class WeightMatrix:
         return self._chol
 
     def _factorize(self):
+        import scipy.linalg
+        import scipy.sparse
+
         if not self.is_sparse:
             try:
                 return scipy.linalg.cholesky(self.entries, lower=True)
@@ -121,10 +183,21 @@ class WeightMatrix:
     def solve_lt(self, B):
         """Solve L^T X = B by back substitution."""
         if self.is_sparse:
+            import scipy.sparse.linalg
+
             return scipy.sparse.linalg.spsolve_triangular(
                 self.chol.T.tocsr(), B, lower=False
             )
+        import scipy.linalg
+
         return scipy.linalg.solve_triangular(self.chol, B, lower=True, trans="T")
+
+
+def _csr_arrays(data, indices, indptr):
+    """(data, indices, indptr, row of each entry) of a CSR matrix."""
+    indptr = np.asarray(indptr, dtype=np.intp)
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    return np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.intp), indptr, rows
 
 
 def _check_vector(x, m, name):
@@ -198,17 +271,16 @@ def small_svd(Q):
     Returns (V_Q, sigma_Q, W_Q) with Q = V_Q @ diag(sigma_Q) @ W_Q.T, where
     for Q of shape (a, b) V_Q is (a, r), W_Q is (b, r) and r = min(a, b);
     sigma_Q is nonnegative and descending. A square Q gets its full SVD.
-    The QR-based LAPACK driver is used for its orthogonality and residual
-    accuracy at these sizes.
+    The driver is numpy's LAPACK ``gesdd``. For min(a, b) <= 25 it solves
+    the bidiagonal problem by QR iteration, as ``gesvd`` does; above that it
+    switches to divide and conquer, which is faster.
     """
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got shape {Q.shape}")
     if not np.isfinite(Q).all():
         raise InvalidInputError("matrix contains non-finite entries")
-    V_Q, sigma, Wh = scipy.linalg.svd(
-        Q, full_matrices=False, lapack_driver="gesvd", check_finite=False
-    )
+    V_Q, sigma, Wh = np.linalg.svd(Q, full_matrices=False)
     return V_Q, sigma, Wh.T
 
 
@@ -229,6 +301,8 @@ def weighted_operator_norm(A, M):
 
     A with no columns has norm 0.0; a non-finite S is a ValueError.
     """
+    import scipy.linalg
+
     A = np.asarray(A, dtype=np.float64)
     if A.ndim == 1:
         A = A[:, None]
@@ -259,5 +333,5 @@ def weighted_operator_norm(A, M):
 def m_orthonormality_defect(V, M):
     """max |V^T M V - I|, the M-orthonormality residual used in invariants."""
     V = np.asarray(V, dtype=np.float64)
-    G = V.T @ (M.entries @ V)
+    G = V.T @ M.matvec(V)
     return float(np.max(np.abs(G - np.eye(V.shape[1]))))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse
 
-from incpod import fhn
 from incpod.cli import main
 from incpod.errors import IntegrationFailureError, InvalidInputError
 from incpod.fhn import (
@@ -182,7 +182,8 @@ class TestSimulate:
         def dgbtrf(ab, kl, ku, **kwargs):
             return ab, np.zeros(ab.shape[1], dtype=np.int32), 1
 
-        monkeypatch.setattr(fhn, "dgbtrf", dgbtrf)
+        # simulate imports dgbtrf from scipy when it is called
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", dgbtrf)
 
     def test_singular_iteration_matrix_reports_time(self, singular_factor):
         with pytest.raises(IntegrationFailureError) as exc:

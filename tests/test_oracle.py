@@ -45,6 +45,16 @@ class TestExactWeightedSvd:
             recon = (ex.V * ex.sigma) @ ex.W.T
             assert np.max(np.abs(U - recon)) <= 1e-12 * ex.sigma[0]
 
+    def test_w_owns_a_copy_of_the_kept_columns(self, rng):
+        # rank 4 of 12: the kept columns are a third of the right factor
+        U = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 30))
+        M = random_weight(rng, 12)
+        ex = exact_weighted_svd(U, M)
+        _, _, Wh = scipy.linalg.svd(M.apply_lt(U), full_matrices=False)
+        assert ex.k == 4
+        assert ex.W.flags.owndata
+        assert np.array_equal(ex.W, Wh.T[:, :4])
+
     def test_identity_weight_matches_standard_svd(self, rng):
         U = rng.standard_normal((12, 7))
         ex = exact_weighted_svd(U, WeightMatrix(np.eye(12)))
