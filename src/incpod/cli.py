@@ -8,6 +8,11 @@ Exit codes: 0 success, 1 usage, 2 data/format error, 3 numerical failure.
 
 ``pod`` runs on numpy alone; ``simulate``, ``verify`` and ``report`` load
 scipy when they start.
+
+With two usable cores and BLAS pinned to one thread, ``verify`` shares its
+nine tolerance cells between this process and one forked worker (see
+``oracle.tolerance_sweep``); its outputs are byte-identical to a run on one
+core.
 """
 
 from __future__ import annotations

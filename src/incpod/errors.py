@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every type survives a pickle round trip with its message and attribute, so
+an error raised in the sweep's worker process reaches the caller intact."""
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -36,6 +39,9 @@ class CorruptStreamError(FormatError):
         super().__init__(message)
         self.offset = offset
 
+    def __reduce__(self):  # pickle calls cls(*args): offset has no default
+        return type(self), (*self.args, self.offset), self.__dict__
+
 
 class CorruptCheckpointError(FormatError):
     """Checkpoint payload fails its CRC."""
@@ -47,6 +53,9 @@ class IntegrationFailureError(RuntimeError):
     def __init__(self, message, t_reached):
         super().__init__(message)
         self.t_reached = t_reached
+
+    def __reduce__(self):  # pickle calls cls(*args): t_reached has no default
+        return type(self), (*self.args, self.t_reached), self.__dict__
 
 
 class PreconditionViolationError(ValueError):

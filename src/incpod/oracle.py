@@ -7,6 +7,8 @@ factorization of the weight matrix.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,27 +98,142 @@ def _as_matrix(snapshots):
     return U
 
 
+def _sweep_row(U, M, tols):
+    state = flush(run_stream(iter(U.T), M, tols), M, tols)
+    return SweepRow(
+        tol=tols.tol,
+        tol_sv=tols.tol_sv,
+        rank=state.k,
+        exact_error=exact_error(U, state, M),
+        incr_error_bound=state.e,
+        state=state,
+    )
+
+
+def _run_cells(i, claim, put, U, M, grid):
+    """Compute cell ``i``, then the cells ``claim`` hands out, until it
+    returns a negative index; ``put(i, row)`` receives each row."""
+    while i >= 0:
+        put(i, _sweep_row(U, M, grid[i]))
+        i = claim()
+
+
+def _thread_count():
+    """Threads of this process, native ones included; 0 if unknown."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
+
+
+def _fork_context(cells):
+    """The ``fork`` context if the sweep has two cells, two cores to run
+    them on and this process runs one thread, else None. A second thread is
+    most often a BLAS pool (no ``OPENBLAS_NUM_THREADS=1``), which already
+    uses the cores: with a worker that had a pool of its own, a 500-node
+    verify took 44 s instead of 10. ``multiprocessing`` is imported only
+    here, so that importing the package does not pay for it."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if cells < 2 or affinity is None or len(affinity(0)) < 2 or _thread_count() != 1:
+        return None
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _worker(claim, stop, outbox, U, M, grid):
+    """Body of the forked worker: it sends ``(i, row)`` for every cell it
+    computes and ``(-1, exception)`` if one fails, which also stops further
+    claims. It returns into multiprocessing, which ends the process."""
+    try:
+        _run_cells(claim(), claim, lambda i, row: outbox.send((i, row)), U, M, grid)
+    except BaseException as exc:
+        stop()
+        outbox.send((-1, exc))
+
+
+def _forked_sweep(ctx, U, M, grid, rows):
+    """Fill ``rows`` from this process and one forked worker, which share U
+    copy-on-write and claim cells from a shared counter, highest index
+    first. This process claims its first cell before the fork, so it always
+    computes at least one. A thread drains the worker's pipe while this
+    process computes, since a row (its state included) is larger than the
+    pipe's buffer."""
+    left = ctx.Value("i", len(grid))
+
+    def claim():
+        with left.get_lock():
+            left.value -= 1
+            return left.value
+
+    def stop():
+        with left.get_lock():
+            left.value = 0
+
+    first = claim()
+    inbox, outbox = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_worker, args=(claim, stop, outbox, U, M, grid), daemon=True)
+    worker.start()
+    outbox.close()  # the worker's end is then the only one: its exit is EOF
+    failures = []
+
+    def receive():
+        try:
+            while True:
+                i, result = inbox.recv()
+                if i < 0:
+                    failures.append(result)
+                else:
+                    rows[i] = result
+        except EOFError:
+            pass
+        except Exception as exc:  # a message that does not unpickle
+            failures.append(exc)
+
+    receiver = threading.Thread(target=receive, daemon=True)
+    receiver.start()
+    try:
+        _run_cells(first, claim, rows.__setitem__, U, M, grid)
+    except BaseException:
+        stop()
+        raise
+    finally:
+        worker.join()
+        receiver.join()
+        inbox.close()
+    if failures:
+        raise failures[0]
+    lost = [i for i, row in enumerate(rows) if row is None]
+    if lost:
+        raise RuntimeError(
+            f"sweep worker exited with code {worker.exitcode} without cells {lost}"
+        )
+
+
 def tolerance_sweep(snapshots, M, tol_grid):
     """Run the streaming decomposition once per tolerance pair.
 
     ``snapshots`` is an m x s matrix. Returns one :class:`SweepRow` per
-    pair with the final rank, the exact operator-norm error against the full
-    matrix, and the incrementally accumulated bound, of the flushed state.
+    pair, in grid order, with the final rank, the exact operator-norm error
+    against the full matrix, and the incrementally accumulated bound, of the
+    flushed state.
+
+    Cells are computed last first, so that the small-tolerance cells, the
+    most expensive, start first. A grid of two cells or more is shared
+    between this process and one forked worker when two cores are usable,
+    the ``fork`` start method exists and this process runs a single thread
+    (BLAS pinned to one); each cell's arithmetic is serial, so the rows are
+    the same bits either way.
     """
     U = _as_matrix(snapshots)
-    rows = []
-    for tols in tol_grid:
-        if not isinstance(tols, Tolerances):
-            tols = Tolerances(*tols)
-        state = flush(run_stream(iter(U.T), M, tols), M, tols)
-        rows.append(
-            SweepRow(
-                tol=tols.tol,
-                tol_sv=tols.tol_sv,
-                rank=state.k,
-                exact_error=exact_error(U, state, M),
-                incr_error_bound=state.e,
-                state=state,
-            )
-        )
+    grid = [tols if isinstance(tols, Tolerances) else Tolerances(*tols) for tols in tol_grid]
+    rows = [None] * len(grid)
+    ctx = _fork_context(len(grid))
+    if ctx is None:
+        for i in reversed(range(len(grid))):
+            rows[i] = _sweep_row(U, M, grid[i])
+    else:
+        _forked_sweep(ctx, U, M, grid, rows)
     return rows

@@ -134,9 +134,6 @@ class WeightMatrix:
         data, indices, _, rows = self._csr
         return np.bincount(rows, weights=data * x[indices], minlength=self._m)
 
-    def diagonal(self):
-        return self.entries.diagonal()
-
     @property
     def chol(self):
         """Lower-triangular L with M = L L^T (computed on first access)."""

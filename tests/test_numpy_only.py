@@ -1,9 +1,10 @@
 """The streaming path runs on numpy alone.
 
 ``import incpod``, the ``pod`` subcommand and the products of a weight matrix
-read from a file load no scipy module. Each check runs in a fresh
-interpreter, whose ``sys.modules`` has not seen the scipy that this test
-process imports for its references.
+read from a file load no scipy module, and neither ``import incpod.cli`` nor
+``pod`` loads ``multiprocessing`` (only the verify sweep forks). Each check
+runs in a fresh interpreter, whose ``sys.modules`` has not seen the scipy
+that this test process imports for its references.
 """
 
 import json
@@ -24,19 +25,19 @@ from incpod.weighted_linalg import WeightMatrix
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# the child's last line: the scipy modules it has loaded
-REPORT_SCIPY = """
+# the child's last line: the scipy and multiprocessing modules it has loaded
+REPORT_MODULES = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing"))))
 """
 
 
 def run_child(code, *args):
-    """Run ``code`` + REPORT_SCIPY in a fresh interpreter on this checkout's
-    package; returns the scipy modules it loaded."""
+    """Run ``code`` + REPORT_MODULES in a fresh interpreter on this checkout's
+    package; returns the scipy and multiprocessing modules it loaded."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code) + REPORT_SCIPY, *map(str, args)],
+        [sys.executable, "-c", textwrap.dedent(code) + REPORT_MODULES, *map(str, args)],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -44,6 +45,7 @@ def run_child(code, *args):
 
 
 def test_import_loads_no_scipy():
+    # nor multiprocessing, which only a verify sweep that forks imports
     assert run_child("import incpod, incpod.cli") == []
 
 

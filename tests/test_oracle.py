@@ -1,9 +1,15 @@
+import multiprocessing
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from incpod import oracle
 from incpod.cli import VERIFY_GRID
-from incpod.errors import InvalidInputError
+from incpod.errors import IntegrationFailureError, InvalidInputError
 from incpod.fhn import FhnParams, Mesh1D, build_weight_matrix, simulate
 from incpod.incremental import SvdState, Tolerances, flush, reconstruct, run_stream
 from incpod.oracle import exact_error, exact_weighted_svd, tolerance_sweep
@@ -16,6 +22,13 @@ from incpod.weighted_linalg import (
 )
 
 from conftest import engineered_pair, m_orthonormal_columns, random_weight
+
+
+@pytest.fixture(scope="module")
+def fhn_small():
+    """verify's input on a small FHN data set: U (80 x 689) and M."""
+    mesh = Mesh1D(40)
+    return simulate(FhnParams(), mesh, 2.5).columns, build_weight_matrix(mesh)
 
 
 def state_from_triple(V, sigma, W):
@@ -118,12 +131,10 @@ class TestExactError:
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
         assert e > 0.0 and e == weighted_operator_norm(U - reconstruct(state), M)
 
-    def test_fhn_sweep_cells_match_svdvals(self):
+    def test_fhn_sweep_cells_match_svdvals(self, fhn_small):
         # verify's nine cells on a small FHN data set, against all
         # singular values of L^T (U - R)
-        mesh = Mesh1D(40)
-        U = simulate(FhnParams(), mesh, 2.5).columns
-        M = build_weight_matrix(mesh)
+        U, M = fhn_small
         for row in tolerance_sweep(U, M, VERIFY_GRID):
             S = M.apply_lt(U - reconstruct(row.state))
             expected = scipy.linalg.svdvals(S)[0]
@@ -207,3 +218,140 @@ class TestToleranceSweep:
     def test_empty_stream(self):
         with pytest.raises(InvalidInputError):
             tolerance_sweep(np.zeros((4, 0)), WeightMatrix(np.eye(4)), [Tolerances()])
+
+
+def use_cores(monkeypatch, count):
+    """``count`` usable cores, and a process of one thread whatever BLAS
+    pool this one runs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(oracle, "_thread_count", lambda: 1)
+
+
+def forbid_fork(monkeypatch):
+    def fork():
+        raise AssertionError("the sweep started a process")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def split_cells(monkeypatch, in_worker=None):
+    """Make the split between this process and the worker deterministic:
+    this process's first cell (the grid's last) waits until the worker has
+    exited, so the worker claims every other cell. ``in_worker`` replaces
+    the row computation in the worker. Returns the tolerances of the cells
+    this process computed."""
+    parent, real, computed = os.getpid(), oracle._sweep_row, []
+
+    def sweep_row(U, M, tols):
+        if os.getpid() != parent:
+            return (in_worker or real)(U, M, tols)
+        deadline = time.monotonic() + 60.0
+        while not computed and multiprocessing.active_children():
+            assert time.monotonic() < deadline, "the sweep worker did not exit"
+            time.sleep(0.01)
+        computed.append(tols)
+        return real(U, M, tols)
+
+    monkeypatch.setattr(oracle, "_sweep_row", sweep_row)
+    return computed
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestForkedSweep:
+    """With two usable cores, a grid of two cells or more is shared between
+    the caller and one forked worker."""
+
+    def test_worker_rows_equal_serial_rows(self, monkeypatch, fhn_small):
+        U, M = fhn_small
+        use_cores(monkeypatch, 1)
+        with monkeypatch.context() as m:
+            forbid_fork(m)
+            serial = tolerance_sweep(U, M, VERIFY_GRID)
+        use_cores(monkeypatch, 2)
+        in_parent = split_cells(monkeypatch)
+        forked = tolerance_sweep(U, M, VERIFY_GRID)
+        assert in_parent == [VERIFY_GRID[-1]]
+        assert multiprocessing.active_children() == []
+        assert [(r.tol, r.tol_sv) for r in forked] == [(t.tol, t.tol_sv) for t in VERIFY_GRID]
+        for a, b in zip(serial, forked):
+            assert a.rank == b.rank and a.state.n == b.state.n
+            assert (a.state.T_p, a.state.T_sv) == (b.state.T_p, b.state.T_sv)
+            for x, y in (
+                (a.exact_error, b.exact_error),
+                (a.incr_error_bound, b.incr_error_bound),
+                (a.state.sigma, b.state.sigma),
+                (a.state.V, b.state.V),
+                (a.state.W, b.state.W),
+            ):
+                assert same_bits(x, y)
+
+    def test_worker_exception_keeps_its_type(self, monkeypatch, fhn_small):
+        U, M = fhn_small
+        use_cores(monkeypatch, 2)
+
+        def fail(U, M, tols):
+            raise IntegrationFailureError(f"cell {tols} failed", t_reached=1.25)
+
+        in_parent = split_cells(monkeypatch, in_worker=fail)
+        with pytest.raises(IntegrationFailureError, match="failed") as info:
+            tolerance_sweep(U, M, VERIFY_GRID)
+        assert info.value.t_reached == 1.25
+        # the failure stops the claims: this process computed its first cell only
+        assert len(in_parent) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_without_a_row_raises(self, monkeypatch, fhn_small):
+        U, M = fhn_small
+        use_cores(monkeypatch, 2)
+        split_cells(monkeypatch, in_worker=lambda U, M, tols: os._exit(7))
+        with pytest.raises(RuntimeError, match="code 7"):
+            tolerance_sweep(U, M, VERIFY_GRID)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_exception_joins_the_worker(self, monkeypatch, fhn_small, tmp_path):
+        U, M = fhn_small
+        use_cores(monkeypatch, 2)
+        parent, real = os.getpid(), oracle._sweep_row
+        started = tmp_path / "worker_cells"
+
+        def sweep_row(U, M, tols):
+            if os.getpid() == parent:
+                raise InvalidInputError("caller's cell failed")
+            with open(started, "a") as fh:
+                fh.write("x")
+            return real(U, M, tols)
+
+        monkeypatch.setattr(oracle, "_sweep_row", sweep_row)
+        with pytest.raises(InvalidInputError, match="caller's cell"):
+            tolerance_sweep(U, M, VERIFY_GRID)
+        assert multiprocessing.active_children() == []
+        # the failure stops the claims: the worker finished the cell it had
+        # claimed, if any, and started no other
+        assert len(started.read_text() if started.exists() else "") <= 1
+
+    def test_second_thread_starts_no_process(self, monkeypatch, rng):
+        # a thread besides the caller's, e.g. a BLAS pool, keeps the sweep
+        # in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forbid_fork(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            M = random_weight(rng, 8)
+            rows = tolerance_sweep(rng.standard_normal((8, 5)), M, VERIFY_GRID[:2])
+        finally:
+            release.set()
+            other.join()
+        assert [row.tol_sv for row in rows] == [1e-8, 1e-10]
+
+    def test_one_cell_grid_starts_no_process(self, monkeypatch, rng):
+        use_cores(monkeypatch, 2)
+        forbid_fork(monkeypatch)
+        M = random_weight(rng, 8)
+        (row,) = tolerance_sweep(rng.standard_normal((8, 5)), M, [Tolerances(1e-8, 1e-8)])
+        assert row.rank == 5
