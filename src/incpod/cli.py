@@ -27,11 +27,13 @@ import time
 import numpy as np
 
 from .errors import (
+    AmbiguousAlignmentError,
     FormatError,
     IntegrationFailureError,
     InvalidInputError,
     NotPositiveDefiniteError,
     PreconditionViolationError,
+    RankDeficientError,
 )
 from .fhn import FhnParams, Mesh1D, build_weight_matrix, simulate
 # ``update`` is not called here; bench/tracer.py wraps ``incpod.cli.update``
@@ -371,9 +373,11 @@ def main(argv=None):
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (
+        AmbiguousAlignmentError,
         IntegrationFailureError,
         NotPositiveDefiniteError,
         PreconditionViolationError,
+        RankDeficientError,
         np.linalg.LinAlgError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -8,7 +8,8 @@ factorization of the weight matrix.
 from __future__ import annotations
 
 import os
-import threading
+import pickle
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,24 +144,33 @@ def _fork_context(cells):
     return multiprocessing.get_context("fork")
 
 
-def _worker(claim, stop, outbox, U, M, grid):
-    """Body of the forked worker: it sends ``(i, row)`` for every cell it
-    computes and ``(-1, exception)`` if one fails, which also stops further
-    claims. It returns into multiprocessing, which ends the process."""
+def _worker(claim, stop, results, U, M, grid):
+    """Body of the forked worker: it appends ``(i, row)`` to ``results`` for
+    every cell it computes and ``(-1, exception)`` if one fails, which also
+    stops further claims. A record is pickled whole before it is written,
+    so one that does not pickle writes nothing; the flush is needed because
+    multiprocessing ends the process without flushing Python's buffers."""
+
+    def put(i, result):
+        results.write(pickle.dumps((i, result), pickle.HIGHEST_PROTOCOL))
+
     try:
-        _run_cells(claim(), claim, lambda i, row: outbox.send((i, row)), U, M, grid)
+        _run_cells(claim(), claim, put, U, M, grid)
     except BaseException as exc:
         stop()
-        outbox.send((-1, exc))
+        put(-1, exc)
+    finally:
+        results.flush()
 
 
 def _forked_sweep(ctx, U, M, grid, rows):
     """Fill ``rows`` from this process and one forked worker, which share U
     copy-on-write and claim cells from a shared counter, highest index
     first. This process claims its first cell before the fork, so it always
-    computes at least one. A thread drains the worker's pipe while this
-    process computes, since a row (its state included) is larger than the
-    pipe's buffer."""
+    computes at least one. The worker appends its rows to an unlinked
+    temporary file that it inherits, and this process reads them once the
+    worker has exited: a row (its state included) is larger than a pipe's
+    buffer, and the file is gone even if the command is killed."""
     left = ctx.Value("i", len(grid))
 
     def claim():
@@ -173,38 +183,25 @@ def _forked_sweep(ctx, U, M, grid, rows):
             left.value = 0
 
     first = claim()
-    inbox, outbox = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_worker, args=(claim, stop, outbox, U, M, grid), daemon=True)
-    worker.start()
-    outbox.close()  # the worker's end is then the only one: its exit is EOF
-    failures = []
-
-    def receive():
+    with tempfile.TemporaryFile() as results:
+        worker = ctx.Process(target=_worker, args=(claim, stop, results, U, M, grid), daemon=True)
+        worker.start()
         try:
-            while True:
-                i, result = inbox.recv()
-                if i < 0:
-                    failures.append(result)
-                else:
-                    rows[i] = result
-        except EOFError:
-            pass
-        except Exception as exc:  # a message that does not unpickle
-            failures.append(exc)
-
-    receiver = threading.Thread(target=receive, daemon=True)
-    receiver.start()
-    try:
-        _run_cells(first, claim, rows.__setitem__, U, M, grid)
-    except BaseException:
-        stop()
-        raise
-    finally:
-        worker.join()
-        receiver.join()
-        inbox.close()
-    if failures:
-        raise failures[0]
+            _run_cells(first, claim, rows.__setitem__, U, M, grid)
+        except BaseException:
+            stop()
+            raise
+        finally:
+            worker.join()
+        results.seek(0)
+        while True:
+            try:
+                i, result = pickle.load(results)
+            except (EOFError, pickle.UnpicklingError):  # the end, or a cut record
+                break
+            if i < 0:
+                raise result
+            rows[i] = result
     lost = [i for i, row in enumerate(rows) if row is None]
     if lost:
         raise RuntimeError(

@@ -2,19 +2,18 @@
 
 All routines work with respect to a symmetric positive definite weight
 matrix M, i.e. the inner product (x, y)_M = y^T M x and the induced norm.
-M may be dense or sparse; banded sparse matrices (FEM mass matrices) get a
-banded Cholesky factorization.
+M may be dense or sparse; a sparse M (an FEM mass matrix) gets a banded
+Cholesky factorization.
 
 The streaming path (products with M, inner products, ``small_svd``) needs
 numpy only. scipy is imported by the functions that use it: the Cholesky
-factor with ``apply_lt``/``solve_lt``, ``weighted_operator_norm`` and the
-scipy form of a sparse M's ``entries``.
+factor with ``apply_lt``/``solve_lt``, ``weighted_operator_norm`` and a
+sparse M's ``entries``.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import sys
 
 import numpy as np
@@ -32,12 +31,6 @@ __all__ = [
 ]
 
 
-def _pivot_from_message(exc):
-    """Pull the 0-based pivot index out of a LAPACK 'leading minor' message."""
-    match = re.search(r"(\d+)", str(exc))
-    return int(match.group(1)) - 1 if match else -1
-
-
 class WeightMatrix:
     """Symmetric positive definite weight matrix with a cached Cholesky factor.
 
@@ -45,47 +38,56 @@ class WeightMatrix:
     ----------
     entries : (m, m) array_like or scipy sparse matrix
         Symmetric matrix defining the inner product. Symmetry is checked
-        exactly on the stored entries.
+        exactly on the stored entries. A sparse input is copied, so the
+        caller's matrix is never changed.
 
-    A sparse M is held as CSR arrays (:meth:`from_csr` builds one without
-    scipy). ``matvec`` then multiplies with numpy alone: ``np.bincount`` over
-    the row of each stored entry sums a row's products in CSR order starting
-    from 0.0, as scipy's ``csr_matvec`` does, so it equals ``entries @ x``
-    bit for bit. ``entries`` is that scipy CSR matrix, built on first access.
+    A sparse M is its CSR arrays alone: sorted, without repeated indices or
+    stored zeros. :meth:`from_csr` builds one without scipy. ``matvec``
+    then multiplies with numpy alone: ``np.bincount`` over the row of each
+    stored entry sums a row's products in CSR order starting from 0.0, as
+    scipy's ``csr_matvec`` does, so it equals ``entries @ x`` bit for bit.
 
-    Instances are immutable after construction (the cached factor and scipy
-    matrix are filled in lazily but never change), so they are safe to share
-    across threads.
+    Instances are immutable after construction (the cached factor is filled
+    in lazily but never changes), so they are safe to share across threads.
     """
 
     def __init__(self, entries):
         sparse = sys.modules.get("scipy.sparse")  # loaded if entries is sparse
         if sparse is not None and sparse.issparse(entries):
-            entries = entries.tocsr().astype(np.float64)
-        else:
-            entries = np.asarray(entries, dtype=np.float64)
-            if entries.ndim != 2:
-                raise ValueError("weight matrix must be 2-dimensional")
+            if entries.shape[0] != entries.shape[1]:
+                raise ValueError(f"weight matrix must be square, got {entries.shape}")
+            csr = entries.astype(np.float64).tocsr()  # astype copies
+            csr.sum_duplicates()
+            csr.eliminate_zeros()  # an unmirrored stored zero is still symmetric
+            self._init_csr(csr.data, csr.indices, csr.indptr)
+            return
+        entries = np.asarray(entries, dtype=np.float64)
+        if entries.ndim != 2:
+            raise ValueError("weight matrix must be 2-dimensional")
         if entries.shape[0] != entries.shape[1]:
             raise ValueError(f"weight matrix must be square, got {entries.shape}")
-        dense = isinstance(entries, np.ndarray)
-        asym = abs(entries - entries.T)
-        asym_max = asym.max() if asym.size or not dense else 0.0
-        if asym_max != 0.0:
+        if entries.size and abs(entries - entries.T).max() != 0.0:
             raise ValueError("weight matrix is not symmetric")
         self._m = entries.shape[0]
-        self._entries = entries
-        self._csr = None if dense else _csr_arrays(entries.data, entries.indices, entries.indptr)
+        self._dense = entries
+        self._csr = None
         self._chol = None
 
     @classmethod
     def from_csr(cls, data, indices, indptr):
         """Sparse M from the CSR arrays of an m x m matrix, m = len(indptr) - 1,
-        without scipy. Symmetry is checked exactly on the stored entries."""
+        with sorted indices and no repeats, without scipy."""
         self = cls.__new__(cls)
-        self._m = len(indptr) - 1
-        self._csr = _csr_arrays(data, indices, indptr)
-        data, indices, _, rows = self._csr
+        self._init_csr(data, indices, indptr)
+        return self
+
+    def _init_csr(self, data, indices, indptr):
+        indptr = np.asarray(indptr, dtype=np.intp)
+        self._m = indptr.size - 1
+        rows = np.repeat(np.arange(self._m), np.diff(indptr))
+        data, indices = np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.intp)
+        if not np.isfinite(data).all():
+            raise ValueError("weight matrix has non-finite entries")
         mine = np.lexsort((data, indices, rows))
         mirrored = np.lexsort((data, rows, indices))
         if not (
@@ -94,18 +96,19 @@ class WeightMatrix:
             and np.array_equal(data[mine], data[mirrored])
         ):
             raise ValueError("weight matrix is not symmetric")
-        self._entries = None
+        self._csr = data, indices, indptr, rows
+        self._dense = None
         self._chol = None
-        return self
 
     @property
     def entries(self):
-        """The matrix: a dense array, or a scipy CSR matrix for a sparse M."""
-        if self._entries is None:
-            import scipy.sparse
+        """The matrix: a dense array, or for a sparse M a new scipy CSR
+        matrix on each access, for callers outside this module."""
+        if self._csr is None:
+            return self._dense
+        import scipy.sparse
 
-            self._entries = scipy.sparse.csr_matrix(self._csr[:3], shape=(self._m, self._m))
-        return self._entries
+        return scipy.sparse.csr_matrix(self._csr[:3], shape=(self._m, self._m), copy=True)
 
     @property
     def dim(self):
@@ -119,7 +122,7 @@ class WeightMatrix:
         """M @ x for x of shape (m,) or (m, w), equal to ``entries @ x`` bit
         for bit."""
         if self._csr is None:
-            return self._entries @ x
+            return self._dense @ x
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[0] != self._m:
             raise ValueError(f"operand has shape {x.shape}, expected {self._m} rows")
@@ -142,35 +145,24 @@ class WeightMatrix:
         return self._chol
 
     def _factorize(self):
-        import scipy.linalg
+        from scipy.linalg.lapack import dpbtrf, dpotrf
+
+        if self._csr is None:
+            return _positive_definite(*dpotrf(self._dense, lower=1, clean=1))
+        # Banded path: FEM mass matrices are tridiagonal per block, so the
+        # factor stays banded and the cost is O(m * bandwidth^2). The band
+        # holds the lower triangle: ab[i - j, j] = M[i, j].
         import scipy.sparse
 
-        if not self.is_sparse:
-            try:
-                return scipy.linalg.cholesky(self.entries, lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise NotPositiveDefiniteError(
-                    f"weight matrix is not positive definite: {exc}",
-                    pivot=_pivot_from_message(exc),
-                ) from exc
-
-        # Banded path: FEM mass matrices are tridiagonal per block, so the
-        # factor stays banded and the cost is O(m * bandwidth^2).
-        m = self.dim
-        coo = self.entries.tocoo()
-        bandwidth = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
-        ab = np.zeros((bandwidth + 1, m))
-        for off in range(bandwidth + 1):
-            ab[off, : m - off] = self.entries.diagonal(-off)
-        try:
-            cb = scipy.linalg.cholesky_banded(ab, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                f"weight matrix is not positive definite: {exc}",
-                pivot=_pivot_from_message(exc),
-            ) from exc
-        diagonals = [cb[off, : m - off] for off in range(bandwidth + 1)]
-        offsets = [-off for off in range(bandwidth + 1)]
+        data, cols, _, rows = self._csr
+        tril = rows >= cols
+        depth = rows[tril] - cols[tril]
+        ab = np.zeros((int(depth.max(initial=0)) + 1, self._m))
+        ab[depth, cols[tril]] = data[tril]
+        band = _positive_definite(*dpbtrf(ab, lower=1))
+        m = self._m
+        diagonals = [band[off, : m - off] for off in range(band.shape[0])]
+        offsets = [-off for off in range(band.shape[0])]
         return scipy.sparse.diags(diagonals, offsets, shape=(m, m)).tocsr()
 
     def apply_lt(self, A):
@@ -190,11 +182,15 @@ class WeightMatrix:
         return scipy.linalg.solve_triangular(self.chol, B, lower=True, trans="T")
 
 
-def _csr_arrays(data, indices, indptr):
-    """(data, indices, indptr, row of each entry) of a CSR matrix."""
-    indptr = np.asarray(indptr, dtype=np.intp)
-    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    return np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.intp), indptr, rows
+def _positive_definite(factor, info):
+    """The factor from LAPACK's ``potrf`` or ``pbtrf``, or the error for the
+    0-based pivot that its ``info`` reports."""
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"weight matrix is not positive definite (leading minor of order {info})",
+            pivot=info - 1,
+        )
+    return factor
 
 
 def _check_vector(x, m, name):

@@ -2,7 +2,7 @@ import pickle
 
 import pytest
 
-from incpod import errors
+from incpod import cli, errors
 
 INSTANCES = [
     errors.NotPositiveDefiniteError("pivot 3 is negative", pivot=3),
@@ -28,8 +28,23 @@ def test_every_error_type_is_covered():
 
 @pytest.mark.parametrize("exc", INSTANCES, ids=lambda exc: type(exc).__name__)
 def test_pickle_round_trip(exc):
-    # an error raised in the sweep's worker process crosses a pipe
+    # an error raised in the sweep's worker process reaches the caller pickled
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert str(back) == str(exc) and back.args == exc.args
     assert vars(back) == vars(exc)
+
+
+@pytest.mark.parametrize("exc", INSTANCES, ids=lambda exc: type(exc).__name__)
+def test_cli_exit_code(exc, monkeypatch, capsys):
+    # the codes the CLI documents: 2 for a data/format error, 3 for a
+    # numerical failure; never a traceback with the usage code 1
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._DISPATCH, "pod", fail)
+    code = cli.main(["pod", "--input", "in", "--output", "out"])
+    data_error = isinstance(exc, (errors.FormatError, errors.InvalidInputError))
+    assert code == (2 if data_error else 3)
+    prefix = "data error: " if data_error else "numerical failure: "
+    assert capsys.readouterr().err == f"{prefix}{exc}\n"

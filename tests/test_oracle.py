@@ -333,6 +333,20 @@ class TestForkedSweep:
         # claimed, if any, and started no other
         assert len(started.read_text() if started.exists() else "") <= 1
 
+    def test_starts_no_thread(self, monkeypatch, fhn_small):
+        # the worker's rows are read once it has exited: nothing has to
+        # drain them while this process computes
+        U, M = fhn_small
+        use_cores(monkeypatch, 2)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda self: started.append(self) or start(self)
+        )
+        in_parent = split_cells(monkeypatch)
+        rows = tolerance_sweep(U, M, VERIFY_GRID)
+        assert in_parent == [VERIFY_GRID[-1]] and None not in rows
+        assert started == []
+
     def test_second_thread_starts_no_process(self, monkeypatch, rng):
         # a thread besides the caller's, e.g. a BLAS pool, keeps the sweep
         # in this process

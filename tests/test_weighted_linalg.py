@@ -8,6 +8,8 @@ from incpod.errors import (
     NotPositiveDefiniteError,
     RankDeficientError,
 )
+from incpod.fhn import Mesh1D, build_weight_matrix
+from incpod.io_formats import read_weight_matrix, write_weight_matrix
 from incpod.weighted_linalg import (
     WeightMatrix,
     m_inner,
@@ -30,10 +32,48 @@ class TestWeightMatrix:
         with pytest.raises(ValueError):
             WeightMatrix(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_sparse(self, value):
+        with pytest.raises(ValueError):
+            WeightMatrix(scipy.sparse.diags([value, 1.0]).tocsr())
+        with pytest.raises(ValueError):
+            WeightMatrix.from_csr([value, 1.0], [0, 1], [0, 1, 2])
+
     def test_sparse_input_kept_sparse(self):
         M = WeightMatrix(scipy.sparse.eye(5))
         assert M.is_sparse
         assert M.dim == 5
+
+    def test_file_round_trip_keeps_the_csr_arrays(self, tmp_path, rng):
+        built = build_weight_matrix(Mesh1D(60))
+        write_weight_matrix(tmp_path / "fhn.wm", built)
+        read = read_weight_matrix(tmp_path / "fhn.wm")
+        a, b = built.entries, read.entries
+        for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)):
+            assert x.tobytes() == y.tobytes()
+        for x in (rng.standard_normal(built.dim), rng.standard_normal((built.dim, 40))):
+            assert built.matvec(x).tobytes() == read.matvec(x).tobytes()
+
+    # sparse inputs that are not in canonical CSR form: a repeated entry,
+    # unsorted column indices, and a stored zero with no mirror entry
+    NONCANONICAL = {
+        "repeated": ([4.0, -0.5, -0.5, -1.0, 4.0, 3.0], [0, 1, 1, 0, 1, 2], [0, 3, 5, 6]),
+        "unsorted": ([-1.0, 4.0, 4.0, -1.0, 3.0], [1, 0, 1, 0, 2], [0, 2, 4, 5]),
+        "zero": ([4.0, -1.0, 0.0, -1.0, 4.0, 3.0], [0, 1, 2, 0, 1, 2], [0, 3, 5, 6]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NONCANONICAL))
+    def test_noncanonical_sparse_input(self, kind, rng):
+        canonical = WeightMatrix(
+            scipy.sparse.csr_matrix(np.array([[4.0, -1.0, 0.0], [-1.0, 4.0, 0.0], [0.0, 0.0, 3.0]]))
+        )
+        given = scipy.sparse.csr_matrix(self.NONCANONICAL[kind], shape=(3, 3))
+        before = [a.tobytes() for a in (given.data, given.indices, given.indptr)]
+        M = WeightMatrix(given)
+        x = rng.standard_normal((3, 4))
+        assert M.matvec(x).tobytes() == canonical.matvec(x).tobytes()
+        assert (M.chol != canonical.chol).nnz == 0
+        assert [a.tobytes() for a in (given.data, given.indices, given.indptr)] == before
 
 
 class TestMInner:
@@ -107,10 +147,17 @@ class TestCholesky:
         L = WeightMatrix(M).chol
         assert np.max(np.abs(M - L @ L.T)) <= 1e-12 * np.max(np.abs(M))
 
+    # LAPACK's 0-based pivot: the first leading minor that is not positive
+    NOT_POSITIVE = [
+        (np.diag([1.0, 1.0, -1.0, 1.0]), 2),
+        (np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1), 1),  # minor [[1, 1], [1, 1]]
+    ]
+
     def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            WeightMatrix(np.diag([1.0, -1.0])).chol
-        assert exc.value.pivot >= 0
+        for M, pivot in self.NOT_POSITIVE:
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                WeightMatrix(M).chol
+            assert exc.value.pivot == pivot
 
     def test_sparse_banded_roundtrip(self):
         m = 40
@@ -125,9 +172,12 @@ class TestCholesky:
         assert err <= 1e-12 * 4.0
 
     def test_sparse_not_positive_definite(self):
-        M = scipy.sparse.diags([1.0, -2.0, 1.0])
-        with pytest.raises(NotPositiveDefiniteError):
-            WeightMatrix(M).chol
+        for M, pivot in [(scipy.sparse.diags([1.0, -2.0, 1.0]), 1)] + [
+            (scipy.sparse.csr_matrix(M), pivot) for M, pivot in self.NOT_POSITIVE
+        ]:
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                WeightMatrix(M).chol
+            assert exc.value.pivot == pivot
 
     def test_solve_lt_inverts_apply_lt(self, rng):
         for sparse in (False, True):
