@@ -44,18 +44,17 @@ class ExactSvd:
 def exact_weighted_svd(U, M):
     """Core SVD of U in the M-inner product via S = L^T U.
 
-    A standard SVD of S is computed and the left factor is mapped back with
-    a triangular back substitution. Singular values below
-    1e-14 * sigma_1 are dropped together with their vectors. W is a copy
-    of the kept columns, so it does not hold the whole right factor alive.
+    A standard SVD of S (numpy's LAPACK ``gesdd``) is computed and the left
+    factor is mapped back with a triangular back substitution. Singular
+    values below 1e-14 * sigma_1 are dropped together with their vectors.
+    W is a copy of the kept columns, so it does not hold the whole right
+    factor alive.
     """
-    import scipy.linalg
-
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[0] != M.dim:
         raise ValueError(f"U has shape {U.shape}, expected ({M.dim}, n)")
     S = M.apply_lt(U)
-    V_hat, sigma, Wh = scipy.linalg.svd(S, full_matrices=False)
+    V_hat, sigma, Wh = np.linalg.svd(S, full_matrices=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         keep = 0
     else:

@@ -5,10 +5,10 @@ matrix M, i.e. the inner product (x, y)_M = y^T M x and the induced norm.
 M may be dense or sparse; a sparse M (an FEM mass matrix) gets a banded
 Cholesky factorization.
 
-The streaming path (products with M, inner products, ``small_svd``) needs
-numpy only. scipy is imported by the functions that use it: the Cholesky
-factor with ``apply_lt``/``solve_lt``, ``weighted_operator_norm`` and a
-sparse M's ``entries``.
+Everything here runs on numpy alone: products with M, the Cholesky factor
+with ``apply_lt``/``solve_lt``, ``small_svd`` and ``weighted_operator_norm``.
+Only the scipy views that ``entries`` and ``chol`` return for a sparse M,
+for callers outside this module, import scipy.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ class WeightMatrix:
             raise ValueError("weight matrix must be 2-dimensional")
         if entries.shape[0] != entries.shape[1]:
             raise ValueError(f"weight matrix must be square, got {entries.shape}")
+        if not np.isfinite(entries).all():
+            raise ValueError("weight matrix has non-finite entries")
         if entries.size and abs(entries - entries.T).max() != 0.0:
             raise ValueError("weight matrix is not symmetric")
         self._m = entries.shape[0]
@@ -139,58 +141,126 @@ class WeightMatrix:
 
     @property
     def chol(self):
-        """Lower-triangular L with M = L L^T (computed on first access)."""
-        if self._chol is None:
-            self._chol = self._factorize()
-        return self._chol
-
-    def _factorize(self):
-        from scipy.linalg.lapack import dpbtrf, dpotrf
-
+        """Lower-triangular L with M = L L^T: the dense factor, or for a
+        sparse M a new scipy CSR matrix built from the band factor on each
+        access, for callers outside this module."""
+        L = self._factor()
         if self._csr is None:
-            return _positive_definite(*dpotrf(self._dense, lower=1, clean=1))
-        # Banded path: FEM mass matrices are tridiagonal per block, so the
-        # factor stays banded and the cost is O(m * bandwidth^2). The band
-        # holds the lower triangle: ab[i - j, j] = M[i, j].
+            return L
         import scipy.sparse
 
+        m = self._m
+        diagonals = [L[d, : m - d] for d in range(L.shape[0])]
+        offsets = [-d for d in range(L.shape[0])]
+        return scipy.sparse.diags(diagonals, offsets, shape=(m, m)).tocsr()
+
+    def _factor(self):
+        """The Cholesky factor, computed on first use: the dense L, or for a
+        sparse M the band of L, ``band[d, j] = L[j + d, j]``."""
+        if self._chol is None:
+            if self._csr is None:
+                self._chol = _dense_cholesky(self._dense)
+            else:
+                self._chol = _band_cholesky(self._lower_band())
+        return self._chol
+
+    def _lower_band(self):
+        """The lower triangle of a sparse M in LAPACK's lower band storage,
+        ``ab[i - j, j] = M[i, j]``: FEM mass matrices are tridiagonal per
+        block, so the factor stays banded and costs O(m * bandwidth^2)."""
         data, cols, _, rows = self._csr
         tril = rows >= cols
         depth = rows[tril] - cols[tril]
         ab = np.zeros((int(depth.max(initial=0)) + 1, self._m))
         ab[depth, cols[tril]] = data[tril]
-        band = _positive_definite(*dpbtrf(ab, lower=1))
-        m = self._m
-        diagonals = [band[off, : m - off] for off in range(band.shape[0])]
-        offsets = [-off for off in range(band.shape[0])]
-        return scipy.sparse.diags(diagonals, offsets, shape=(m, m)).tocsr()
+        return ab
 
     def apply_lt(self, A):
-        """Return L^T @ A."""
-        return self.chol.T @ A
+        """Return L^T @ A as a new array. For a sparse M, row j is the sum of
+        ``L[j + d, j] * A[j + d]`` over the band's rows d, in ascending order
+        as in a CSR product with L^T."""
+        L = self._factor()
+        if self._csr is None:
+            return L.T @ A
+        A = np.asarray(A, dtype=np.float64)
+        band = L.reshape(L.shape + (1,) * (A.ndim - 1))  # a column per row of A
+        out = band[0] * A
+        for d in range(1, L.shape[0]):
+            out[:-d] += band[d, :-d] * A[d:]
+        return out
 
     def solve_lt(self, B):
-        """Solve L^T X = B by back substitution."""
-        if self.is_sparse:
-            import scipy.sparse.linalg
+        """Solve L^T X = B by back substitution, one row of X at a time from
+        the last: ``X[j] = (B[j] - L[j+1:, j] @ X[j+1:]) / L[j, j]``, where a
+        sparse M's column of L holds its band alone."""
+        L = self._factor()
+        dense = self._csr is None
+        diagonal = np.diagonal(L) if dense else L[0]
+        X = np.array(B, dtype=np.float64)
+        m = self._m
+        for j in range(m - 1, -1, -1):
+            below = L[j + 1 :, j] if dense else L[1 : m - j, j]
+            X[j] -= below @ X[j + 1 : j + 1 + below.size]
+            X[j] /= diagonal[j]
+        return X
 
-            return scipy.sparse.linalg.spsolve_triangular(
-                self.chol.T.tocsr(), B, lower=False
-            )
-        import scipy.linalg
 
-        return scipy.linalg.solve_triangular(self.chol, B, lower=True, trans="T")
+def _not_positive(pivot):
+    return NotPositiveDefiniteError(
+        f"weight matrix is not positive definite (leading minor of order {pivot + 1})",
+        pivot=pivot,
+    )
 
 
-def _positive_definite(factor, info):
-    """The factor from LAPACK's ``potrf`` or ``pbtrf``, or the error for the
-    0-based pivot that its ``info`` reports."""
-    if info > 0:
-        raise NotPositiveDefiniteError(
-            f"weight matrix is not positive definite (leading minor of order {info})",
-            pivot=info - 1,
-        )
-    return factor
+def _dense_cholesky(M):
+    """numpy's Cholesky factor of a dense M. If M is not positive definite,
+    bisection over leading blocks finds the first leading minor that is not
+    positive (the factor of a leading block is the leading block of the
+    factor); the error's pivot is its order minus one, as LAPACK's ``potrf``
+    reports it."""
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        pass
+    lo, hi = 0, M.shape[0]  # the minor of order lo is positive, of order hi not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(M[:mid, :mid])
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    raise _not_positive(hi - 1)
+
+
+def _band_cholesky(ab):
+    """The band of L for M = L L^T from the lower band ``ab`` of M: a port of
+    LAPACK's unblocked ``dpbtf2``, which ``dpbtrf`` runs for a bandwidth
+    below its block size. Column j takes the square root of its diagonal
+    entry (a non-positive one is the pivot), scales the entries below it by
+    the reciprocal and subtracts their outer product from the trailing band.
+    The steps run in Python floats, which at the FEM mass matrix's
+    bandwidth of one is faster than numpy calls. Reference BLAS rounds the
+    product before the subtraction, as this does; an ``axpy`` that fuses
+    them into an FMA (OpenBLAS on x86) can give another last bit."""
+    kd, m = ab.shape[0] - 1, ab.shape[1]
+    band = ab.tolist()
+    diagonal = band[0]
+    for j in range(m):
+        ajj = diagonal[j]
+        if not ajj > 0.0:
+            raise _not_positive(j)
+        ajj = math.sqrt(ajj)
+        diagonal[j] = ajj
+        r = 1.0 / ajj
+        kn = min(kd, m - 1 - j)
+        for d in range(1, kn + 1):
+            band[d][j] *= r
+        for c in range(1, kn + 1):
+            xc = band[c][j]
+            for d in range(c, kn + 1):
+                band[d - c][j + c] -= band[d][j] * xc
+    return np.array(band)
 
 
 def _check_vector(x, m, name):
@@ -282,20 +352,17 @@ def weighted_operator_norm(A, M):
 
     Equals the largest singular value of S = L^T A where M = L L^T, taken
     as the square root of the largest eigenvalue of the smaller Gram
-    matrix, S S^T (m <= n) or S^T S, from one ``eigh`` call that computes
-    that eigenvalue only: about a quarter of the work of all singular
-    values of S. S is first divided by its largest absolute entry, so that
-    squaring it neither underflows nor overflows; the scale multiplies the
-    result back. The Gram matrix squares the condition number of S, but the
-    rounding errors of the product and of ``eigh`` are both relative to the
-    largest eigenvalue, so that one keeps its accuracy: on the FHN verify
-    grid and on scaled random matrices the result is within 1.1e-15,
-    relative, of ``svdvals(S)[0]``.
+    matrix, S S^T (m <= n) or S^T S, from numpy's ``eigvalsh``. S is first
+    divided by its largest absolute entry, so that squaring it neither
+    underflows nor overflows; the scale multiplies the result back. The Gram
+    matrix squares the condition number of S, but the rounding errors of the
+    product and of ``eigvalsh`` are both relative to the largest eigenvalue,
+    so that one keeps its accuracy: on the FHN verify grid and on scaled
+    random matrices the result is within 1.1e-15, relative, of
+    ``svdvals(S)[0]``.
 
     A with no columns has norm 0.0; a non-finite S is a ValueError.
     """
-    import scipy.linalg
-
     A = np.asarray(A, dtype=np.float64)
     if A.ndim == 1:
         A = A[:, None]
@@ -311,15 +378,7 @@ def weighted_operator_norm(A, M):
         return 0.0
     S /= scale
     G = S @ S.T if S.shape[0] <= S.shape[1] else S.T @ S
-    r = G.shape[0]
-    top = scipy.linalg.eigh(
-        G.T,  # the same symmetric matrix, in the Fortran order LAPACK overwrites
-        eigvals_only=True,
-        subset_by_index=[r - 1, r - 1],
-        driver="evr",
-        overwrite_a=True,
-        check_finite=False,
-    )[0]
+    top = np.linalg.eigvalsh(G)[-1]
     return scale * math.sqrt(max(float(top), 0.0))
 
 

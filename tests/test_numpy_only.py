@@ -1,10 +1,11 @@
-"""The streaming path runs on numpy alone.
+"""Everything but ``simulate`` runs on numpy alone.
 
-``import incpod``, the ``pod`` subcommand and the products of a weight matrix
-read from a file load no scipy module, and neither ``import incpod.cli`` nor
-``pod`` loads ``multiprocessing`` (only the verify sweep forks). Each check
-runs in a fresh interpreter, whose ``sys.modules`` has not seen the scipy
-that this test process imports for its references.
+``import incpod``, the ``pod``, ``verify`` and ``report`` subcommands and the
+products of a weight matrix read from a file load no scipy module, and
+neither ``import incpod.cli`` nor ``pod`` loads ``multiprocessing`` (only the
+verify sweep forks). Each check runs in a fresh interpreter, whose
+``sys.modules`` has not seen the scipy that this test process imports for
+its references.
 """
 
 import json
@@ -88,6 +89,44 @@ def test_pod_checkpoint_resume_and_no_w_load_no_scipy(synth_prefix, tmp_path):
     assert loaded == []
     for suffix in (".podc", "_eigenvalues.csv", "_trace.csv"):
         assert Path(part + suffix).read_bytes() == Path(full + suffix).read_bytes()
+
+
+# verify in a child with one BLAS thread, so that its sweep may fork;
+# argv: data prefix, output prefix, "one_core" to pin the child to core 0
+VERIFY_CHILD = """
+import os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+if sys.argv[3] == "one_core":
+    os.sched_setaffinity(0, {0})
+from incpod.cli import main
+assert main(["verify", "--input", sys.argv[1], "--output", sys.argv[2]]) == 0
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_verify_loads_no_scipy_forked_or_on_one_core(synth_prefix, tmp_path):
+    forked, one_core = str(tmp_path / "forked"), str(tmp_path / "one_core")
+    loaded = run_child(VERIFY_CHILD, synth_prefix, forked, "all_cores")
+    if len(os.sched_getaffinity(0)) >= 2:  # only a sweep that forks imports it
+        assert "multiprocessing" in loaded
+    assert [m for m in loaded if m.startswith("scipy")] == []
+    assert run_child(VERIFY_CHILD, synth_prefix, one_core, "one_core") == []
+    for suffix in ("_sweep.csv", "_modes.csv"):
+        assert Path(forked + suffix).read_bytes() == Path(one_core + suffix).read_bytes()
+
+
+def test_random_verify_and_report_load_no_scipy(synth_prefix, tmp_path):
+    loaded = run_child(
+        """
+        import sys
+        from incpod.cli import main
+        data, out = sys.argv[1], sys.argv[2]
+        assert main(["verify", "--random", "60", "40", "0", "--output", out + "_random"]) == 0
+        assert main(["report", "--input", data, "--output", out + "_report"]) == 0
+        """,
+        synth_prefix, tmp_path / "out",
+    )
+    assert loaded == []
 
 
 def _random_spd_file(path, rng, m=40):

@@ -68,6 +68,18 @@ class TestExactWeightedSvd:
         assert ex.W.flags.owndata
         assert np.array_equal(ex.W, Wh.T[:, :4])
 
+    @pytest.mark.parametrize("weight", ["dense", "fhn"])
+    def test_sigma_matches_svdvals_of_scaled_data(self, rng, fhn_small, weight):
+        # L from scipy's Cholesky of the dense M, independent of the package's
+        if weight == "fhn":
+            U, M = fhn_small
+        else:
+            U, M = rng.standard_normal((30, 45)), random_weight(rng, 30)
+        dense = M.entries.toarray() if M.is_sparse else M.entries
+        expected = scipy.linalg.svdvals(scipy.linalg.cholesky(dense, lower=True).T @ U)
+        ex = exact_weighted_svd(U, M)
+        assert np.max(np.abs(ex.sigma - expected[: ex.k])) <= 1e-14 * expected[0]
+
     def test_identity_weight_matches_standard_svd(self, rng):
         U = rng.standard_normal((12, 7))
         ex = exact_weighted_svd(U, WeightMatrix(np.eye(12)))

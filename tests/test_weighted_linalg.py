@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,6 +40,13 @@ class TestWeightMatrix:
             WeightMatrix(scipy.sparse.diags([value, 1.0]).tocsr())
         with pytest.raises(ValueError):
             WeightMatrix.from_csr([value, 1.0], [0, 1], [0, 1, 2])
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_dense_without_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                WeightMatrix(np.diag([value, 1.0]))
 
     def test_sparse_input_kept_sparse(self):
         M = WeightMatrix(scipy.sparse.eye(5))
@@ -186,6 +195,63 @@ class TestCholesky:
             B = rng.standard_normal((12, 3))
             X = W.solve_lt(B)
             assert np.allclose(W.apply_lt(X), B, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(60,), (60, 5), (60, 0)], ids=["vector", "block", "empty"])
+    def test_solve_lt_recovers_apply_lt(self, rng, shape):
+        X = rng.standard_normal(shape)
+        for W in (WeightMatrix(random_spd(rng, 60)), build_weight_matrix(Mesh1D(30))):
+            Y = W.solve_lt(W.apply_lt(X))
+            assert Y.shape == X.shape
+            assert np.max(np.abs(Y - X), initial=0.0) <= 1e-12
+
+    @staticmethod
+    def lower_band(A, depth):
+        """LAPACK's lower band storage of a sparse A: row d holds A[j + d, j]."""
+        return np.array([np.pad(A.diagonal(-d), (0, d)) for d in range(depth + 1)])
+
+    def test_band_factor_equals_lapack_on_fhn_weight(self):
+        W = build_weight_matrix(Mesh1D(60))
+        expected = scipy.linalg.cholesky_banded(self.lower_band(W.entries, 1), lower=True)
+        assert np.array_equal(self.lower_band(W.chol, 1), expected)
+
+    def test_band_factor_near_lapack_at_bandwidth_four(self, rng):
+        # diagonally dominant, so positive definite
+        m = 80
+        off = [rng.uniform(-1.0, 1.0, m - d) for d in range(1, 5)]
+        M = scipy.sparse.diags(off[::-1] + [9.0 + rng.random(m)] + off, range(-4, 5))
+        expected = scipy.linalg.cholesky_banded(self.lower_band(M, 4), lower=True)
+        got = self.lower_band(WeightMatrix(M).chol, 4)
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("pivot", [0, 23, 49], ids=["first", "middle", "last"])
+    def test_sparse_pivot_is_exact(self, pivot):
+        # pentadiagonal and positive definite, but for one diagonal entry
+        # that leaves a negative Schur complement at ``pivot``
+        m = 50
+        main = np.full(m, 6.0)
+        main[pivot] = 0.5 if pivot else -1.0
+        M = scipy.sparse.diags(
+            [np.full(m - 2, 1.0), np.full(m - 1, -2.0), main, np.full(m - 1, -2.0),
+             np.full(m - 2, 1.0)],
+            [-2, -1, 0, 1, 2],
+        )
+        with pytest.raises(NotPositiveDefiniteError, match=f"order {pivot + 1}") as exc:
+            WeightMatrix(M).chol
+        assert exc.value.pivot == pivot
+
+    def test_dense_pivot_by_bisection_is_exact(self, rng):
+        # M = L L^T but for its entry (37, 37), which leaves a Schur
+        # complement of -1 there: the minor of order 38 is the first that
+        # is not positive
+        L = np.tril(rng.standard_normal((50, 50)))
+        np.fill_diagonal(L, np.abs(np.diagonal(L)) + 1.0)
+        M = L @ L.T
+        M = (M + M.T) / 2.0
+        M[37, 37] -= L[37, 37] ** 2 + 1.0
+        with pytest.raises(NotPositiveDefiniteError, match="order 38") as exc:
+            WeightMatrix(M).chol
+        assert exc.value.pivot == 37
+        assert scipy.linalg.lapack.dpotrf(M, lower=1)[1] == 38  # LAPACK's 1-based info
 
 
 class TestModifiedGramSchmidt:
