@@ -183,8 +183,8 @@ def write_weight_matrix(path, M):
 
 def read_weight_matrix(path):
     """Parse the triplet format back into a sparse :class:`WeightMatrix`,
-    mirroring the lower triangle. A repeated triplet is summed into the
-    first, in file order, as scipy's COO to CSR conversion does."""
+    whose lower band the triplets fill. A repeated triplet is summed in file
+    order, as scipy's COO to CSR conversion does."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != "%%WeightMatrix symmetric":
@@ -223,23 +223,12 @@ def read_weight_matrix(path):
             rows.append(i)
             cols.append(j)
             vals.append(v)
-            if i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(v)
         if fh.readline():
             raise FormatError("trailing data after declared entries")
-    rows, cols, vals = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals)
-    order = np.lexsort((cols, rows))  # stable: repeats stay in file order
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    # the first entry of each (row, col) keeps its place; repeats are added to it
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    data = vals[first]
-    np.add.at(data, np.cumsum(first)[~first] - 1, vals[~first])
-    indptr = np.zeros(m1 + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows[first], minlength=m1), out=indptr[1:])
-    return WeightMatrix.from_csr(data, cols[first], indptr)
+    depth = np.array(rows, dtype=np.intp) - np.array(cols, dtype=np.intp)
+    band = np.zeros((int(depth.max(initial=0)) + 1, m1))
+    np.add.at(band, (depth, cols), vals)
+    return WeightMatrix.from_band(band)
 
 
 # checkpoint payload header: m, n, k, k0, rows of Wp, j (u64), e (f64),

@@ -2,8 +2,8 @@
 
 All routines work with respect to a symmetric positive definite weight
 matrix M, i.e. the inner product (x, y)_M = y^T M x and the induced norm.
-M may be dense or sparse; a sparse M (an FEM mass matrix) gets a banded
-Cholesky factorization.
+M may be dense or sparse; a sparse M (an FEM mass matrix) is held as its
+lower band, which serves its products and its banded Cholesky factor.
 
 Everything here runs on numpy alone: products with M, the Cholesky factor
 with ``apply_lt``/``solve_lt``, ``small_svd`` and ``weighted_operator_norm``.
@@ -38,14 +38,18 @@ class WeightMatrix:
     ----------
     entries : (m, m) array_like or scipy sparse matrix
         Symmetric matrix defining the inner product. Symmetry is checked
-        exactly on the stored entries. A sparse input is copied, so the
+        exactly on the stored entries. A sparse input is only read, so the
         caller's matrix is never changed.
 
-    A sparse M is its CSR arrays alone: sorted, without repeated indices or
-    stored zeros. :meth:`from_csr` builds one without scipy. ``matvec``
-    then multiplies with numpy alone: ``np.bincount`` over the row of each
-    stored entry sums a row's products in CSR order starting from 0.0, as
-    scipy's ``csr_matvec`` does, so it equals ``entries @ x`` bit for bit.
+    A sparse M is its lower band alone, in LAPACK's lower band storage
+    ``band[d, j] = M[j + d, j]``; :meth:`from_band` builds one without
+    scipy. It takes O(m * bandwidth) memory and work per product: FEM mass
+    matrices are tridiagonal per block, bandwidth one, but a single far
+    off-diagonal entry widens the whole band. ``matvec`` starts each row
+    from +0.0 and adds its diagonals in ascending column order, as scipy's
+    ``csr_matvec`` sums a row, so for a finite operand it equals
+    ``entries @ x`` bit for bit: a zero inside the band adds a signed zero,
+    which changes no finite sum.
 
     Instances are immutable after construction (the cached factor is filled
     in lazily but never changes), so they are safe to share across threads.
@@ -54,12 +58,19 @@ class WeightMatrix:
     def __init__(self, entries):
         sparse = sys.modules.get("scipy.sparse")  # loaded if entries is sparse
         if sparse is not None and sparse.issparse(entries):
-            if entries.shape[0] != entries.shape[1]:
+            m = entries.shape[0]
+            if entries.shape[1] != m:
                 raise ValueError(f"weight matrix must be square, got {entries.shape}")
-            csr = entries.astype(np.float64).tocsr()  # astype copies
-            csr.sum_duplicates()
-            csr.eliminate_zeros()  # an unmirrored stored zero is still symmetric
-            self._init_csr(csr.data, csr.indices, csr.indptr)
+            coo = entries.tocoo()
+            i, j = coo.row, coo.col
+            band = np.zeros((int(abs(i - j).max(initial=0)) + 1, m))
+            mirror = np.zeros_like(band)  # the upper triangle, transposed
+            lower, upper = i >= j, i <= j
+            np.add.at(band, (i[lower] - j[lower], j[lower]), coo.data[lower])
+            np.add.at(mirror, (j[upper] - i[upper], i[upper]), coo.data[upper])
+            if not np.array_equal(band, mirror, equal_nan=True):
+                raise ValueError("weight matrix is not symmetric")
+            self._init_band(band)
             return
         entries = np.asarray(entries, dtype=np.float64)
         if entries.ndim != 2:
@@ -72,33 +83,27 @@ class WeightMatrix:
             raise ValueError("weight matrix is not symmetric")
         self._m = entries.shape[0]
         self._dense = entries
-        self._csr = None
+        self._band = None
         self._chol = None
 
     @classmethod
-    def from_csr(cls, data, indices, indptr):
-        """Sparse M from the CSR arrays of an m x m matrix, m = len(indptr) - 1,
-        with sorted indices and no repeats, without scipy."""
+    def from_band(cls, band):
+        """Sparse M from its lower band, a (bandwidth + 1, m) array with
+        ``band[d, j] = M[j + d, j]``, without scipy. The entries past the
+        matrix's end, ``band[d, m - d:]``, are not used but must be finite."""
         self = cls.__new__(cls)
-        self._init_csr(data, indices, indptr)
+        self._init_band(np.array(band, dtype=np.float64))
         return self
 
-    def _init_csr(self, data, indices, indptr):
-        indptr = np.asarray(indptr, dtype=np.intp)
-        self._m = indptr.size - 1
-        rows = np.repeat(np.arange(self._m), np.diff(indptr))
-        data, indices = np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.intp)
-        if not np.isfinite(data).all():
+    def _init_band(self, band):
+        if band.ndim != 2 or not 1 <= band.shape[0] <= max(band.shape[1], 1):
+            raise ValueError(f"a band has shape (bandwidth + 1, m), got {band.shape}")
+        if not np.isfinite(band).all():
             raise ValueError("weight matrix has non-finite entries")
-        mine = np.lexsort((data, indices, rows))
-        mirrored = np.lexsort((data, rows, indices))
-        if not (
-            np.array_equal(rows[mine], indices[mirrored])
-            and np.array_equal(indices[mine], rows[mirrored])
-            and np.array_equal(data[mine], data[mirrored])
-        ):
-            raise ValueError("weight matrix is not symmetric")
-        self._csr = data, indices, indptr, rows
+        self._m = band.shape[1]
+        # stored zeros past the last nonzero diagonal are dropped, so the
+        # factor and the solves depend on the matrix's values alone
+        self._band = band[: np.flatnonzero(band.any(axis=1)).max(initial=0) + 1]
         self._dense = None
         self._chol = None
 
@@ -106,11 +111,9 @@ class WeightMatrix:
     def entries(self):
         """The matrix: a dense array, or for a sparse M a new scipy CSR
         matrix on each access, for callers outside this module."""
-        if self._csr is None:
+        if self._band is None:
             return self._dense
-        import scipy.sparse
-
-        return scipy.sparse.csr_matrix(self._csr[:3], shape=(self._m, self._m), copy=True)
+        return _band_to_scipy(self._band, symmetric=True)
 
     @property
     def dim(self):
@@ -118,26 +121,25 @@ class WeightMatrix:
 
     @property
     def is_sparse(self):
-        return self._csr is not None
+        return self._band is not None
 
     def matvec(self, x):
         """M @ x for x of shape (m,) or (m, w), equal to ``entries @ x`` bit
-        for bit."""
-        if self._csr is None:
-            return self._dense @ x
+        for bit for a finite x."""
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[0] != self._m:
             raise ValueError(f"operand has shape {x.shape}, expected {self._m} rows")
-        if x.ndim == 1:
-            return self._csr_matvec(x)
-        y = np.empty(x.shape)
-        for i in range(x.shape[1]):
-            y[:, i] = self._csr_matvec(x[:, i])
+        if self._band is None:
+            return self._dense @ x
+        m = self._m
+        band = self._band if x.ndim == 1 else self._band[:, :, None]
+        y = np.zeros(x.shape)
+        for d in range(band.shape[0] - 1, 0, -1):  # left of the diagonal, farthest first
+            y[d:] += band[d, : m - d] * x[: m - d]
+        y += band[0] * x
+        for d in range(1, band.shape[0]):  # right of it, mirrored
+            y[: m - d] += band[d, : m - d] * x[d:]
         return y
-
-    def _csr_matvec(self, x):
-        data, indices, _, rows = self._csr
-        return np.bincount(rows, weights=data * x[indices], minlength=self._m)
 
     @property
     def chol(self):
@@ -145,42 +147,25 @@ class WeightMatrix:
         sparse M a new scipy CSR matrix built from the band factor on each
         access, for callers outside this module."""
         L = self._factor()
-        if self._csr is None:
-            return L
-        import scipy.sparse
-
-        m = self._m
-        diagonals = [L[d, : m - d] for d in range(L.shape[0])]
-        offsets = [-d for d in range(L.shape[0])]
-        return scipy.sparse.diags(diagonals, offsets, shape=(m, m)).tocsr()
+        return L if self._band is None else _band_to_scipy(L)
 
     def _factor(self):
         """The Cholesky factor, computed on first use: the dense L, or for a
-        sparse M the band of L, ``band[d, j] = L[j + d, j]``."""
+        sparse M the band of L, ``band[d, j] = L[j + d, j]``, at
+        O(m * bandwidth^2)."""
         if self._chol is None:
-            if self._csr is None:
+            if self._band is None:
                 self._chol = _dense_cholesky(self._dense)
             else:
-                self._chol = _band_cholesky(self._lower_band())
+                self._chol = _band_cholesky(self._band)
         return self._chol
-
-    def _lower_band(self):
-        """The lower triangle of a sparse M in LAPACK's lower band storage,
-        ``ab[i - j, j] = M[i, j]``: FEM mass matrices are tridiagonal per
-        block, so the factor stays banded and costs O(m * bandwidth^2)."""
-        data, cols, _, rows = self._csr
-        tril = rows >= cols
-        depth = rows[tril] - cols[tril]
-        ab = np.zeros((int(depth.max(initial=0)) + 1, self._m))
-        ab[depth, cols[tril]] = data[tril]
-        return ab
 
     def apply_lt(self, A):
         """Return L^T @ A as a new array. For a sparse M, row j is the sum of
         ``L[j + d, j] * A[j + d]`` over the band's rows d, in ascending order
         as in a CSR product with L^T."""
         L = self._factor()
-        if self._csr is None:
+        if self._band is None:
             return L.T @ A
         A = np.asarray(A, dtype=np.float64)
         band = L.reshape(L.shape + (1,) * (A.ndim - 1))  # a column per row of A
@@ -194,7 +179,7 @@ class WeightMatrix:
         the last: ``X[j] = (B[j] - L[j+1:, j] @ X[j+1:]) / L[j, j]``, where a
         sparse M's column of L holds its band alone."""
         L = self._factor()
-        dense = self._csr is None
+        dense = self._band is None
         diagonal = np.diagonal(L) if dense else L[0]
         X = np.array(B, dtype=np.float64)
         m = self._m
@@ -210,6 +195,17 @@ def _not_positive(pivot):
         f"weight matrix is not positive definite (leading minor of order {pivot + 1})",
         pivot=pivot,
     )
+
+
+def _band_to_scipy(band, symmetric=False):
+    """A new scipy CSR matrix of a lower band without its zeros, mirrored
+    into the upper triangle if ``symmetric``."""
+    import scipy.sparse
+
+    m = band.shape[1]
+    offsets = range(1 - band.shape[0], band.shape[0] if symmetric else 1)
+    diagonals = [band[abs(k), : m - abs(k)] for k in offsets]
+    return scipy.sparse.diags(diagonals, offsets, shape=(m, m)).tocsr()
 
 
 def _dense_cholesky(M):

@@ -22,7 +22,6 @@ import scipy.sparse
 from incpod.cli import main
 from incpod.fhn import Mesh1D, build_weight_matrix
 from incpod.io_formats import StreamWriter, read_weight_matrix, write_weight_matrix
-from incpod.weighted_linalg import WeightMatrix
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -142,12 +141,15 @@ def _random_spd_file(path, rng, m=40):
     cols = np.concatenate([cols, np.arange(m), cols[:1]])
     vals = np.concatenate([vals, diag, vals[:1]])
     order = rng.permutation(rows.size)
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    _write_triplets(path, rows[order], cols[order], vals[order], m)
+    return rows[order], cols[order], vals[order]
+
+
+def _write_triplets(path, rows, cols, vals, m):
     with open(path, "w") as fh:
         fh.write(f"%%WeightMatrix symmetric\n{m} {m} {rows.size}\n")
         for i, j, v in zip(rows, cols, vals):
             fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
-    return rows, cols, vals
 
 
 def _coo_reference(rows, cols, vals, m):
@@ -165,6 +167,11 @@ def test_file_matvec_bitwise_without_scipy(tmp_path, rng):
     write_weight_matrix(fhn_path, build_weight_matrix(Mesh1D(60)))
     spd_path = str(tmp_path / "spd.wm")
     lines = _random_spd_file(spd_path, rng)
+    empty_path = str(tmp_path / "empty_row.wm")  # row and column 7 hold no entry
+    rows, cols, vals = lines
+    keep = (rows != 7) & (cols != 7)
+    empty_row = rows[keep], cols[keep], vals[keep]
+    _write_triplets(empty_path, *empty_row, 40)
     loaded = run_child(
         """
         import sys
@@ -174,22 +181,25 @@ def test_file_matvec_bitwise_without_scipy(tmp_path, rng):
         for path in sys.argv[1:]:
             M = read_weight_matrix(path)
             X = np.random.default_rng(3).standard_normal((M.dim, 5)) * np.logspace(-8, 8, 5)
+            X[::2, 0] = -0.0
+            X[:, 2] = -0.0  # every product in the column is a signed zero
             np.save(path + ".x.npy", X)
             np.save(path + ".y.npy", np.column_stack([M.matvec(x) for x in X.T]))
             np.save(path + ".Y.npy", M.matvec(X))
             m_orthonormality_defect(X, M)  # the traced run's final-state hook
         """,
-        fhn_path, spd_path,
+        fhn_path, spd_path, empty_path,
     )
     assert loaded == []
     references = {
         fhn_path: build_weight_matrix(Mesh1D(60)).entries,
         spd_path: _coo_reference(*lines, 40),
+        empty_path: _coo_reference(*empty_row, 40),
     }
     for path, reference in references.items():
         X = np.load(path + ".x.npy")
-        assert np.array_equal(np.load(path + ".y.npy"), reference @ X)
-        assert np.array_equal(np.load(path + ".Y.npy"), reference @ X)
+        assert np.load(path + ".y.npy").tobytes() == (reference @ X).tobytes()
+        assert np.load(path + ".Y.npy").tobytes() == (reference @ X).tobytes()
         entries = read_weight_matrix(path).entries
         assert (abs(entries - reference)).max() == 0.0
         assert np.array_equal(entries @ X, reference @ X)
@@ -205,7 +215,3 @@ def test_repeated_triplet_is_summed(tmp_path, rng):
     assert dense[i, j] == dense[j, i] == v + v2 == 2.0 * v
     assert np.array_equal(dense, _coo_reference(rows, cols, vals, 40).toarray())
 
-
-def test_from_csr_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        WeightMatrix.from_csr([1.0, 2.0, 1.0], [0, 1, 1], [0, 2, 3])

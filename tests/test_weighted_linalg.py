@@ -26,9 +26,19 @@ from conftest import random_spd, random_weight
 
 
 class TestWeightMatrix:
+    # asymmetric inside the lower band (a different value) or past it (an
+    # entry with no mirror, above or below the diagonal)
+    ASYMMETRIC = (
+        [[1.0, 2.0], [0.0, 1.0]],
+        [[4.0, -1.0, 0.5], [-1.0, 4.0, 0.0], [0.0, 0.0, 3.0]],
+        [[4.0, -1.0, 0.0], [-1.0, 4.0, 0.0], [0.5, 0.0, 3.0]],
+    )
+
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            WeightMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        for A in self.ASYMMETRIC:
+            for entries in (np.array(A), scipy.sparse.csr_matrix(np.array(A))):
+                with pytest.raises(ValueError, match="not symmetric"):
+                    WeightMatrix(entries)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -39,7 +49,7 @@ class TestWeightMatrix:
         with pytest.raises(ValueError):
             WeightMatrix(scipy.sparse.diags([value, 1.0]).tocsr())
         with pytest.raises(ValueError):
-            WeightMatrix.from_csr([value, 1.0], [0, 1], [0, 1, 2])
+            WeightMatrix.from_band([[value, 1.0]])
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_rejects_non_finite_dense_without_warning(self, value):
@@ -53,10 +63,12 @@ class TestWeightMatrix:
         assert M.is_sparse
         assert M.dim == 5
 
-    def test_file_round_trip_keeps_the_csr_arrays(self, tmp_path, rng):
+    def test_file_round_trip_keeps_the_file_and_csr_arrays(self, tmp_path, rng):
         built = build_weight_matrix(Mesh1D(60))
         write_weight_matrix(tmp_path / "fhn.wm", built)
         read = read_weight_matrix(tmp_path / "fhn.wm")
+        write_weight_matrix(tmp_path / "again.wm", read)
+        assert (tmp_path / "again.wm").read_bytes() == (tmp_path / "fhn.wm").read_bytes()
         a, b = built.entries, read.entries
         for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)):
             assert x.tobytes() == y.tobytes()
@@ -73,14 +85,18 @@ class TestWeightMatrix:
 
     @pytest.mark.parametrize("kind", sorted(NONCANONICAL))
     def test_noncanonical_sparse_input(self, kind, rng):
-        canonical = WeightMatrix(
-            scipy.sparse.csr_matrix(np.array([[4.0, -1.0, 0.0], [-1.0, 4.0, 0.0], [0.0, 0.0, 3.0]]))
-        )
+        dense = np.array([[4.0, -1.0, 0.0], [-1.0, 4.0, 0.0], [0.0, 0.0, 3.0]])
+        canonical = WeightMatrix(scipy.sparse.csr_matrix(dense))
         given = scipy.sparse.csr_matrix(self.NONCANONICAL[kind], shape=(3, 3))
         before = [a.tobytes() for a in (given.data, given.indices, given.indptr)]
         M = WeightMatrix(given)
         x = rng.standard_normal((3, 4))
-        assert M.matvec(x).tobytes() == canonical.matvec(x).tobytes()
+        x[1:, 0] = -0.0  # row 2 of column 0 has only -0.0 products; CSR sums them to +0.0
+        x[0, 1:] = -0.0
+        for operand in (x, x[:, 0], x[:, 1]):
+            got = M.matvec(operand).tobytes()
+            assert got == canonical.matvec(operand).tobytes()
+            assert got == (scipy.sparse.csr_matrix(dense) @ operand).tobytes()
         assert (M.chol != canonical.chol).nnz == 0
         assert [a.tobytes() for a in (given.data, given.indices, given.indptr)] == before
 
@@ -111,6 +127,10 @@ class TestMInner:
         M = WeightMatrix(np.eye(3))
         with pytest.raises(ValueError):
             m_inner([1.0, 2.0], [1.0, 2.0, 3.0], M)
+        for W in (M, WeightMatrix(scipy.sparse.eye(3))):
+            for operand in (np.ones(2), np.ones((3, 3, 2)), np.float64(1.0)):
+                with pytest.raises(ValueError, match="operand has shape"):
+                    W.matvec(operand)
 
 
 class TestMNorm:
