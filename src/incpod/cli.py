@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 usage, 2 data/format error, 3 numerical failure.
 scipy when it starts.
 
 With two usable cores and BLAS pinned to one thread, ``verify`` shares its
-nine tolerance cells between this process and one forked worker (see
+nine tolerance cells with the one worker of a forked process pool (see
 ``oracle.tolerance_sweep``); its outputs are byte-identical to a run on one
 core.
 """
@@ -294,14 +294,13 @@ def cmd_verify(args):
     tight = min(rows, key=lambda r: (r.tol, r.tol_sv))
     eps = max(tight.incr_error_bound, np.finfo(float).tiny)
     k = _distinct_prefix(ex.sigma, min(30, tight.state.k))
-    if k >= 1:
-        bound_rows = vector_bound_check(ex, tight.state, M, eps, k)
-        write_csv(
-            args.output + "_modes.csv",
-            ["j", "sigma_j", "eps_j", "E_j", "gap_ok", "v_err", "v_bound",
-             "w_err", "w_bound"],
-            [r.csv_values() for r in bound_rows],
-        )
+    # written also when no mode qualifies, so that no older file survives
+    bound_rows = vector_bound_check(ex, tight.state, M, eps, k) if k >= 1 else []
+    write_csv(
+        args.output + "_modes.csv",
+        ["j", "sigma_j", "eps_j", "E_j", "gap_ok", "v_err", "v_bound", "w_err", "w_bound"],
+        [r.csv_values() for r in bound_rows],
+    )
     all_dominated = all(r[-1] for r in out_rows)
     print(f"rows={len(out_rows)} dominated={'all' if all_dominated else 'VIOLATED'}")
     return 0 if all_dominated else 3

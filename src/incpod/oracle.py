@@ -8,8 +8,6 @@ factorization of the weight matrix.
 from __future__ import annotations
 
 import os
-import pickle
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,14 +108,6 @@ def _sweep_row(U, M, tols):
     )
 
 
-def _run_cells(i, claim, put, U, M, grid):
-    """Compute cell ``i``, then the cells ``claim`` hands out, until it
-    returns a negative index; ``put(i, row)`` receives each row."""
-    while i >= 0:
-        put(i, _sweep_row(U, M, grid[i]))
-        i = claim()
-
-
 def _thread_count():
     """Threads of this process, native ones included; 0 if unknown."""
     try:
@@ -127,12 +117,12 @@ def _thread_count():
 
 
 def _fork_context(cells):
-    """The ``fork`` context if the sweep has two cells, two cores to run
-    them on and this process runs one thread, else None. A second thread is
-    most often a BLAS pool (no ``OPENBLAS_NUM_THREADS=1``), which already
-    uses the cores: with a worker that had a pool of its own, a 500-node
-    verify took 44 s instead of 10. ``multiprocessing`` is imported only
-    here, so that importing the package does not pay for it."""
+    """The ``fork`` context of the sweep's pool if the sweep has two cells,
+    two cores to run them on and this process runs one thread, else None. A
+    second thread is most often a BLAS pool (no ``OPENBLAS_NUM_THREADS=1``),
+    which already uses the cores: with a worker that had a pool of its own,
+    a 500-node verify took 44 s instead of 10. ``multiprocessing`` is
+    imported only here, so that importing the package does not pay for it."""
     affinity = getattr(os, "sched_getaffinity", None)
     if cells < 2 or affinity is None or len(affinity(0)) < 2 or _thread_count() != 1:
         return None
@@ -143,69 +133,36 @@ def _fork_context(cells):
     return multiprocessing.get_context("fork")
 
 
-def _worker(claim, stop, results, U, M, grid):
-    """Body of the forked worker: it appends ``(i, row)`` to ``results`` for
-    every cell it computes and ``(-1, exception)`` if one fails, which also
-    stops further claims. A record is pickled whole before it is written,
-    so one that does not pickle writes nothing; the flush is needed because
-    multiprocessing ends the process without flushing Python's buffers."""
-
-    def put(i, result):
-        results.write(pickle.dumps((i, result), pickle.HIGHEST_PROTOCOL))
-
-    try:
-        _run_cells(claim(), claim, put, U, M, grid)
-    except BaseException as exc:
-        stop()
-        put(-1, exc)
-    finally:
-        results.flush()
+def _claim(left):
+    """The next cell to compute, counting down; negative when none is left."""
+    with left.get_lock():
+        left.value -= 1
+        return left.value
 
 
-def _forked_sweep(ctx, U, M, grid, rows):
-    """Fill ``rows`` from this process and one forked worker, which share U
-    copy-on-write and claim cells from a shared counter, highest index
-    first. This process claims its first cell before the fork, so it always
-    computes at least one. The worker appends its rows to an unlinked
-    temporary file that it inherits, and this process reads them once the
-    worker has exited: a row (its state included) is larger than a pipe's
-    buffer, and the file is gone even if the command is killed."""
-    left = ctx.Value("i", len(grid))
+_pool_cells = None  # (U, M, grid, left) in the sweep's worker
 
-    def claim():
-        with left.get_lock():
-            left.value -= 1
-            return left.value
 
-    def stop():
-        with left.get_lock():
-            left.value = 0
+def _init_worker(*cells):
+    """Keep the sweep's inputs in the pool's worker, and end the worker when
+    the process that forked it dies (a killed ``verify``): the worker holds
+    both ends of the pool's pipes, so it would otherwise wait for ever."""
+    global _pool_cells
+    _pool_cells = cells
+    import threading
+    from multiprocessing import connection, parent_process
 
-    first = claim()
-    with tempfile.TemporaryFile() as results:
-        worker = ctx.Process(target=_worker, args=(claim, stop, results, U, M, grid), daemon=True)
-        worker.start()
-        try:
-            _run_cells(first, claim, rows.__setitem__, U, M, grid)
-        except BaseException:
-            stop()
-            raise
-        finally:
-            worker.join()
-        results.seek(0)
-        while True:
-            try:
-                i, result = pickle.load(results)
-            except (EOFError, pickle.UnpicklingError):  # the end, or a cut record
-                break
-            if i < 0:
-                raise result
-            rows[i] = result
-    lost = [i for i, row in enumerate(rows) if row is None]
-    if lost:
-        raise RuntimeError(
-            f"sweep worker exited with code {worker.exitcode} without cells {lost}"
-        )
+    parent = parent_process().sentinel
+    threading.Thread(target=lambda: connection.wait([parent]) and os._exit(1), daemon=True).start()
+
+
+def _worker_cells():
+    """The worker's one task: the rows of the cells it claims, by index."""
+    U, M, grid, left = _pool_cells
+    rows = {}
+    while (i := _claim(left)) >= 0:
+        rows[i] = _sweep_row(U, M, grid[i])
+    return rows
 
 
 def tolerance_sweep(snapshots, M, tol_grid):
@@ -218,18 +175,31 @@ def tolerance_sweep(snapshots, M, tol_grid):
 
     Cells are computed last first, so that the small-tolerance cells, the
     most expensive, start first. A grid of two cells or more is shared
-    between this process and one forked worker when two cores are usable,
-    the ``fork`` start method exists and this process runs a single thread
-    (BLAS pinned to one); each cell's arithmetic is serial, so the rows are
-    the same bits either way.
+    between this process and the one worker of a forked process pool when
+    :func:`_fork_context` allows it: the worker inherits U, M and the grid
+    (copy-on-write, never pickled), both processes claim cells from a shared
+    counter, and the worker returns its rows once none is left. Each cell's
+    arithmetic is serial, so the rows are the same bits either way. A failed
+    cell raises here with its own type and stops the claims.
     """
     U = _as_matrix(snapshots)
     grid = [tols if isinstance(tols, Tolerances) else Tolerances(*tols) for tols in tol_grid]
-    rows = [None] * len(grid)
     ctx = _fork_context(len(grid))
     if ctx is None:
-        for i in reversed(range(len(grid))):
+        return [_sweep_row(U, M, tols) for tols in grid[::-1]][::-1]
+    from concurrent.futures import ProcessPoolExecutor
+
+    left = ctx.Value("i", len(grid))
+    pool = ProcessPoolExecutor(1, ctx, initializer=_init_worker, initargs=(U, M, grid, left))
+    try:
+        theirs, rows = pool.submit(_worker_cells), {}
+        while not theirs.done() and (i := _claim(left)) >= 0:  # done: failed or none left
             rows[i] = _sweep_row(U, M, grid[i])
-    else:
-        _forked_sweep(ctx, U, M, grid, rows)
-    return rows
+        rows.update(theirs.result())
+    except BaseException:
+        with left.get_lock():
+            left.value = 0  # the worker claims no further cell
+        raise
+    finally:
+        pool.shutdown()
+    return [rows[i] for i in range(len(grid))]

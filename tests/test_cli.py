@@ -312,6 +312,18 @@ class TestVerify:
         assert float(rows[1][4]) == 0.0  # no truncation events
         assert rows[1][5] == "true"
 
+    def test_modes_file_is_rewritten_when_no_mode_qualifies(self, tmp_path):
+        # a rank-1 run has no distinct prefix of modes: its _modes.csv holds
+        # the header only, not the rows of an earlier run under the prefix
+        out = str(tmp_path / "x")
+        assert main(["verify", "--output", out, "--random", "20", "12", "7"]) == 0
+        assert len(read_csv_rows(out + "_modes.csv")) > 1
+        assert main(["verify", "--output", out, "--random", "1", "1", "0"]) == 0
+        assert read_csv_rows(out + "_sweep.csv")[1][2] == "1"
+        assert read_csv_rows(out + "_modes.csv") == [
+            ["j", "sigma_j", "eps_j", "E_j", "gap_ok", "v_err", "v_bound", "w_err", "w_bound"]
+        ]
+
     def test_column_cap(self, fhn_prefix, tmp_path):
         out = str(tmp_path / "cap")
         assert main(["verify", "--input", fhn_prefix, "--output", out,

@@ -2,8 +2,8 @@
 
 ``import incpod``, the ``pod``, ``verify`` and ``report`` subcommands and the
 products of a weight matrix read from a file load no scipy module, and
-neither ``import incpod.cli`` nor ``pod`` loads ``multiprocessing`` (only the
-verify sweep forks). Each check runs in a fresh interpreter, whose
+only a ``verify`` whose sweep forks its pool loads ``multiprocessing`` or
+``concurrent.futures``. Each check runs in a fresh interpreter, whose
 ``sys.modules`` has not seen the scipy that this test process imports for
 its references.
 """
@@ -25,16 +25,19 @@ from incpod.io_formats import StreamWriter, read_weight_matrix, write_weight_mat
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# the child's last line: the scipy and multiprocessing modules it has loaded
+# the child's last line: the scipy, multiprocessing and concurrent modules
+# it has loaded
 REPORT_MODULES = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing"))))
+roots = ("scipy", "multiprocessing", "concurrent")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in roots)))
 """
 
 
 def run_child(code, *args):
     """Run ``code`` + REPORT_MODULES in a fresh interpreter on this checkout's
-    package; returns the scipy and multiprocessing modules it loaded."""
+    package; returns the scipy, multiprocessing and concurrent modules it
+    loaded."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code) + REPORT_MODULES, *map(str, args)],
@@ -45,7 +48,8 @@ def run_child(code, *args):
 
 
 def test_import_loads_no_scipy():
-    # nor multiprocessing, which only a verify sweep that forks imports
+    # nor multiprocessing or concurrent.futures, which only a verify sweep
+    # that forks imports
     assert run_child("import incpod, incpod.cli") == []
 
 
@@ -90,7 +94,7 @@ def test_pod_checkpoint_resume_and_no_w_load_no_scipy(synth_prefix, tmp_path):
         assert Path(part + suffix).read_bytes() == Path(full + suffix).read_bytes()
 
 
-# verify in a child with one BLAS thread, so that its sweep may fork;
+# verify in a child with one BLAS thread, so that its sweep may fork its pool;
 # argv: data prefix, output prefix, "one_core" to pin the child to core 0
 VERIFY_CHILD = """
 import os, sys
@@ -106,8 +110,8 @@ assert main(["verify", "--input", sys.argv[1], "--output", sys.argv[2]]) == 0
 def test_verify_loads_no_scipy_forked_or_on_one_core(synth_prefix, tmp_path):
     forked, one_core = str(tmp_path / "forked"), str(tmp_path / "one_core")
     loaded = run_child(VERIFY_CHILD, synth_prefix, forked, "all_cores")
-    if len(os.sched_getaffinity(0)) >= 2:  # only a sweep that forks imports it
-        assert "multiprocessing" in loaded
+    if len(os.sched_getaffinity(0)) >= 2:  # only a sweep that forks imports them
+        assert {"multiprocessing", "concurrent.futures"} <= set(loaded)
     assert [m for m in loaded if m.startswith("scipy")] == []
     assert run_child(VERIFY_CHILD, synth_prefix, one_core, "one_core") == []
     for suffix in ("_sweep.csv", "_modes.csv"):

@@ -1,7 +1,11 @@
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,26 +250,35 @@ def forbid_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
-def split_cells(monkeypatch, in_worker=None):
-    """Make the split between this process and the worker deterministic:
-    this process's first cell (the grid's last) waits until the worker has
-    exited, so the worker claims every other cell. ``in_worker`` replaces
-    the row computation in the worker. Returns the tolerances of the cells
-    this process computed."""
-    parent, real, computed = os.getpid(), oracle._sweep_row, []
+def split_cells(monkeypatch, path, in_worker=None):
+    """Record the pid and tolerances of every cell in ``path``, and make the
+    split between this process and the pool's worker deterministic: this
+    process's first cell waits until the worker has started every other cell
+    (only one if ``in_worker``, which replaces the row computation in the
+    worker, is given). Returns a function that reads the records as
+    (pid, tol, tol_sv)."""
+    caller, real = os.getpid(), oracle._sweep_row
+
+    def started():
+        return [
+            (int(pid), float(tol), float(tol_sv))
+            for pid, tol, tol_sv in (line.split() for line in path.read_text().splitlines())
+        ]
 
     def sweep_row(U, M, tols):
-        if os.getpid() != parent:
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {tols.tol!r} {tols.tol_sv!r}\n")
+        if os.getpid() != caller:
             return (in_worker or real)(U, M, tols)
+        expected = 1 if in_worker else len(VERIFY_GRID) - 1
         deadline = time.monotonic() + 60.0
-        while not computed and multiprocessing.active_children():
-            assert time.monotonic() < deadline, "the sweep worker did not exit"
+        while sum(pid != caller for pid, *_ in started()) < expected:
+            assert time.monotonic() < deadline, "the sweep worker started too few cells"
             time.sleep(0.01)
-        computed.append(tols)
         return real(U, M, tols)
 
     monkeypatch.setattr(oracle, "_sweep_row", sweep_row)
-    return computed
+    return started
 
 
 def same_bits(a, b):
@@ -273,21 +286,57 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+# a two-cell sweep on two cores whose cells record their pid in argv[1] and
+# sleep: the caller and the pool's worker each sit in a cell
+SLEEPING_SWEEP = """
+import os, sys, time
+import numpy as np
+from incpod import oracle
+from incpod.weighted_linalg import WeightMatrix
+
+os.sched_getaffinity = lambda pid: {0, 1}
+oracle._thread_count = lambda: 1
+
+def sweep_row(U, M, tols):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(600)
+
+oracle._sweep_row = sweep_row
+oracle.tolerance_sweep(np.eye(3), WeightMatrix(np.eye(3)), [(1e-8, 1e-8), (1e-10, 1e-10)])
+"""
+
+
 class TestForkedSweep:
     """With two usable cores, a grid of two cells or more is shared between
-    the caller and one forked worker."""
+    the caller and the one worker of a forked process pool."""
 
-    def test_worker_rows_equal_serial_rows(self, monkeypatch, fhn_small):
+    def test_worker_rows_equal_serial_rows(self, monkeypatch, fhn_small, tmp_path):
         U, M = fhn_small
         use_cores(monkeypatch, 1)
         with monkeypatch.context() as m:
             forbid_fork(m)
             serial = tolerance_sweep(U, M, VERIFY_GRID)
         use_cores(monkeypatch, 2)
-        in_parent = split_cells(monkeypatch)
+        started = split_cells(monkeypatch, tmp_path / "cells")
+        threads = threading.active_count()
         forked = tolerance_sweep(U, M, VERIFY_GRID)
-        assert in_parent == [VERIFY_GRID[-1]]
+        # every cell ran once: one in the caller, the others in the worker
+        cells = started()
+        assert sorted(c[1:] for c in cells) == sorted((t.tol, t.tol_sv) for t in VERIFY_GRID)
+        assert sum(c[0] == os.getpid() for c in cells) == 1
+        # the pool and its threads are gone
         assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
         assert [(r.tol, r.tol_sv) for r in forked] == [(t.tol, t.tol_sv) for t in VERIFY_GRID]
         for a, b in zip(serial, forked):
             assert a.rank == b.rank and a.state.n == b.state.n
@@ -301,26 +350,30 @@ class TestForkedSweep:
             ):
                 assert same_bits(x, y)
 
-    def test_worker_exception_keeps_its_type(self, monkeypatch, fhn_small):
+    def test_worker_exception_keeps_its_type(self, monkeypatch, fhn_small, tmp_path):
         U, M = fhn_small
         use_cores(monkeypatch, 2)
 
         def fail(U, M, tols):
             raise IntegrationFailureError(f"cell {tols} failed", t_reached=1.25)
 
-        in_parent = split_cells(monkeypatch, in_worker=fail)
+        started = split_cells(monkeypatch, tmp_path / "cells", in_worker=fail)
         with pytest.raises(IntegrationFailureError, match="failed") as info:
             tolerance_sweep(U, M, VERIFY_GRID)
         assert info.value.t_reached == 1.25
-        # the failure stops the claims: this process computed its first cell only
-        assert len(in_parent) == 1
+        # the failure stops the claims: the worker started one cell, and the
+        # caller stopped once it saw the failure
+        cells = started()
+        assert sum(c[0] != os.getpid() for c in cells) == 1
+        assert len(cells) < len(VERIFY_GRID)
         assert multiprocessing.active_children() == []
 
-    def test_worker_that_dies_without_a_row_raises(self, monkeypatch, fhn_small):
+    def test_worker_that_dies_without_a_row_raises(self, monkeypatch, fhn_small, tmp_path):
+        # concurrent.futures' BrokenProcessPool is a RuntimeError
         U, M = fhn_small
         use_cores(monkeypatch, 2)
-        split_cells(monkeypatch, in_worker=lambda U, M, tols: os._exit(7))
-        with pytest.raises(RuntimeError, match="code 7"):
+        split_cells(monkeypatch, tmp_path / "cells", in_worker=lambda U, M, tols: os._exit(7))
+        with pytest.raises(RuntimeError, match="terminated abruptly"):
             tolerance_sweep(U, M, VERIFY_GRID)
         assert multiprocessing.active_children() == []
 
@@ -345,19 +398,32 @@ class TestForkedSweep:
         # claimed, if any, and started no other
         assert len(started.read_text() if started.exists() else "") <= 1
 
-    def test_starts_no_thread(self, monkeypatch, fhn_small):
-        # the worker's rows are read once it has exited: nothing has to
-        # drain them while this process computes
-        U, M = fhn_small
-        use_cores(monkeypatch, 2)
-        started, start = [], threading.Thread.start
-        monkeypatch.setattr(
-            threading.Thread, "start", lambda self: started.append(self) or start(self)
-        )
-        in_parent = split_cells(monkeypatch)
-        rows = tolerance_sweep(U, M, VERIFY_GRID)
-        assert in_parent == [VERIFY_GRID[-1]] and None not in rows
-        assert started == []
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_killed_caller_leaves_no_worker(self, tmp_path):
+        # SIGKILL skips every cleanup of the caller; the worker ends itself
+        record = tmp_path / "pids"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        child = subprocess.Popen([sys.executable, "-c", SLEEPING_SWEEP, str(record)], env=env)
+        pids = set()
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(pids) < 2:
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+                pids = set(map(int, record.read_text().split())) if record.exists() else set()
+            (worker,) = pids - {child.pid}
+            child.kill()
+            child.wait()
+            deadline = time.monotonic() + 10.0
+            while running(worker):
+                assert time.monotonic() < deadline, "the sweep worker outlived its caller"
+                time.sleep(0.01)
+        finally:
+            child.kill()
+            child.wait()
+            for pid in pids:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_second_thread_starts_no_process(self, monkeypatch, rng):
         # a thread besides the caller's, e.g. a BLAS pool, keeps the sweep
