@@ -6,8 +6,8 @@ the other subcommands read the same pair via ``--input``.
 
 Exit codes: 0 success, 1 usage, 2 data/format error, 3 numerical failure.
 
-``pod``, ``verify`` and ``report`` run on numpy alone; ``simulate`` loads
-scipy when it starts.
+Every subcommand runs on numpy alone: ``simulate``'s band LU and the
+oracle's band Cholesky call the LAPACK in numpy's own OpenBLAS.
 
 With two usable cores and BLAS pinned to one thread, ``verify`` shares its
 nine tolerance cells with the one worker of a forked process pool (see
@@ -148,11 +148,6 @@ def _load_inputs(args, materialize=False):
 
 
 def cmd_simulate(args):
-    # loaded before the first call into the package, so that their import
-    # time is not charged to that call
-    import scipy.linalg.lapack  # noqa: F401
-    import scipy.sparse  # noqa: F401
-
     t0 = time.perf_counter()
     mesh = Mesh1D(args.nodes)
     snaps = simulate(FhnParams(), mesh, args.t_final)

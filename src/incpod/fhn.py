@@ -17,10 +17,9 @@ quadrature weights in time).
 Inside the integrator the unknowns are interleaved, [v_1, w_1, v_2, w_2,
 ...]: every operator then couples node i only to nodes i-1..i+1, so the
 iteration matrix is banded with three sub- and three superdiagonals and is
-factored with LAPACK's band LU. Snapshots are returned in the stacked order.
-
-scipy is imported by the functions that use it (assembly and the
-integrator), so importing this module loads numpy only.
+factored with LAPACK's band LU, which ``_lapack`` calls from numpy's own
+OpenBLAS. The operators are assembled as bands on numpy alone, so the
+module loads no scipy. Snapshots are returned in the stacked order.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import BandLU
 from .errors import IntegrationFailureError, InvalidInputError
 from .weighted_linalg import WeightMatrix
 
@@ -122,34 +122,28 @@ class SnapshotSet:
 
 
 def assemble_fem(mesh):
-    """P1 mass and stiffness matrices on the unit interval (sparse).
+    """P1 mass and stiffness matrices on the unit interval, each as its rows:
+    a (3, n) array with ``rows[k, i] = S[i, i + k - 1]``, zero past either
+    end.
 
     Mass: interior diagonal 2h/3, off-diagonal h/6, boundary diagonal h/3.
     Stiffness (Neumann): interior diagonal 2/h, off-diagonal -1/h,
     boundary diagonal 1/h.
     """
-    import scipy.sparse
-
     n, h = mesh.nodes, mesh.h
-    main_m = np.full(n, 2.0 * h / 3.0)
-    main_m[0] = main_m[-1] = h / 3.0
-    off_m = np.full(n - 1, h / 6.0)
-    mass = scipy.sparse.diags([off_m, main_m, off_m], [-1, 0, 1], format="csr")
-
-    main_k = np.full(n, 2.0 / h)
-    main_k[0] = main_k[-1] = 1.0 / h
-    off_k = np.full(n - 1, -1.0 / h)
-    stiffness = scipy.sparse.diags([off_k, main_k, off_k], [-1, 0, 1], format="csr")
+    mass, stiffness = np.full((3, n), h / 6.0), np.full((3, n), -1.0 / h)
+    mass[1], stiffness[1] = 2.0 * h / 3.0, 2.0 / h
+    mass[1, [0, -1]], stiffness[1, [0, -1]] = h / 3.0, 1.0 / h
+    mass[0, 0] = mass[2, -1] = stiffness[0, 0] = stiffness[2, -1] = 0.0
     return mass, stiffness
 
 
 def build_weight_matrix(mesh):
     """Weight matrix for the stacked [v; w] coefficient vector: the
-    product-L2 inner product, i.e. block diagonal (mass, mass)."""
-    import scipy.sparse
-
+    product-L2 inner product, i.e. block diagonal (mass, mass). The lower
+    band of the mass matrix is its diagonal and superdiagonal rows."""
     mass, _ = assemble_fem(mesh)
-    return WeightMatrix(scipy.sparse.block_diag([mass, mass], format="csr"))
+    return WeightMatrix.from_band(np.tile(mass[1:], 2))
 
 
 def neumann_forcing(t, params):
@@ -181,14 +175,31 @@ def _stack(y):
     return np.concatenate([y[0::2], y[1::2]])
 
 
-def _band(S):
-    """The m x m matrix S, zero outside its _BW sub- and superdiagonals, in
-    LAPACK band storage: S[i, j] at row _BW + i - j of column j."""
-    m = S.shape[0]
-    ab = np.zeros((2 * _BW + 1, m), order="F")
-    for o in range(-_BW, _BW + 1):
-        ab[_BW - o, max(o, 0) : m + min(o, 0)] = S.diagonal(o)
-    return ab
+class _RowSums:
+    """A sparse operator by the terms of its rows: row r of ``op @ x`` sums
+    ``coef[k, r] * x[r + offsets[k, r]]`` from +0.0 in the order of k, as
+    scipy's CSR product sums a row's stored entries. A term past either end
+    of x has coefficient zero and reads the zero padding of a buffer that
+    every product reuses."""
+
+    def __init__(self, offsets, coef):
+        self._coef, self._index = coef, np.arange(coef.shape[1]) + offsets + _BW
+        self._padded = np.zeros(coef.shape[1] + 2 * _BW)
+
+    def __matmul__(self, x):
+        self._padded[_BW:-_BW] = x
+        terms = self._padded.take(self._index, mode="clip")  # all in range; skips the check
+        terms *= self._coef
+        return np.add.reduce(terms, axis=0, initial=0.0)
+
+    def band(self):
+        """LAPACK band storage: entry (r, c) at row _BW + r - c of column c."""
+        m = self._coef.shape[1]
+        col = self._index - _BW
+        inside = (0 <= col) & (col < m)
+        ab = np.zeros((2 * _BW + 1, m), order="F")
+        ab[(_BW + np.arange(m) - col)[inside], col[inside]] = self._coef[inside]
+        return ab
 
 
 class _FhnSystem:
@@ -196,28 +207,31 @@ class _FhnSystem:
     interleaved unknowns y = [v_1, w_1, v_2, w_2, ...].
 
     In the stacked order A = [[-mu K, -M/mu], [b M, -gamma M]] and
-    M_sys = diag(M, M). Both are assembled once and permuted to the
-    interleaved order, as CSR for products and in band storage for the
-    iteration matrix. The cubic enters through the nodal g(y), f(v)/mu on
-    the v entries and 0 on the w entries. So only the column scaling
-    M_sys diag(g'(y)) of the Jacobian changes with the state, and M_sys g(y)
-    is M f(v)/mu on the v entries and 0 on the w entries.
+    M_sys = diag(M, M). Both are assembled once in the interleaved order, as
+    row terms for products and in band storage for the iteration matrix. Row
+    2i + f of A sums v, then w, at nodes i - 1, i, i + 1, as the permuted CSR
+    of the stacked blocks stored it, so every snapshot stays bit for bit. The
+    cubic enters through the nodal g(y), f(v)/mu on the v entries and 0 on
+    the w entries. So only the column scaling M_sys diag(g'(y)) of the
+    Jacobian changes with the state, and M_sys g(y) is M f(v)/mu on the v
+    entries and 0 on the w entries.
     """
 
     def __init__(self, params, mesh):
-        import scipy.sparse
-
         p = self.params = params
+        n = mesh.nodes
         mass, stiff = assemble_fem(mesh)
-        perm = _interleave(np.arange(2 * mesh.nodes))
-        self.mass = mass
-        self.msys = scipy.sparse.block_diag([mass, mass], format="csr")[perm][:, perm]
-        self.A = scipy.sparse.bmat(
-            [[-p.mu * stiff, -(1.0 / p.mu) * mass], [p.b * mass, -p.gamma * mass]],
-            format="csr",
-        )[perm][:, perm]
-        self.msys_band, self.A_band = _band(self.msys), _band(self.A)
-        mass_one = mass @ np.ones(mesh.nodes)
+        blocks = ([-p.mu * stiff, -(1.0 / p.mu) * mass], [p.b * mass, -p.gamma * mass])
+        coef = np.empty((6, 2 * n))
+        offsets = np.empty((6, 2), dtype=np.intp)
+        for f, block_row in enumerate(blocks):
+            coef[:, f::2] = np.concatenate(block_row)
+            offsets[:, f] = [2 * s + g - f for g in (0, 1) for s in (-1, 0, 1)]
+        self.A = _RowSums(np.tile(offsets, n), coef)
+        self.msys = _RowSums(np.array([[-2], [0], [2]]), np.repeat(mass, 2, axis=1))
+        self.mass = _RowSums(np.array([[-1], [0], [1]]), mass)
+        self.msys_band, self.A_band = self.msys.band(), self.A.band()
+        mass_one = self.mass @ np.ones(n)
         self._b_const = _interleave(
             np.concatenate([(p.c_const / p.mu) * mass_one, p.c_const * mass_one])
         )
@@ -263,11 +277,10 @@ def simulate(params, mesh, t_final, rtol=1e-6, atol=1e-8, max_steps=1_000_000):
     the step size underflows, the step budget runs out or the iteration
     matrix is singular.
     """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
-
     if not t_final > 0.0:
         raise InvalidInputError("t_final must be positive")
     sys_ = _FhnSystem(params, mesh)
+    lu = BandLU(2 * mesh.nodes, _BW, _BW)
 
     t = 0.0
     y = np.zeros(2 * mesh.nodes)
@@ -286,13 +299,8 @@ def simulate(params, mesh, t_final, rtol=1e-6, atol=1e-8, max_steps=1_000_000):
         h = min(h, t_final - t)
         steps += 1
 
-        lu, piv, info = dgbtrf(sys_.iteration_matrix(y, _D * h), _BW, _BW, overwrite_ab=1)
-        if info:
+        if lu.factor(sys_.iteration_matrix(y, _D * h)):
             raise IntegrationFailureError(f"singular iteration matrix at t={t:.6g}", t_reached=t)
-
-        def solve(b):
-            return dgbtrs(lu, _BW, _BW, b, piv, overwrite_b=1)[0]
-
         wt = atol + rtol * np.abs(y)
 
         def stage(y_guess, t_stage, rhs_fixed):
@@ -300,7 +308,7 @@ def simulate(params, mesh, t_final, rtol=1e-6, atol=1e-8, max_steps=1_000_000):
             Y = y_guess.copy()
             for _ in range(_NEWTON_MAXITER):
                 G = sys_.msys @ (Y - y) - rhs_fixed - (_D * h) * sys_.rhs(t_stage, Y)
-                delta = solve(-G)
+                delta = lu.solve(-G)
                 Y += delta
                 if _scaled_rms(delta, wt) <= _NEWTON_TOL:
                     return Y
@@ -315,7 +323,7 @@ def simulate(params, mesh, t_final, rtol=1e-6, atol=1e-8, max_steps=1_000_000):
         f3 = sys_.rhs(t + h, y3)
 
         est_rhs = h * (_EHAT[0] * f_now + _EHAT[1] * f2 + _EHAT[2] * f3)
-        est = solve(est_rhs)
+        est = lu.solve(est_rhs)
         err = _scaled_rms(est, atol + rtol * np.maximum(np.abs(y), np.abs(y3)))
 
         if err <= 1.0:

@@ -168,17 +168,12 @@ def write_weight_matrix(path, M):
     Header line ``%%WeightMatrix symmetric``, dims line ``m m nnz``, then
     1-based ``i j value`` triplets with i >= j.
     """
-    import scipy.sparse
-
-    coo = scipy.sparse.coo_matrix(M.entries)
-    mask = coo.row >= coo.col
-    rows, cols, vals = coo.row[mask], coo.col[mask], coo.data[mask]
-    order = np.lexsort((cols, rows))
+    rows, cols, vals = M.lower_entries()
     with open(path, "w") as fh:
         fh.write("%%WeightMatrix symmetric\n")
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {rows.size}\n")
-        for idx in order:
-            fh.write(f"{rows[idx] + 1} {cols[idx] + 1} {vals[idx]:.17g}\n")
+        fh.write(f"{M.dim} {M.dim} {rows.size}\n")
+        for i, j, v in zip(rows, cols, vals):
+            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
 
 
 def read_weight_matrix(path):

@@ -5,10 +5,12 @@ matrix M, i.e. the inner product (x, y)_M = y^T M x and the induced norm.
 M may be dense or sparse; a sparse M (an FEM mass matrix) is held as its
 lower band, which serves its products and its banded Cholesky factor.
 
-Everything here runs on numpy alone: products with M, the Cholesky factor
+Everything here runs without scipy: products with M, the Cholesky factor
 with ``apply_lt``/``solve_lt``, ``small_svd`` and ``weighted_operator_norm``.
-Only the scipy views that ``entries`` and ``chol`` return for a sparse M,
-for callers outside this module, import scipy.
+A sparse M's factor is one call of LAPACK's ``dpbtrf`` from numpy's own
+OpenBLAS (see ``_lapack``). Only the lazy scipy views that ``entries`` and
+``chol`` return for a sparse M, for callers outside the package only (the
+benchmark's launcher reads ``entries``), import scipy.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 
 import numpy as np
 
+from . import _lapack
 from .errors import InvalidInputError, NotPositiveDefiniteError, RankDeficientError
 
 __all__ = [
@@ -114,6 +117,17 @@ class WeightMatrix:
         if self._band is None:
             return self._dense
         return _band_to_scipy(self._band, symmetric=True)
+
+    def lower_entries(self):
+        """The nonzero entries on and below the diagonal as (rows, cols,
+        values), ordered by row, then column."""
+        if self._band is None:
+            rows, cols = np.nonzero(np.tril(self._dense))
+            return rows, cols, self._dense[rows, cols]
+        d, cols = np.nonzero(self._band)
+        rows = cols + d
+        order = np.lexsort((cols, rows))[: np.count_nonzero(rows < self._m)]
+        return rows[order], cols[order], self._band[d[order], cols[order]]
 
     @property
     def dim(self):
@@ -230,33 +244,13 @@ def _dense_cholesky(M):
 
 
 def _band_cholesky(ab):
-    """The band of L for M = L L^T from the lower band ``ab`` of M: a port of
-    LAPACK's unblocked ``dpbtf2``, which ``dpbtrf`` runs for a bandwidth
-    below its block size. Column j takes the square root of its diagonal
-    entry (a non-positive one is the pivot), scales the entries below it by
-    the reciprocal and subtracts their outer product from the trailing band.
-    The steps run in Python floats, which at the FEM mass matrix's
-    bandwidth of one is faster than numpy calls. Reference BLAS rounds the
-    product before the subtraction, as this does; an ``axpy`` that fuses
-    them into an FMA (OpenBLAS on x86) can give another last bit."""
-    kd, m = ab.shape[0] - 1, ab.shape[1]
-    band = ab.tolist()
-    diagonal = band[0]
-    for j in range(m):
-        ajj = diagonal[j]
-        if not ajj > 0.0:
-            raise _not_positive(j)
-        ajj = math.sqrt(ajj)
-        diagonal[j] = ajj
-        r = 1.0 / ajj
-        kn = min(kd, m - 1 - j)
-        for d in range(1, kn + 1):
-            band[d][j] *= r
-        for c in range(1, kn + 1):
-            xc = band[c][j]
-            for d in range(c, kn + 1):
-                band[d - c][j + c] -= band[d][j] * xc
-    return np.array(band)
+    """The band of L for M = L L^T from the lower band ``ab`` of M, by one
+    call of LAPACK's ``dpbtrf``; a non-positive leading minor of order j is
+    the pivot j - 1."""
+    L, info = _lapack.pbtrf(ab)
+    if info:
+        raise _not_positive(info - 1)
+    return L
 
 
 def _check_vector(x, m, name):

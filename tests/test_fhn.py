@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 import scipy.sparse
 
+from incpod import _lapack
 from incpod.cli import main
 from incpod.errors import IntegrationFailureError, InvalidInputError
 from incpod.fhn import (
@@ -26,6 +26,56 @@ def _unband(ab):
     dgbtrf's, whose first 3 rows are room for fill-in)."""
     ku, m = ab.shape[0] - 4, ab.shape[1]
     return sum(np.diag(ab[ku - o, max(o, 0) : m + min(o, 0)], o) for o in range(-3, ku + 1))
+
+
+def _dense(rows):
+    """The tridiagonal matrix of its (3, n) rows, ``rows[k, i] = S[i, i + k - 1]``."""
+    return np.diag(rows[0, 1:], -1) + np.diag(rows[1]) + np.diag(rows[2, :-1], 1)
+
+
+def reference_fem(mesh):
+    """The P1 mass and stiffness matrices as scipy CSR, assembled from their
+    diagonals independently of the package."""
+    n, h = mesh.nodes, mesh.h
+    main_m = np.full(n, 2.0 * h / 3.0)
+    main_m[0] = main_m[-1] = h / 3.0
+    off_m = np.full(n - 1, h / 6.0)
+    main_k = np.full(n, 2.0 / h)
+    main_k[0] = main_k[-1] = 1.0 / h
+    off_k = np.full(n - 1, -1.0 / h)
+    return (scipy.sparse.diags([off_m, main_m, off_m], [-1, 0, 1], format="csr"),
+            scipy.sparse.diags([off_k, main_k, off_k], [-1, 0, 1], format="csr"))
+
+
+def reference_system(params, mesh):
+    """(mass, M_sys, A) as CSR: the stacked blocks from scipy's
+    ``block_diag`` and ``bmat``, permuted to the interleaved order. A row of
+    the permuted A keeps its stacked order of entries, v then w."""
+    p = params
+    mass, stiff = reference_fem(mesh)
+    perm = _interleave(np.arange(2 * mesh.nodes))
+    msys = scipy.sparse.block_diag([mass, mass], format="csr")[perm][:, perm]
+    A = scipy.sparse.bmat(
+        [[-p.mu * stiff, -(1.0 / p.mu) * mass], [p.b * mass, -p.gamma * mass]], format="csr"
+    )[perm][:, perm]
+    return mass, msys, A
+
+
+def csr_band(S):
+    """LAPACK band storage (3 sub- and superdiagonals) of a sparse S."""
+    m = S.shape[0]
+    ab = np.zeros((7, m), order="F")
+    for o in range(-3, 4):
+        ab[3 - o, max(o, 0) : m + min(o, 0)] = S.diagonal(o)
+    return ab
+
+
+def signed_vectors(rng, m, count):
+    """Random vectors over 16 decades with +0.0 and -0.0 entries."""
+    Y = rng.standard_normal((count, m)) * 10.0 ** rng.integers(-8, 8, (count, m))
+    Y[rng.random((count, m)) < 0.1] = 0.0
+    Y[rng.random((count, m)) < 0.1] = -0.0
+    return Y
 
 
 class TestTypes:
@@ -57,31 +107,37 @@ class TestAssembly:
     def test_single_element_mass(self):
         mass, _ = assemble_fem(Mesh1D(2))
         expected = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-        assert np.allclose(mass.toarray(), expected, atol=1e-16)
+        assert np.allclose(_dense(mass), expected, atol=1e-16)
 
     def test_single_element_stiffness(self):
         _, stiff = assemble_fem(Mesh1D(2))
-        assert np.allclose(stiff.toarray(), [[1.0, -1.0], [-1.0, 1.0]], atol=0)
+        assert np.allclose(_dense(stiff), [[1.0, -1.0], [-1.0, 1.0]], atol=0)
 
     @pytest.mark.parametrize("n", [2, 17, 100])
     def test_stiffness_annihilates_constants(self, n):
         _, stiff = assemble_fem(Mesh1D(n))
-        assert np.max(np.abs(stiff @ np.ones(n))) <= 1e-14 * (2.0 / Mesh1D(n).h)
+        assert np.max(np.abs(_dense(stiff) @ np.ones(n))) <= 1e-14 * (2.0 / Mesh1D(n).h)
 
     @pytest.mark.parametrize("n", [2, 17, 100])
     def test_mass_partition_of_unity(self, n):
         mass, _ = assemble_fem(Mesh1D(n))
-        assert np.ones(n) @ (mass @ np.ones(n)) == pytest.approx(1.0, abs=1e-13)
+        assert np.ones(n) @ (_dense(mass) @ np.ones(n)) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 17, 100])
+    def test_bands_hold_the_reference_entries(self, n):
+        for rows, reference in zip(assemble_fem(Mesh1D(n)), reference_fem(Mesh1D(n))):
+            assert rows.shape == (3, n) and rows[0, 0] == rows[2, -1] == 0.0
+            assert np.array_equal(_dense(rows), reference.toarray())
 
 
 class TestWeightMatrix:
     def test_block_structure(self):
         M = build_weight_matrix(Mesh1D(2))
-        mass, _ = assemble_fem(Mesh1D(2))
+        mass = _dense(assemble_fem(Mesh1D(2))[0])
         full = M.entries.toarray()
         assert M.dim == 4
-        assert np.allclose(full[:2, :2], mass.toarray(), atol=0)
-        assert np.allclose(full[2:, 2:], mass.toarray(), atol=0)
+        assert np.allclose(full[:2, :2], mass, atol=0)
+        assert np.allclose(full[2:, 2:], mass, atol=0)
         assert np.max(np.abs(full[:2, 2:])) == 0.0
 
     def test_spd_at_large_scale(self):
@@ -121,7 +177,7 @@ class TestSystem:
         # in the stacked order: the system works on the interleaved one
         params, mesh, sys_, y = system
         p, n = params, mesh.nodes
-        mass, stiff = assemble_fem(mesh)
+        mass, stiff = reference_fem(mesh)
         v, w = y[:n], y[n:]
         ones = np.ones(n)
         Fv = (-p.mu * (stiff @ v) - (mass @ w) / p.mu
@@ -145,7 +201,7 @@ class TestSystem:
         # P (M_sys - dh J) P^T from the stacked sparse operators
         params, mesh, sys_, y = system
         p, n = params, mesh.nodes
-        mass, stiff = assemble_fem(mesh)
+        mass, stiff = reference_fem(mesh)
         msys = scipy.sparse.block_diag([mass, mass])
         A = scipy.sparse.bmat([[-p.mu * stiff, -mass / p.mu], [p.b * mass, -p.gamma * mass]])
         v = y[:n]
@@ -157,6 +213,35 @@ class TestSystem:
         assert ab.shape == (10, 2 * n) and not ab[:3].any()
         expected = P @ stacked @ P.T
         assert np.abs(_unband(ab) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+    @pytest.mark.parametrize("nodes", [2, 12, 200, 500])
+    def test_products_equal_the_permuted_csr_bitwise(self, nodes, rng):
+        # scipy's CSR product sums a row's stored entries in order from +0.0
+        params, mesh = FhnParams(), Mesh1D(nodes)
+        sys_ = _FhnSystem(params, mesh)
+        mass, msys, A = reference_system(params, mesh)
+        # all -0.0: a row of signed-zero terms sums to +0.0
+        for y in [np.full(2 * nodes, -0.0), *signed_vectors(rng, 2 * nodes, 100)]:
+            assert (sys_.A @ y).tobytes() == (A @ y).tobytes()
+            assert (sys_.msys @ y).tobytes() == (msys @ y).tobytes()
+            assert (sys_.mass @ y[0::2]).tobytes() == (mass @ y[0::2]).tobytes()
+            F = A @ y + sys_._b_const
+            F[0::2] += (mass @ (y[0::2] * (y[0::2] - 0.1) * (1.0 - y[0::2]))) / params.mu
+            F[0] += neumann_forcing(0.2, params)
+            assert sys_.rhs(0.2, y).tobytes() == F.tobytes()
+
+    @pytest.mark.parametrize("nodes", [2, 12, 200])
+    def test_bands_equal_the_permuted_csr_bitwise(self, nodes):
+        params, mesh = FhnParams(), Mesh1D(nodes)
+        sys_ = _FhnSystem(params, mesh)
+        mass, msys, A = reference_system(params, mesh)
+        assert sys_.A_band.tobytes() == csr_band(A).tobytes()
+        assert sys_.msys_band.tobytes() == csr_band(msys).tobytes()
+        mass_one = mass @ np.ones(nodes)
+        b_const = np.concatenate([(params.c_const / params.mu) * mass_one,
+                                  params.c_const * mass_one])
+        assert sys_._b_const.tobytes() == _interleave(b_const).tobytes()
 
 
 class TestSimulate:
@@ -179,11 +264,8 @@ class TestSimulate:
 
     @pytest.fixture
     def singular_factor(self, monkeypatch):
-        def dgbtrf(ab, kl, ku, **kwargs):
-            return ab, np.zeros(ab.shape[1], dtype=np.int32), 1
-
-        # simulate imports dgbtrf from scipy when it is called
-        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", dgbtrf)
+        # dgbtrf's info 1: U[0, 0] is exactly zero
+        monkeypatch.setattr(_lapack.BandLU, "factor", lambda self, ab: 1)
 
     def test_singular_iteration_matrix_reports_time(self, singular_factor):
         with pytest.raises(IntegrationFailureError) as exc:

@@ -126,6 +126,30 @@ class TestWeightMatrixFormat:
         M2 = read_weight_matrix(path)
         assert (abs(M2.entries - scipy.sparse.csr_matrix(M.entries))).max() == 0.0
 
+    @staticmethod
+    def coo_file(M):
+        """The weight file as scipy's COO view of M's entries gives it: the
+        nonzero lower-triangle triplets, sorted by row, then column."""
+        coo = scipy.sparse.coo_matrix(M.entries)
+        keep = coo.row >= coo.col
+        rows, cols, vals = coo.row[keep], coo.col[keep], coo.data[keep]
+        lines = [f"%%WeightMatrix symmetric\n{M.dim} {M.dim} {rows.size}\n"]
+        for k in np.lexsort((cols, rows)):
+            lines.append(f"{rows[k] + 1} {cols[k] + 1} {vals[k]:.17g}\n")
+        return "".join(lines)
+
+    def test_bytes_equal_the_coo_listing(self, rng, tmp_path):
+        dense = random_weight(rng, 12).entries.copy()
+        dense[3, 1] = dense[1, 3] = -0.0  # a signed zero is not an entry
+        band = np.array([rng.uniform(2.0, 3.0, 9), rng.uniform(-1, 1, 9), np.zeros(9)])
+        band[1, 4] = -0.0
+        band[1, -1] = 7.0  # past the matrix's end: not an entry
+        for M in (build_weight_matrix(Mesh1D(40)), WeightMatrix(dense),
+                  WeightMatrix.from_band(band), WeightMatrix(np.zeros((0, 0)))):
+            path = tmp_path / "M.wm"
+            write_weight_matrix(path, M)
+            assert path.read_text() == self.coo_file(M)
+
     def test_upper_triangle_rejected(self, tmp_path):
         path = tmp_path / "u.wm"
         path.write_text("%%WeightMatrix symmetric\n2 2 1\n1 2 0.5\n")

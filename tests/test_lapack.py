@@ -1,0 +1,113 @@
+"""The ctypes binding of numpy's OpenBLAS against scipy's LAPACK wrappers.
+
+Both call the same routines, so the factors, pivots and solutions must
+agree bit for bit.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg.lapack as scipy_lapack
+
+from incpod import _lapack
+from incpod.errors import NotPositiveDefiniteError
+from incpod.fhn import FhnParams, Mesh1D, _FhnSystem, assemble_fem, build_weight_matrix
+from incpod.weighted_linalg import WeightMatrix
+
+KL = KU = 3
+
+
+def fhn_iteration_matrix(nodes, seed):
+    y = np.random.default_rng(seed).uniform(-0.5, 1.2, 2 * nodes)
+    return _FhnSystem(FhnParams(), Mesh1D(nodes)).iteration_matrix(y, 0.0371)
+
+
+def random_band(rng, m):
+    """A general band matrix with KL sub- and KU superdiagonals in dgbtrf's
+    storage, weakly diagonally dominant so that it pivots now and then."""
+    ab = np.zeros((2 * KL + KU + 1, m), order="F")
+    ab[KL:] = rng.standard_normal((KL + KU + 1, m))
+    ab[KL + KU] *= 2.0
+    return ab
+
+
+def assert_lu_matches_scipy(ab, rng, solves=50):
+    m = ab.shape[1]
+    lu, piv, info = scipy_lapack.dgbtrf(ab.copy(order="F"), KL, KU)
+    ours = _lapack.BandLU(m, KL, KU)
+    assert ours.factor(ab) == info == 0
+    assert ours._ab.tobytes() == lu.tobytes()
+    assert np.array_equal(ours._ipiv - 1, piv)  # scipy returns 0-based pivots
+    for b in rng.standard_normal((solves, m)) * 10.0 ** rng.integers(-6, 6, (solves, m)):
+        b[rng.random(m) < 0.1] = -0.0
+        x = ours.solve(b)
+        assert x.tobytes() == scipy_lapack.dgbtrs(lu, KL, KU, b, piv)[0].tobytes()
+
+
+@pytest.mark.parametrize("nodes", [12, 200, 500])
+def test_band_lu_on_the_fhn_iteration_matrix(nodes, rng):
+    assert_lu_matches_scipy(fhn_iteration_matrix(nodes, seed=nodes), rng)
+
+
+@pytest.mark.parametrize("m", [1, 7, 400, 1000])
+def test_band_lu_on_random_bands(m, rng):
+    for _ in range(3):
+        assert_lu_matches_scipy(random_band(rng, m), rng, solves=20)
+
+
+def test_band_lu_refactors_and_solves_do_not_alias(rng):
+    ours = _lapack.BandLU(50, KL, KU)
+    first, second = random_band(rng, 50), random_band(rng, 50)
+    b = rng.standard_normal(50)
+    ours.factor(first)
+    x1 = ours.solve(b)
+    ours.factor(second)
+    x2 = ours.solve(b)
+    lu, piv, _ = scipy_lapack.dgbtrf(second.copy(order="F"), KL, KU)
+    assert x2.tobytes() == scipy_lapack.dgbtrs(lu, KL, KU, b, piv)[0].tobytes()
+    assert not np.array_equal(x1, x2)
+    assert first.flags.f_contiguous and not first[:KL].any()  # input left alone
+
+
+def test_band_lu_reports_an_exactly_zero_pivot(rng):
+    ab = random_band(rng, 30)
+    ab[KL:, 11] = 0.0  # column 11 is zero, so U[11, 11] is exactly zero
+    info = scipy_lapack.dgbtrf(ab.copy(order="F"), KL, KU)[2]
+    assert _lapack.BandLU(30, KL, KU).factor(ab) == info == 12
+
+
+@pytest.mark.parametrize("nodes", [40, 200, 500])
+def test_band_cholesky_on_the_fhn_weight(nodes):
+    mass, _ = assemble_fem(Mesh1D(nodes))
+    band = np.tile(mass[1:], 2)  # the lower band of diag(mass, mass)
+    expected, info = scipy_lapack.dpbtrf(band, lower=1)
+    L, ours = _lapack.pbtrf(band)
+    assert ours == info == 0
+    assert L.tobytes() == expected.tobytes()
+    assert build_weight_matrix(Mesh1D(nodes))._factor().tobytes() == expected.tobytes()
+
+
+def spd_band(rng, m, kd):
+    """The lower band of a diagonally dominant, so SPD, matrix."""
+    band = rng.uniform(-1.0, 1.0, (kd + 1, m))
+    band[0] = 2.0 * kd + 1.0 + rng.random(m)
+    return band
+
+
+@pytest.mark.parametrize("m", [1, 60, 1000])
+def test_band_cholesky_on_random_bands_of_bandwidth_four(m, rng):
+    band = spd_band(rng, m, 4)
+    expected, info = scipy_lapack.dpbtrf(band, lower=1)
+    L, ours = _lapack.pbtrf(band)
+    assert ours == info == 0
+    assert L.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("pivot", [0, 17, 59])
+def test_band_cholesky_pivot_is_lapacks(pivot, rng):
+    band = spd_band(rng, 60, 4)
+    band[0, pivot] = -1.0
+    info = scipy_lapack.dpbtrf(band, lower=1)[1]
+    assert _lapack.pbtrf(band)[1] == info == pivot + 1
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        WeightMatrix.from_band(band)._factor()
+    assert exc.value.pivot == pivot

@@ -1,11 +1,13 @@
-"""Everything but ``simulate`` runs on numpy alone.
+"""Everything runs on numpy alone.
 
-``import incpod``, the ``pod``, ``verify`` and ``report`` subcommands and the
-products of a weight matrix read from a file load no scipy module, and
-only a ``verify`` whose sweep forks its pool loads ``multiprocessing`` or
-``concurrent.futures``. Each check runs in a fresh interpreter, whose
-``sys.modules`` has not seen the scipy that this test process imports for
-its references.
+``import incpod``, the ``simulate``, ``pod``, ``verify`` and ``report``
+subcommands and the products of a weight matrix read from a file load no
+scipy module, and only a ``verify`` whose sweep forks its pool loads
+``multiprocessing`` or ``concurrent.futures``. LAPACK comes from numpy's
+own OpenBLAS; without it ``import incpod`` still works, and the first call
+that needs LAPACK raises an ImportError that names the requirement. Each
+check runs in a fresh interpreter, whose ``sys.modules`` has not seen the
+scipy that this test process imports for its references.
 """
 
 import json
@@ -51,6 +53,53 @@ def test_import_loads_no_scipy():
     # nor multiprocessing or concurrent.futures, which only a verify sweep
     # that forks imports
     assert run_child("import incpod, incpod.cli") == []
+
+
+def test_simulate_loads_no_scipy(tmp_path):
+    out = tmp_path / "fhn"
+    loaded = run_child(
+        """
+        import sys
+        from incpod.cli import main
+        assert main(["simulate", "--nodes", "30", "--t-final", "0.5", "--output", sys.argv[1]]) == 0
+        """,
+        out,
+    )
+    assert loaded == []
+    argv = ["simulate", "--nodes", "30", "--t-final", "0.5", "--output", f"{out}_here"]
+    assert main(argv) == 0
+    for suffix in (".pods", ".wm"):
+        assert Path(f"{out}{suffix}").read_bytes() == Path(f"{out}_here{suffix}").read_bytes()
+
+
+def test_missing_lapack_symbol_raises_on_first_use():
+    # every scipy_* symbol of numpy's OpenBLAS made to be missing
+    loaded = run_child(
+        """
+        import ctypes
+
+        class NoLapack(ctypes.CDLL):
+            def __getattr__(self, name):
+                if name.startswith("scipy_"):
+                    raise AttributeError(f"undefined symbol: {name}")
+                return super().__getattr__(name)
+
+        ctypes.CDLL = NoLapack
+        import incpod, incpod.cli
+        from incpod import _lapack
+        M = incpod.build_weight_matrix(incpod.Mesh1D(5))
+        M.matvec(M.matvec([1.0] * 10))  # products need no LAPACK
+        for call in (lambda: incpod.simulate(incpod.FhnParams(), incpod.Mesh1D(5), 0.1),
+                     lambda: M.apply_lt([1.0] * 10)):
+            try:
+                call()
+            except ImportError as exc:
+                assert str(exc).startswith(_lapack.REQUIREMENT), exc
+            else:
+                raise AssertionError("no ImportError")
+        """
+    )
+    assert loaded == []
 
 
 @pytest.fixture(scope="module")
