@@ -1,15 +1,18 @@
-"""LAPACK's band LU and band Cholesky from the OpenBLAS in numpy's wheels.
+"""LAPACK's band LU, band Cholesky and in-place SVD from the OpenBLAS in
+numpy's wheels.
 
 numpy >= 2.0 wheels link ``numpy._core._multiarray_umath`` against
 scipy-openblas, whose LAPACK, with 64-bit integers, a ``CDLL`` of that
 extension finds as ``scipy_<routine>_64_``. A routine is looked up on first
-use, not on import.
+use, not on import; a missing one is a :class:`LapackUnavailableError`.
 """
 
 import ctypes
 import functools
 
 import numpy as np
+
+from .errors import LapackUnavailableError
 
 REQUIREMENT = "incpod needs the OpenBLAS that numpy's wheels (numpy >= 2.0) bundle"
 
@@ -19,7 +22,7 @@ def _routine(name):
     try:
         f = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), f"scipy_{name}_64_")
     except (AttributeError, OSError) as exc:
-        raise ImportError(f"{REQUIREMENT}: {exc}") from None
+        raise LapackUnavailableError(f"{REQUIREMENT}: {exc}") from None
     f.restype = None
     return f
 
@@ -74,3 +77,43 @@ def pbtrf(ab):
     kd = L.shape[0] - 1
     _routine("dpbtrf")(*_refs(b"L", L.shape[1], kd, L, kd + 1, info), ctypes.c_size_t(1))
     return np.ascontiguousarray(L), info.value
+
+
+def gesdd(A):
+    """Thin SVD A = U diag(s) Vt by ``dgesdd``, as numpy's ``svd(A,
+    full_matrices=False)``. ``A`` must be a Fortran-ordered float64 array;
+    it is destroyed. With JOBZ='O' the longer factor is written over A: for
+    m < n, Vt (m x n) is A and U (m x m) a new array; for m >= n, U (m x n)
+    is A and Vt (n x n) new. numpy calls JOBZ='S' with LAPACK's optimal
+    workspace, which is queried here too. For m >= 11n/6 LAPACK's 'O' path
+    forms U in other steps than 'S' does, so there 'S' writes U into a new
+    m x n array. The factors then equal numpy's bit for bit, but for one
+    case: for n >= 11m/6, 'O' multiplies Vt in column chunks of about
+    4m + 7 columns, so above that width s and U still equal numpy's, and Vt
+    may differ in its last bit. Returns (U, s, Vt) with s descending. A
+    failed SVD (info != 0: no convergence, or a NaN in A) is a
+    ``LinAlgError``, as numpy's."""
+    if A.dtype != np.float64 or not A.flags.f_contiguous or not A.flags.writeable:
+        raise ValueError("gesdd overwrites a writeable Fortran-ordered float64 array")
+    m, n = A.shape
+    r = min(m, n)
+    if r == 0:
+        return np.zeros((m, r)), np.zeros(0), np.zeros((r, n))
+    s = np.empty(r)
+    if m < n:
+        U, Vt, factors = np.empty((m, m), order="F"), A, (b"O", m, 1)
+    elif m < int(n * 11.0 / 6.0):  # dgesdd's threshold MNTHR
+        U, Vt, factors = A, np.empty((n, n), order="F"), (b"O", 1, n)
+    else:
+        U, Vt = np.empty((m, n), order="F"), np.empty((n, n), order="F")
+        factors = (b"S", m, n)
+    jobz, ldu, ldvt = factors
+    iwork, info, size = np.empty(8 * r, np.int64), ctypes.c_int64(), np.empty(1)
+    svd = functools.partial(_routine("dgesdd"), *_refs(jobz, m, n, A, m, s, U, ldu, Vt, ldvt))
+    jobz_length = ctypes.c_size_t(1)  # the hidden length of the string JOBZ
+    svd(*_refs(size, -1, iwork, info), jobz_length)  # the workspace query
+    work = np.empty(int(size[0]))
+    svd(*_refs(work, work.size, iwork, info), jobz_length)
+    if info.value:
+        raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info {info.value})")
+    return U, s, Vt

@@ -4,10 +4,12 @@ Paths are prefix-based: ``simulate --output runs/fhn`` writes
 ``runs/fhn.pods`` (snapshot stream) and ``runs/fhn.wm`` (weight matrix);
 the other subcommands read the same pair via ``--input``.
 
-Exit codes: 0 success, 1 usage, 2 data/format error, 3 numerical failure.
+Exit codes: 0 success, 1 usage, 2 data/format error, 3 numerical failure,
+4 environment error (numpy's OpenBLAS lacks a LAPACK routine).
 
 Every subcommand runs on numpy alone: ``simulate``'s band LU and the
-oracle's band Cholesky call the LAPACK in numpy's own OpenBLAS.
+oracle's band Cholesky and exact SVD call the LAPACK in numpy's own
+OpenBLAS.
 
 With two usable cores and BLAS pinned to one thread, ``verify`` shares its
 nine tolerance cells with the one worker of a forked process pool (see
@@ -30,6 +32,7 @@ from .errors import (
     FormatError,
     IntegrationFailureError,
     InvalidInputError,
+    LapackUnavailableError,
     NotPositiveDefiniteError,
     PreconditionViolationError,
     RankDeficientError,
@@ -370,6 +373,9 @@ def main(argv=None):
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except LapackUnavailableError as exc:
+        print(f"environment error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -64,3 +64,7 @@ class PreconditionViolationError(ValueError):
 
 class AmbiguousAlignmentError(ValueError):
     """Singular vector pair is exactly orthogonal to the reference pair."""
+
+
+class LapackUnavailableError(ImportError):
+    """numpy's OpenBLAS does not export a LAPACK routine that incpod calls."""

@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import FormatError, InvalidInputError
-from .weighted_linalg import modified_gram_schmidt_weighted, small_svd
+from .weighted_linalg import column_blocks, modified_gram_schmidt_weighted, small_svd
 
 __all__ = [
     "RUN",
@@ -31,6 +31,7 @@ __all__ = [
     "UpdateReport",
     "update",
     "flush",
+    "low_rank_factors",
     "reconstruct",
     "pod_output",
     "run_stream",
@@ -117,8 +118,13 @@ class SvdState:
 
 
 def _right_vectors(W0, Wp):
-    k0 = W0.shape[1]
-    return np.vstack([W0 @ Wp[:k0], Wp[k0:]])
+    """[W0 @ Wp[:k0]; Wp[k0:]] in one new array, the product written into
+    its rows (the same bits as a product on its own)."""
+    n0, k0 = W0.shape
+    W = np.empty((n0 + Wp.shape[0] - k0, Wp.shape[1]))
+    np.matmul(W0, Wp[:k0], out=W[:n0])
+    W[n0:] = Wp[k0:]
+    return W
 
 
 @dataclass(frozen=True)
@@ -341,12 +347,24 @@ def _closed(state):
     return state
 
 
-def reconstruct(state):
-    """Dense m x n matrix V diag(sigma) W^T of the approximate data; the
-    run must be closed (:func:`flush`)."""
+def low_rank_factors(state):
+    """(V diag(sigma), W), whose product V diag(sigma) W^T is the
+    approximate data; the run must be closed (:func:`flush`)."""
     if _closed(state).Wp is None:
         raise ValueError("right singular vectors were not maintained")
-    return (state.V * state.sigma) @ state.W.T
+    return state.V * state.sigma, state.W
+
+
+def reconstruct(state):
+    """Dense m x n matrix V diag(sigma) W^T of the approximate data; the
+    run must be closed (:func:`flush`). It is built over
+    :func:`column_blocks`, as ``oracle.exact_error`` builds the difference
+    to the data, so that the two hold the same bits."""
+    VS, W = low_rank_factors(state)
+    R = np.empty((VS.shape[0], W.shape[0]))
+    for cols in column_blocks(W.shape[0]):
+        R[:, cols] = VS @ W[cols].T
+    return R
 
 
 def pod_output(state):

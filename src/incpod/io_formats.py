@@ -141,25 +141,31 @@ def write_stream(path, times, weights, columns):
 def read_stream_matrix(path, max_columns=None):
     """Materialize a stream: (times, weights, m x s column matrix).
 
-    ``max_columns`` is an out-of-memory guard; exceeding it raises
-    :class:`FormatError` before the bulk of the file is read.
+    The matrix is Fortran-ordered, filled a column at a time, so that it
+    exists once; an unterminated stream's buffer doubles as it fills (the
+    matrix is then a view of its first s columns). ``max_columns`` is an
+    out-of-memory guard; exceeding it raises :class:`FormatError` before
+    the bulk of the file is read.
     """
-    times, weights, cols = [], [], []
     with StreamReader(path) as reader:
         if max_columns is not None and reader.count > max_columns:
             raise FormatError(
                 f"stream declares {reader.count} columns, cap is {max_columns}"
             )
+        size = reader.count or 16
+        times, weights, U = np.empty(size), np.empty(size), np.empty((reader.m, size), order="F")
+        s = 0
         for t, w, c in reader:
-            if max_columns is not None and len(cols) >= max_columns:
+            if max_columns is not None and s >= max_columns:
                 raise FormatError(f"stream exceeds column cap {max_columns}")
-            times.append(t)
-            weights.append(w)
-            cols.append(c.copy())
-    if not cols:
-        m = reader.m
-        return np.zeros(0), np.zeros(0), np.zeros((m, 0))
-    return np.asarray(times), np.asarray(weights), np.column_stack(cols)
+            if s == times.size:  # only an unterminated stream outgrows them
+                times, weights = (np.concatenate([a, np.empty(s)]) for a in (times, weights))
+                grown = np.empty((reader.m, 2 * s), order="F")
+                grown[:, :s] = U
+                U = grown
+            times[s], weights[s], U[:, s] = t, w, c
+            s += 1
+    return times[:s], weights[:s], U[:, :s]
 
 
 def write_weight_matrix(path, M):
@@ -246,9 +252,8 @@ def checkpoint(state, path, tols):
     """
     if state.Wp is None:
         raise ValueError("checkpointing requires the right singular vectors")
-    m = state.V.shape[0]
-    payload = _CKPT_HEAD.pack(
-        m,
+    head = _CKPT_HEAD.pack(
+        state.V.shape[0],
         state.n,
         state.k,
         state.W0.shape[1],
@@ -260,15 +265,18 @@ def checkpoint(state, path, tols):
         tols.tol,
         tols.tol_sv,
     )
-    for a in (state.V, state.sigma, state.W0, state.Wp, state.run):
-        payload += np.ascontiguousarray(a, dtype="<f8").tobytes()
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", _CHECKPOINT_VERSION))
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload)))
+            fh.write(head)
+            crc = zlib.crc32(head)  # of the payload, folded in as it is written
+            for a in (state.V, state.sigma, state.W0, state.Wp, state.run):
+                chunk = np.ascontiguousarray(a, dtype="<f8")
+                fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            fh.write(struct.pack("<I", crc))
             fh.flush()
             os.fsync(fh.fileno())
     except BaseException:

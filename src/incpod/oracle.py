@@ -1,20 +1,24 @@
 """Exact batch weighted SVD and exact error computations.
 
-Everything here materializes the full data matrix and exists to validate
-the streaming results; the exact decomposition routes through a Cholesky
-factorization of the weight matrix.
+Everything here reads the full data matrix U and exists to validate the
+streaming results. Beyond U, the oracle builds one m x n array: S = L^T U,
+over which LAPACK's ``dgesdd`` writes the longer factor of the exact SVD
+(M = L L^T is the weight's Cholesky factorization). The exact errors go
+through U - V diag(sigma) W^T a block of columns at a time, and a sweep
+keeps the streamed state of its tightest cell only.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _lapack
 from .errors import InvalidInputError
-from .incremental import Tolerances, flush, reconstruct, run_stream
-from .weighted_linalg import weighted_operator_norm
+from .incremental import Tolerances, flush, low_rank_factors, reconstruct, run_stream
+from .weighted_linalg import BLOCK, column_blocks, weighted_operator_norm
 
 __all__ = [
     "ExactSvd",
@@ -42,17 +46,20 @@ class ExactSvd:
 def exact_weighted_svd(U, M):
     """Core SVD of U in the M-inner product via S = L^T U.
 
-    A standard SVD of S (numpy's LAPACK ``gesdd``) is computed and the left
-    factor is mapped back with a triangular back substitution. Singular
-    values below 1e-14 * sigma_1 are dropped together with their vectors.
-    W is a copy of the kept columns, so it does not hold the whole right
-    factor alive.
+    A standard SVD of S (LAPACK's ``dgesdd``, see :func:`_lapack.gesdd`) is
+    computed in place, and the left factor is mapped back with a triangular
+    back substitution. S is Fortran-ordered when U is and a sparse M's band
+    computes it; otherwise (a C-ordered U, a dense M) S is copied into
+    Fortran order first. The factors equal numpy's ``svd(S)`` bit for bit,
+    but for the one case that :func:`_lapack.gesdd` names. Singular values
+    below 1e-14 * sigma_1 are dropped together with their vectors. W is a
+    copy of the kept columns, so it does not hold the whole right factor
+    alive.
     """
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[0] != M.dim:
         raise ValueError(f"U has shape {U.shape}, expected ({M.dim}, n)")
-    S = M.apply_lt(U)
-    V_hat, sigma, Wh = np.linalg.svd(S, full_matrices=False)
+    V_hat, sigma, Wh = _lapack.gesdd(np.asfortranarray(M.apply_lt(U)))
     if sigma.size == 0 or sigma[0] == 0.0:
         keep = 0
     else:
@@ -63,26 +70,50 @@ def exact_weighted_svd(U, M):
 
 def exact_error(U, state, M):
     """Weighted operator-norm distance between U and the streamed result;
-    a state with an open run is a ValueError (:func:`reconstruct`)."""
+    a state with an open run is a ValueError (:func:`low_rank_factors`).
+
+    For m <= n the difference goes to :func:`weighted_operator_norm` over
+    :func:`column_blocks`, so that no m x n array is built; for m > n it
+    goes whole, so that the Gram matrix is n x n. Either way its bits are
+    those of U - :func:`reconstruct` (state)."""
     U = np.asarray(U, dtype=np.float64)
-    R = reconstruct(state)  # a new array: the difference goes into it
-    if U.shape != R.shape:
+    VS, W = low_rank_factors(state)
+    if U.shape != (VS.shape[0], W.shape[0]):
         raise ValueError(
-            f"data matrix has shape {U.shape} but the state reconstructs {R.shape}"
+            f"data matrix has shape {U.shape} but the state reconstructs "
+            f"{(VS.shape[0], W.shape[0])}"
         )
-    return weighted_operator_norm(np.subtract(U, R, out=R), M)
+    m, n = U.shape
+    if m > n:
+        R = reconstruct(state)  # a new array: the difference goes into it
+        return weighted_operator_norm(np.subtract(U, R, out=R), M)
+    return weighted_operator_norm(_differences(U, VS, W), M)
+
+
+def _differences(U, VS, W):
+    """U - VS W^T over :func:`column_blocks`, a block at a time, each in
+    pieces of at most ``BLOCK`` columns."""
+    for cols in column_blocks(U.shape[1]):
+        D = VS @ W[cols].T
+        np.subtract(U[:, cols], D, out=D)
+        yield from (D[:, j : j + BLOCK] for j in range(0, D.shape[1], BLOCK))
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One tolerance-grid cell. ``state`` carries the streamed result, its
-    event counts included, beyond the serialized columns."""
+    """One tolerance-grid cell: the streamed state's singular values and
+    its truncation counts, which cap the bound at T_p tol + T_sv tol_sv.
+    ``state``, the streamed result itself, is kept for the sweep's tightest
+    cell only (see :func:`tolerance_sweep`) and is None in the others."""
 
     tol: float
     tol_sv: float
     rank: int
     exact_error: float
     incr_error_bound: float
+    sigma: np.ndarray
+    T_p: int
+    T_sv: int
     state: object
 
     def csv_values(self):
@@ -104,8 +135,19 @@ def _sweep_row(U, M, tols):
         rank=state.k,
         exact_error=exact_error(U, state, M),
         incr_error_bound=state.e,
+        sigma=state.sigma,
+        T_p=state.T_p,
+        T_sv=state.T_sv,
         state=state,
     )
+
+
+def _row(U, M, grid, i):
+    """The row of cell i; its state is kept if the cell has the grid's
+    smallest (tol, tol_sv), else it is None."""
+    row = _sweep_row(U, M, grid[i])
+    tightest = min(range(len(grid)), key=lambda c: (grid[c].tol, grid[c].tol_sv))
+    return row if i == tightest else replace(row, state=None)
 
 
 def _thread_count():
@@ -161,7 +203,7 @@ def _worker_cells():
     U, M, grid, left = _pool_cells
     rows = {}
     while (i := _claim(left)) >= 0:
-        rows[i] = _sweep_row(U, M, grid[i])
+        rows[i] = _row(U, M, grid, i)
     return rows
 
 
@@ -170,8 +212,10 @@ def tolerance_sweep(snapshots, M, tol_grid):
 
     ``snapshots`` is an m x s matrix. Returns one :class:`SweepRow` per
     pair, in grid order, with the final rank, the exact operator-norm error
-    against the full matrix, and the incrementally accumulated bound, of the
-    flushed state.
+    against the full matrix, the incrementally accumulated bound, the
+    singular values and the truncation counts of the flushed state. Only the row of the grid's
+    smallest (tol, tol_sv) keeps the state itself, so that a sweep holds
+    one streamed state beyond the cells in progress.
 
     Cells are computed last first, so that the small-tolerance cells, the
     most expensive, start first. A grid of two cells or more is shared
@@ -186,7 +230,7 @@ def tolerance_sweep(snapshots, M, tol_grid):
     grid = [tols if isinstance(tols, Tolerances) else Tolerances(*tols) for tols in tol_grid]
     ctx = _fork_context(len(grid))
     if ctx is None:
-        return [_sweep_row(U, M, tols) for tols in grid[::-1]][::-1]
+        return [_row(U, M, grid, i) for i in reversed(range(len(grid)))][::-1]
     from concurrent.futures import ProcessPoolExecutor
 
     left = ctx.Value("i", len(grid))
@@ -194,7 +238,7 @@ def tolerance_sweep(snapshots, M, tol_grid):
     try:
         theirs, rows = pool.submit(_worker_cells), {}
         while not theirs.done() and (i := _claim(left)) >= 0:  # done: failed or none left
-            rows[i] = _sweep_row(U, M, grid[i])
+            rows[i] = _row(U, M, grid, i)
         rows.update(theirs.result())
     except BaseException:
         with left.get_lock():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import InvalidInputError, NotPositiveDefiniteError, RankDeficientEr
 
 __all__ = [
     "WeightMatrix",
+    "column_blocks",
     "m_inner",
     "m_norm",
     "modified_gram_schmidt_weighted",
@@ -175,18 +177,23 @@ class WeightMatrix:
         return self._chol
 
     def apply_lt(self, A):
-        """Return L^T @ A as a new array. For a sparse M, row j is the sum of
-        ``L[j + d, j] * A[j + d]`` over the band's rows d, in ascending order
-        as in a CSR product with L^T."""
+        """Return L^T @ A as a new array. For a sparse M it has A's layout,
+        and row j is the sum of ``L[j + d, j] * A[j + d]`` over the band's
+        rows d, in ascending order as in a CSR product with L^T, taken over
+        :func:`column_blocks`, so that no temporary is larger than a block."""
         L = self._factor()
         if self._band is None:
             return L.T @ A
         A = np.asarray(A, dtype=np.float64)
-        band = L.reshape(L.shape + (1,) * (A.ndim - 1))  # a column per row of A
-        out = band[0] * A
-        for d in range(1, L.shape[0]):
-            out[:-d] += band[d, :-d] * A[d:]
-        return out
+        X = A.reshape(A.shape[0], -1)  # a vector as one column
+        out = np.empty_like(X)
+        band = L[:, :, None]  # a column per row of X
+        for cols in column_blocks(X.shape[1]):
+            x, o = X[:, cols], out[:, cols]
+            np.multiply(band[0], x, out=o)
+            for d in range(1, L.shape[0]):
+                o[:-d] += band[d, :-d] * x[d:]
+        return out.reshape(A.shape)
 
     def solve_lt(self, B):
         """Solve L^T X = B by back substitution, one row of X at a time from
@@ -195,13 +202,29 @@ class WeightMatrix:
         L = self._factor()
         dense = self._band is None
         diagonal = np.diagonal(L) if dense else L[0]
-        X = np.array(B, dtype=np.float64)
+        X = np.array(B, dtype=np.float64, order="C")  # layout-independent bits
         m = self._m
         for j in range(m - 1, -1, -1):
             below = L[j + 1 :, j] if dense else L[1 : m - j, j]
             X[j] -= below @ X[j + 1 : j + 1 + below.size]
             X[j] /= diagonal[j]
         return X
+
+
+BLOCK = 128  # columns per block of the column-blocked products
+
+
+def column_blocks(n):
+    """Slices that cover n columns in order: :data:`BLOCK` columns each,
+    but the last one holds the final 2 * BLOCK to 3 * BLOCK - 1 columns (all
+    n if n < 3 * BLOCK). With one thread, numpy's OpenBLAS gives the
+    trailing n mod 4 columns of a product with more than 192 columns other
+    bits than those of a narrower product; with the wide last block,
+    ``A @ B[:, cols]`` taken over these blocks equals ``A @ B`` bit for bit
+    (checked on 400 random shapes with up to 3,000 columns and an inner
+    dimension at most A's row count)."""
+    head = max(n // BLOCK - 2, 0) * BLOCK
+    return [slice(j, j + BLOCK) for j in range(0, head, BLOCK)] + [slice(head, n)]
 
 
 def _not_positive(pivot):
@@ -341,35 +364,63 @@ def weighted_operator_norm(A, M):
     """Operator norm of A mapping (R^n, euclidean) to (R^m, M-norm).
 
     Equals the largest singular value of S = L^T A where M = L L^T, taken
-    as the square root of the largest eigenvalue of the smaller Gram
-    matrix, S S^T (m <= n) or S^T S, from numpy's ``eigvalsh``. S is first
-    divided by its largest absolute entry, so that squaring it neither
-    underflows nor overflows; the scale multiplies the result back. The Gram
-    matrix squares the condition number of S, but the rounding errors of the
-    product and of ``eigvalsh`` are both relative to the largest eigenvalue,
-    so that one keeps its accuracy: on the FHN verify grid and on scaled
-    random matrices the result is within 1.1e-15, relative, of
-    ``svdvals(S)[0]``.
+    as the square root of the largest eigenvalue of a Gram matrix from
+    numpy's ``eigvalsh``. ``A`` is an array, whose smaller Gram matrix is
+    used, S S^T (m <= n) or S^T S, or an iterator of A's column blocks
+    (m x w arrays), whose m x m Gram matrix is summed block by block, so
+    that A and S are never whole. S is divided by its largest absolute
+    entry, so that squaring it neither underflows nor overflows, and the
+    scale multiplies the result back; a block is divided by the largest
+    entry so far, and the sum is rescaled when a block holds a larger one.
+    The Gram matrix squares the condition number of S, but the rounding
+    errors of the product and of ``eigvalsh`` are both relative to the
+    largest eigenvalue, so that one keeps its accuracy: on the FHN verify
+    grid and on scaled random matrices the result is within 1.1e-15,
+    relative, of ``svdvals(S)[0]``.
 
     A with no columns has norm 0.0; a non-finite S is a ValueError.
     """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim == 1:
-        A = A[:, None]
-    if A.shape[0] != M.dim:
-        raise ValueError(f"A has {A.shape[0]} rows, expected {M.dim}")
-    if A.shape[1] == 0:
+    scale, G = _scaled_gram(A, M)
+    if G is None:
         return 0.0
-    S = M.apply_lt(A)
-    scale = float(np.maximum(S.max(), -S.min()))  # NaN propagates, no |S| copy
-    if not np.isfinite(scale):
-        raise ValueError("array must not contain infs or NaNs")
-    if scale == 0.0:
-        return 0.0
-    S /= scale
-    G = S @ S.T if S.shape[0] <= S.shape[1] else S.T @ S
     top = np.linalg.eigvalsh(G)[-1]
     return scale * math.sqrt(max(float(top), 0.0))
+
+
+def _scaled_gram(A, M):
+    """(scale, G) for :func:`weighted_operator_norm`: the largest absolute
+    entry of S = L^T A and the Gram matrix of S / scale, or None if S is
+    empty or zero. Blocks after the first add to G's lower triangle only,
+    the one ``eigvalsh`` reads, in bands of rows, so that they make no
+    m x m temporary."""
+    blocked = isinstance(A, Iterator)
+    scale, G = 0.0, None
+    for block in A if blocked else [A]:
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim == 1:
+            block = block[:, None]
+        if block.shape[0] != M.dim:
+            raise ValueError(f"A has {block.shape[0]} rows, expected {M.dim}")
+        if block.shape[1] == 0:
+            continue
+        S = M.apply_lt(block)
+        top = float(np.maximum(S.max(), -S.min()))  # NaN propagates, no |S| copy
+        if not np.isfinite(top):
+            raise ValueError("array must not contain infs or NaNs")
+        if top == 0.0:
+            continue
+        if top > scale:
+            if G is not None:
+                G *= (scale / top) ** 2
+            scale = top
+        S /= scale
+        if G is None:
+            G = S.T @ S if not blocked and S.shape[0] > S.shape[1] else S @ S.T
+        else:
+            for i in range(0, S.shape[0], BLOCK):
+                j = min(i + BLOCK, S.shape[0])
+                G[i:j, :j] += S[i:j] @ S[:j].T
+    return scale, G
 
 
 def m_orthonormality_defect(V, M):

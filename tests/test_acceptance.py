@@ -100,7 +100,7 @@ def test_c1_bound_domination(fhn_sweep, fhn_oracle):
 @criterion("criterion 2: error bound capped by T_p tol + T_sv tol_sv")
 def test_c2_corollary_cap(fhn_sweep):
     for row in fhn_sweep:
-        t_p, t_sv = row.state.T_p, row.state.T_sv
+        t_p, t_sv = row.T_p, row.T_sv
         cap = t_p * row.tol + t_sv * row.tol_sv
         assert row.incr_error_bound <= cap, (
             f"e={row.incr_error_bound:e} exceeds cap {cap:e} (T_p={t_p}, T_sv={t_sv})"
@@ -179,7 +179,7 @@ def test_c6_singular_value_bound(fhn_sweep, fhn_oracle):
     sigma1 = fhn_oracle.sigma[0]
     for row in fhn_sweep:
         eps = row.incr_error_bound + 1e-10 * sigma1
-        assert singular_value_gap_check(fhn_oracle.sigma, row.state.sigma, eps), (
+        assert singular_value_gap_check(fhn_oracle.sigma, row.sigma, eps), (
             f"tol={row.tol:g} tol_sv={row.tol_sv:g}: "
             "singular value deviation exceeds the error bound"
         )

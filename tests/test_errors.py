@@ -14,6 +14,7 @@ INSTANCES = [
     errors.IntegrationFailureError("step size underflow", t_reached=1.25),
     errors.PreconditionViolationError("gap too small"),
     errors.AmbiguousAlignmentError("orthogonal pair"),
+    errors.LapackUnavailableError("incpod needs LAPACK: undefined symbol"),
 ]
 
 
@@ -38,13 +39,17 @@ def test_pickle_round_trip(exc):
 @pytest.mark.parametrize("exc", INSTANCES, ids=lambda exc: type(exc).__name__)
 def test_cli_exit_code(exc, monkeypatch, capsys):
     # the codes the CLI documents: 2 for a data/format error, 3 for a
-    # numerical failure; never a traceback with the usage code 1
+    # numerical failure, 4 for a missing LAPACK routine; never a traceback
+    # with the usage code 1
     def fail(args):
         raise exc
 
     monkeypatch.setitem(cli._DISPATCH, "pod", fail)
     code = cli.main(["pod", "--input", "in", "--output", "out"])
-    data_error = isinstance(exc, (errors.FormatError, errors.InvalidInputError))
-    assert code == (2 if data_error else 3)
-    prefix = "data error: " if data_error else "numerical failure: "
-    assert capsys.readouterr().err == f"{prefix}{exc}\n"
+    if isinstance(exc, (errors.FormatError, errors.InvalidInputError)):
+        expected = 2, "data error: "
+    elif isinstance(exc, errors.LapackUnavailableError):
+        expected = 4, "environment error: "
+    else:
+        expected = 3, "numerical failure: "
+    assert (code, capsys.readouterr().err) == (expected[0], f"{expected[1]}{exc}\n")

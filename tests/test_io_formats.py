@@ -96,6 +96,45 @@ class TestStream:
         with pytest.raises(FormatError):
             read_stream_matrix(path, max_columns=1)
 
+    @pytest.mark.parametrize("count", [0, 1, 16, 17, 40])
+    def test_matrix_is_one_fortran_array(self, rng, tmp_path, count):
+        # an unterminated stream (declared count 0) doubles its buffer from
+        # 16 columns; a declared count fills one array of that size
+        cols = rng.standard_normal((5, count or 37))
+        cols[0, :3] = -0.0
+        path = tmp_path / "s.pods"
+        with StreamWriter(path, 5, count=count) as w:
+            for j in range(cols.shape[1]):
+                w.write_column(j + 0.5, 2.0 * j, cols[:, j])
+        times, weights, U = read_stream_matrix(path)
+        assert U.flags.f_contiguous and U.shape == cols.shape
+        assert U.tobytes(order="F") == cols.tobytes(order="F")
+        assert np.array_equal(times, np.arange(cols.shape[1]) + 0.5)
+        assert np.array_equal(weights, 2.0 * np.arange(cols.shape[1]))
+        # so each column the streams draw is contiguous, with the file's bits
+        for j, c in enumerate(U.T):
+            assert c.flags.c_contiguous and c.tobytes() == cols[:, j].tobytes()
+
+    def test_empty_stream_matrix(self, tmp_path):
+        for count in (0, 3):
+            path = tmp_path / f"empty{count}.pods"
+            path.write_bytes(struct.pack("<4sIQQ", b"PODS", 1, 4, count))  # a header only
+            if count:
+                with pytest.raises(CorruptStreamError):
+                    read_stream_matrix(path)
+            else:
+                times, weights, U = read_stream_matrix(path)
+                assert U.shape == (4, 0) and times.shape == weights.shape == (0,)
+
+    def test_unterminated_column_cap_guard(self, rng, tmp_path):
+        path = tmp_path / "live.pods"
+        with StreamWriter(path, 3, count=0) as w:
+            for j in range(40):
+                w.write_column(float(j), 1.0, rng.standard_normal(3))
+        assert read_stream_matrix(path, max_columns=40)[2].shape == (3, 40)
+        with pytest.raises(FormatError, match="exceeds column cap 39"):
+            read_stream_matrix(path, max_columns=39)
+
 
 class TestWeightMatrixFormat:
     def test_identity_three_lines(self, tmp_path):
@@ -417,6 +456,28 @@ class TestCheckpoint:
             checkpoint(state, path, Tolerances())
         assert path.read_bytes() == before
         assert not (tmp_path / "c.podc.tmp").exists()
+
+    @pytest.mark.parametrize("open_run", [False, True], ids=["closed", "open_run"])
+    def test_bytes_equal_the_concatenated_payload(self, rng, tmp_path, open_run):
+        # the file, written array by array with a running CRC, equals the
+        # payload built whole and its CRC
+        if open_run:
+            state, _, _ = self._open_run(rng)
+            assert state.j > 0
+        else:
+            state, _ = self._make_state(rng)
+            assert state.j == 0
+        tols = Tolerances(1e-8, 1e-9)
+        path = tmp_path / "c.podc"
+        checkpoint(state, path, tols)
+        payload = struct.pack(
+            "<QQQQQQdQQdd", state.V.shape[0], state.n, state.k, state.W0.shape[1],
+            state.Wp.shape[0], state.j, state.e, state.T_p, state.T_sv, tols.tol, tols.tol_sv,
+        )
+        for a in (state.V, state.sigma, state.W0, state.Wp, state.run):
+            payload += np.ascontiguousarray(a, dtype="<f8").tobytes()
+        expected = b"PODC" + struct.pack("<I", 5) + payload + struct.pack("<I", zlib.crc32(payload))
+        assert path.read_bytes() == expected
 
     def test_requires_w(self, rng):
         M = random_weight(rng, 5)

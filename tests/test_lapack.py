@@ -111,3 +111,71 @@ def test_band_cholesky_pivot_is_lapacks(pivot, rng):
     with pytest.raises(NotPositiveDefiniteError) as exc:
         WeightMatrix.from_band(band)._factor()
     assert exc.value.pivot == pivot
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def svd_inputs():
+    """(id, matrix) pairs: both orientations, the square case, the wide and
+    tall shapes past LAPACK's 11/6 aspect switch (the wide ones narrower
+    than the chunks of about 4m + 7 columns in which dgesdd multiplies Vt),
+    a rank-deficient and an all-zero matrix."""
+    rng = np.random.default_rng(22)
+    low_rank = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 30))
+    return [
+        ("m<n", rng.standard_normal((25, 40))),
+        ("m>n", rng.standard_normal((60, 40))),
+        ("m=n", rng.standard_normal((25, 25))),
+        ("n>=11m/6", rng.standard_normal((30, 60))),
+        ("m>=11n/6", rng.standard_normal((120, 20))),
+        ("fhn_size", rng.standard_normal((400, 688)) * np.geomspace(1.0, 1e-12, 688)),
+        ("rank_3", low_rank),
+        ("rank_3_wide", low_rank.T.copy()),
+        ("zero_wide", np.zeros((5, 8))),
+        ("zero_tall", np.zeros((8, 5))),
+        ("one_row", rng.standard_normal((1, 7))),
+        ("one_column", rng.standard_normal((7, 1))),
+    ]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("name, A", svd_inputs(), ids=[name for name, _ in svd_inputs()])
+def test_gesdd_equals_numpy_svd_bitwise(name, A, order):
+    A = np.array(A, order=order)
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    if not A.flags.f_contiguous:
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            _lapack.gesdd(A)
+    S = np.asfortranarray(A)  # a copy for a C-ordered A, as the oracle makes
+    U, sigma, Vt = _lapack.gesdd(S)
+    assert same_bits(U, u) and same_bits(sigma, s) and same_bits(Vt, vt)
+    # the longer factor is written over the input, but for m >= 11n/6
+    m, n = A.shape
+    assert ((Vt if m < n else U) is S) == (m < n or m < int(n * 11 / 6))
+
+
+@pytest.mark.parametrize("m, n", [(25, 118), (60, 2000)])
+def test_gesdd_wide_chunks_move_only_the_last_bits_of_vt(m, n):
+    A = np.random.default_rng(m).standard_normal((m, n))
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    U, sigma, Vt = _lapack.gesdd(np.asfortranarray(A))
+    assert same_bits(U, u) and same_bits(sigma, s) and Vt.shape == vt.shape
+    assert np.abs(Vt - vt).max() <= 1e-15
+
+
+def test_gesdd_nan_is_a_linalg_error():
+    A = np.asfortranarray(np.ones((6, 4)))
+    A[2, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.svd(A)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        _lapack.gesdd(A)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+def test_gesdd_empty(shape):
+    U, sigma, Vt = _lapack.gesdd(np.zeros(shape, order="F"))
+    u, s, vt = np.linalg.svd(np.zeros(shape), full_matrices=False)
+    assert U.shape == u.shape and sigma.shape == s.shape and Vt.shape == vt.shape

@@ -4,8 +4,9 @@
 subcommands and the products of a weight matrix read from a file load no
 scipy module, and only a ``verify`` whose sweep forks its pool loads
 ``multiprocessing`` or ``concurrent.futures``. LAPACK comes from numpy's
-own OpenBLAS; without it ``import incpod`` still works, and the first call
-that needs LAPACK raises an ImportError that names the requirement. Each
+own OpenBLAS; without it ``import incpod`` still works, the first call
+that needs LAPACK raises an ImportError that names the requirement, and
+the CLI reports it in one line with exit code 4. Each
 check runs in a fresh interpreter, whose ``sys.modules`` has not seen the
 scipy that this test process imports for its references.
 """
@@ -100,6 +101,40 @@ def test_missing_lapack_symbol_raises_on_first_use():
         """
     )
     assert loaded == []
+
+
+# argv: a subcommand line, run with every scipy_* symbol of numpy's
+# OpenBLAS hidden
+NO_LAPACK_MAIN = """
+import ctypes, sys
+
+class NoLapack(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name.startswith("scipy_"):
+            raise AttributeError(f"undefined symbol: {name}")
+        return super().__getattr__(name)
+
+ctypes.CDLL = NoLapack
+from incpod.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--nodes", "5", "--t-final", "0.1"],
+    ["verify", "--random", "20", "12", "7"],
+], ids=["simulate", "verify_random"])
+def test_missing_lapack_exits_4_with_one_line(argv, tmp_path):
+    from incpod import _lapack
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_LAPACK_MAIN, *argv, "--output", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith(f"environment error: {_lapack.REQUIREMENT}: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,23 @@ class TestExactWeightedSvd:
         ex = exact_weighted_svd(U, M)
         assert np.max(np.abs(ex.sigma - expected[: ex.k])) <= 1e-14 * expected[0]
 
+    @pytest.mark.parametrize("weight", ["dense", "fhn"])
+    def test_layout_of_u_does_not_change_the_bits(self, rng, fhn_small, weight):
+        # a Fortran-ordered U (as verify reads it) is decomposed in place; a
+        # C-ordered one is copied first: the factors are the same bits, and
+        # numpy's svd of S = L^T U gives them too
+        if weight == "fhn":
+            U, M = fhn_small
+        else:
+            U, M = rng.standard_normal((30, 45)), random_weight(rng, 30)
+        C, F = np.ascontiguousarray(U), np.asfortranarray(U)
+        a, b = exact_weighted_svd(C, M), exact_weighted_svd(F, M)
+        _, sigma, _ = np.linalg.svd(M.apply_lt(C), full_matrices=False)
+        assert same_bits(a.sigma, sigma[: a.k])
+        for x, y in ((a.sigma, b.sigma), (a.V, b.V), (a.W, b.W)):
+            assert same_bits(x, y)
+        assert same_bits(F, C)  # U is only read
+
     def test_identity_weight_matches_standard_svd(self, rng):
         U = rng.standard_normal((12, 7))
         ex = exact_weighted_svd(U, WeightMatrix(np.eye(12)))
@@ -149,10 +167,13 @@ class TestExactError:
 
     def test_fhn_sweep_cells_match_svdvals(self, fhn_small):
         # verify's nine cells on a small FHN data set, against all
-        # singular values of L^T (U - R)
+        # singular values of L^T (U - R); only the tightest row keeps its
+        # state, and a cell's stream is deterministic, so each runs again
         U, M = fhn_small
-        for row in tolerance_sweep(U, M, VERIFY_GRID):
-            S = M.apply_lt(U - reconstruct(row.state))
+        for row, tols in zip(tolerance_sweep(U, M, VERIFY_GRID), VERIFY_GRID):
+            state = flush(run_stream(iter(U.T), M, tols), M, tols)
+            assert (state.k, state.e) == (row.rank, row.incr_error_bound)
+            S = M.apply_lt(U - reconstruct(state))
             expected = scipy.linalg.svdvals(S)[0]
             assert row.exact_error == pytest.approx(expected, rel=1e-12, abs=0)
 
@@ -163,6 +184,46 @@ class TestExactError:
         s = state_from_triple(ex.V, ex.sigma, ex.W)
         with pytest.raises(ValueError):
             exact_error(rng.standard_normal((5, 6)), s, M)
+
+
+class TestMemory:
+    """Beyond U, the oracle holds O(m^2 + n k) numbers: one m x n array for
+    the exact SVD, none for a sweep cell. tracemalloc sees numpy's data
+    buffers, the binding's workspaces among them."""
+
+    @pytest.fixture(scope="class")
+    def wide_rank_4(self):
+        # noiseless rank 4, so that the state's and the exact SVD's k stay at
+        # 4 and their n x k arrays small; the FHN weight of 30 nodes (m = 60)
+        M = build_weight_matrix(Mesh1D(30))
+        rng = np.random.default_rng(4)
+        U = np.asfortranarray(rng.standard_normal((M.dim, 4)) @ rng.standard_normal((4, 20_000)))
+        return U, M
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sweep_cell_builds_no_m_by_n_array(self, monkeypatch, wide_rank_4):
+        U, M = wide_rank_4
+        monkeypatch.setattr(oracle, "_fork_context", lambda cells: None)
+        M.apply_lt(U[:, :1])  # the cached factor is not the cell's
+        tols = Tolerances(1e-8, 1e-8)
+        (row,), peak = self.traced_peak(lambda: tolerance_sweep(U, M, [tols]))
+        assert row.rank == 4 and row.state.n == U.shape[1]
+        assert peak < 0.5 * U.nbytes, f"{peak / U.nbytes:.2f} x U"
+
+    def test_exact_svd_builds_one_m_by_n_array(self, wide_rank_4):
+        U, M = wide_rank_4
+        M.apply_lt(U[:, :1])
+        ex, peak = self.traced_peak(lambda: exact_weighted_svd(U, M))
+        assert ex.k == 4
+        assert peak < 1.25 * U.nbytes, f"{peak / U.nbytes:.2f} x U"
 
 
 class TestOracleIncrementalAgreement:
@@ -212,7 +273,7 @@ class TestToleranceSweep:
         assert len(rows) == 4
         for row in rows:
             assert row.exact_error <= row.incr_error_bound + 1e-10 * sigma1
-            assert row.incr_error_bound <= row.state.T_p * row.tol + row.state.T_sv * row.tol_sv
+            assert row.incr_error_bound <= row.T_p * row.tol + row.T_sv * row.tol_sv
 
     def test_leading_zero_columns(self, rng):
         # the state has a (zero) row of W for every stream column, so the
@@ -338,17 +399,23 @@ class TestForkedSweep:
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
         assert [(r.tol, r.tol_sv) for r in forked] == [(t.tol, t.tol_sv) for t in VERIFY_GRID]
-        for a, b in zip(serial, forked):
-            assert a.rank == b.rank and a.state.n == b.state.n
-            assert (a.state.T_p, a.state.T_sv) == (b.state.T_p, b.state.T_sv)
+        # the rows' scalars are the same bits; only the tightest row keeps
+        # its state, and that one's is the same too
+        tight = [(t.tol, t.tol_sv) for t in VERIFY_GRID].index((1e-12, 1e-12))
+        for i, (a, b) in enumerate(zip(serial, forked)):
+            assert a.rank == b.rank and (a.T_p, a.T_sv) == (b.T_p, b.T_sv)
             for x, y in (
                 (a.exact_error, b.exact_error),
                 (a.incr_error_bound, b.incr_error_bound),
-                (a.state.sigma, b.state.sigma),
-                (a.state.V, b.state.V),
-                (a.state.W, b.state.W),
+                (a.sigma, b.sigma),
             ):
                 assert same_bits(x, y)
+            if i != tight:
+                assert a.state is None and b.state is None
+        a, b = serial[tight].state, forked[tight].state
+        assert a.n == b.n and (a.T_p, a.T_sv) == (b.T_p, b.T_sv)
+        for x, y in ((a.sigma, b.sigma), (a.V, b.V), (a.W, b.W)):
+            assert same_bits(x, y)
 
     def test_worker_exception_keeps_its_type(self, monkeypatch, fhn_small, tmp_path):
         U, M = fhn_small

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,9 @@ from incpod.errors import (
 from incpod.fhn import Mesh1D, build_weight_matrix
 from incpod.io_formats import read_weight_matrix, write_weight_matrix
 from incpod.weighted_linalg import (
+    BLOCK,
     WeightMatrix,
+    column_blocks,
     m_inner,
     m_norm,
     m_orthonormality_defect,
@@ -23,6 +29,8 @@ from incpod.weighted_linalg import (
 )
 
 from conftest import random_spd, random_weight
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestWeightMatrix:
@@ -223,6 +231,24 @@ class TestCholesky:
             Y = W.solve_lt(W.apply_lt(X))
             assert Y.shape == X.shape
             assert np.max(np.abs(Y - X), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, 3 * BLOCK + 5])
+    def test_band_apply_lt_in_blocks_equals_one_product(self, rng, order, n):
+        # the product over the band's rows at once, as it was taken before
+        # it went a block of columns at a time: the same bits, and the
+        # layout of A kept
+        M = build_weight_matrix(Mesh1D(30))
+        A = np.array(rng.standard_normal((M.dim, n)), order=order)
+        A[::3, ::2] = -0.0
+        L = M._factor()
+        expected = L[0][:, None] * A
+        for d in range(1, L.shape[0]):
+            expected[:-d] += L[d, :-d][:, None] * A[d:]
+        got = M.apply_lt(A)
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.f_contiguous == (order == "F" or n == 1)
+        assert M.apply_lt(A[:, 0]).tobytes() == expected[:, 0].tobytes()
 
     @staticmethod
     def lower_band(A, depth):
@@ -468,9 +494,81 @@ class TestOperatorNormFromGram:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 weighted_operator_norm(A, M)
 
+    @pytest.mark.parametrize("weight", ["dense", "banded"])
+    @pytest.mark.parametrize("shape", [(30, 700), (12, 40), (40, 9)], ids=["wide", "one_block", "tall"])
+    def test_column_blocks_match_the_whole_array(self, rng, weight, shape):
+        # an iterator of column blocks sums the m x m Gram matrix block by
+        # block; for a tall A it is m x m too, and the result is the same
+        m, n = shape
+        M = random_weight(rng, m) if weight == "dense" else banded_weight(m)
+        A = rng.standard_normal((m, 5)) @ rng.standard_normal((5, n)) + rng.standard_normal((m, n))
+        blocks = (A[:, cols] for cols in column_blocks(n))
+        got = weighted_operator_norm(blocks, M)
+        assert got == pytest.approx(svdvals_norm(A, M), rel=2e-15, abs=0)
+        if n <= 3 * BLOCK and m <= n:  # one block: the array's own path
+            assert got == weighted_operator_norm(A, M)
+
+    def test_blocks_of_very_different_scales(self, rng):
+        # each block is divided by the largest entry so far; a block with a
+        # larger one rescales the sum, so nothing underflows or overflows
+        M = banded_weight(20)
+        A = rng.standard_normal((20, 90))
+        scales = [1e-200, 1.0, 1e150, 1e-300, 1e160, 3.0]
+        blocks = [A[:, 15 * i : 15 * (i + 1)] * s for i, s in enumerate(scales)]
+        expected = svdvals_norm(np.hstack(blocks) / 1e160, M) * 1e160
+        got = weighted_operator_norm(iter(blocks), M)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
+        assert weighted_operator_norm(iter([blocks[0]]), M) == pytest.approx(
+            svdvals_norm(A[:, :15], M) * 1e-200, rel=1e-12, abs=0
+        )
+
+    def test_block_edge_cases(self, rng):
+        M = banded_weight(6)
+        assert weighted_operator_norm(iter([]), M) == 0.0
+        assert weighted_operator_norm(iter([np.zeros((6, 0)), np.zeros((6, 3))]), M) == 0.0
+        x = rng.standard_normal(6)
+        # a vector is one column; as a block its Gram matrix is m x m
+        assert weighted_operator_norm(iter([x]), M) == pytest.approx(m_norm(x, M), rel=1e-14)
+        with pytest.raises(ValueError, match="rows"):
+            weighted_operator_norm(iter([np.ones((6, 2)), np.ones((5, 2))]), M)
+        bad = np.ones((6, 2))
+        bad[1, 1] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            weighted_operator_norm(iter([np.ones((6, 2)), bad]), M)
+
     def test_input_unmodified(self, rng):
         M = WeightMatrix(np.eye(6))  # L = I: L^T A must still be a copy
         A = rng.standard_normal((6, 4)) * 1e-200
         before = A.copy()
         weighted_operator_norm(A, M)
         assert np.array_equal(A, before)
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 383, 384, 511, 688, 2451, 20_000])
+    def test_partition(self, n):
+        blocks = column_blocks(n)
+        assert [j for cols in blocks for j in range(n)[cols]] == list(range(n))
+        assert all(cols.stop - cols.start == BLOCK for cols in blocks[:-1])
+        last = blocks[-1].stop - blocks[-1].start
+        assert last == n if n < 3 * BLOCK else 2 * BLOCK <= last < 3 * BLOCK
+
+    def test_blocked_product_equals_the_whole_product(self):
+        # reconstruct and exact_error form V diag(sigma) W^T over these
+        # blocks; with one BLAS thread, as verify runs in CI and in the
+        # benchmark, they must give it the bits of one product (the verify
+        # shapes, and a trailing n mod 4 of 1 and 3). A BLAS pool splits a
+        # product by its own rule, so the check runs in a pinned child.
+        code = """
+import numpy as np
+from incpod.weighted_linalg import column_blocks
+rng = np.random.default_rng(5)
+for m, n, k in [(400, 688, 30), (1000, 2451, 40), (80, 689, 39), (60, 20_003, 4)]:
+    VS, W = rng.standard_normal((m, k)), rng.standard_normal((n, k))
+    whole = VS @ W.T
+    for cols in column_blocks(n):
+        assert (VS @ W[cols].T).tobytes() == np.ascontiguousarray(whole[:, cols]).tobytes(), (m, n, k, cols)
+"""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
