@@ -1,5 +1,5 @@
-"""LAPACK's band LU, band Cholesky and in-place SVD from the OpenBLAS in
-numpy's wheels.
+"""LAPACK's band LU, dense and band Cholesky and in-place SVD from the
+OpenBLAS in numpy's wheels.
 
 numpy >= 2.0 wheels link ``numpy._core._multiarray_umath`` against
 scipy-openblas, whose LAPACK, with 64-bit integers, a ``CDLL`` of that
@@ -67,6 +67,17 @@ class BandLU:
         self._b[...] = b
         self._solve()
         return self._b.copy()
+
+
+def potrf(a):
+    """``dpotrf`` with UPLO='L' on a Fortran-ordered copy of the SPD ``a``,
+    shape (m, m), as numpy's ``cholesky`` calls it. Returns L with
+    M = L L^T, C-ordered with a zero upper triangle as numpy's, and LAPACK's
+    info: 0, or j > 0 if the leading minor of order j is not positive."""
+    L, info = np.array(a, dtype=np.float64, order="F"), ctypes.c_int64()
+    m = L.shape[0]
+    _routine("dpotrf")(*_refs(b"L", m, L, max(m, 1), info), ctypes.c_size_t(1))
+    return np.ascontiguousarray(np.tril(L)), info.value
 
 
 def pbtrf(ab):

@@ -38,11 +38,9 @@ class BoundSequence:
     """The recursion output. Entries after the first gap failure are NaN
     with ``gap_ok`` False."""
 
-    eps: float
     eps_seq: np.ndarray
     E_seq: np.ndarray
     gap_ok: np.ndarray
-    sigmas: np.ndarray
 
 
 def singular_value_gap_check(sigmas_exact, sigmas_approx, eps):
@@ -103,9 +101,7 @@ def bound_sequence(sigmas, eps, k):
             tail_sum += eps_j + sig_j * np.sqrt(E_j)
         else:
             valid = False  # E_j undefined; the tail feeds on it
-    return BoundSequence(
-        eps=float(eps), eps_seq=eps_seq, E_seq=E_seq, gap_ok=gap_ok, sigmas=sigmas
-    )
+    return BoundSequence(eps_seq=eps_seq, E_seq=E_seq, gap_ok=gap_ok)
 
 
 def align_singular_pair(v_exact, w_exact, v_approx, w_approx, M):

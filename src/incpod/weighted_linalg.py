@@ -2,21 +2,20 @@
 
 All routines work with respect to a symmetric positive definite weight
 matrix M, i.e. the inner product (x, y)_M = y^T M x and the induced norm.
-M may be dense or sparse; a sparse M (an FEM mass matrix) is held as its
-lower band, which serves its products and its banded Cholesky factor.
+M is a dense array or, for a sparse M (an FEM mass matrix), its lower
+band, which serves its products and its banded Cholesky factor.
 
 Everything here runs without scipy: products with M, the Cholesky factor
 with ``apply_lt``/``solve_lt``, ``small_svd`` and ``weighted_operator_norm``.
-A sparse M's factor is one call of LAPACK's ``dpbtrf`` from numpy's own
-OpenBLAS (see ``_lapack``). Only the lazy scipy views that ``entries`` and
-``chol`` return for a sparse M, for callers outside the package only (the
-benchmark's launcher reads ``entries``), import scipy.
+The factor is one call of LAPACK's ``dpotrf`` (dense) or ``dpbtrf`` (band)
+from numpy's own OpenBLAS (see ``_lapack``). Only the scipy view that
+``entries`` returns for a sparse M, for callers outside the package (the
+benchmark's launcher), imports scipy.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterator
 
 import numpy as np
@@ -41,10 +40,9 @@ class WeightMatrix:
 
     Parameters
     ----------
-    entries : (m, m) array_like or scipy sparse matrix
+    entries : (m, m) array_like
         Symmetric matrix defining the inner product. Symmetry is checked
-        exactly on the stored entries. A sparse input is only read, so the
-        caller's matrix is never changed.
+        exactly.
 
     A sparse M is its lower band alone, in LAPACK's lower band storage
     ``band[d, j] = M[j + d, j]``; :meth:`from_band` builds one without
@@ -61,22 +59,6 @@ class WeightMatrix:
     """
 
     def __init__(self, entries):
-        sparse = sys.modules.get("scipy.sparse")  # loaded if entries is sparse
-        if sparse is not None and sparse.issparse(entries):
-            m = entries.shape[0]
-            if entries.shape[1] != m:
-                raise ValueError(f"weight matrix must be square, got {entries.shape}")
-            coo = entries.tocoo()
-            i, j = coo.row, coo.col
-            band = np.zeros((int(abs(i - j).max(initial=0)) + 1, m))
-            mirror = np.zeros_like(band)  # the upper triangle, transposed
-            lower, upper = i >= j, i <= j
-            np.add.at(band, (i[lower] - j[lower], j[lower]), coo.data[lower])
-            np.add.at(mirror, (j[upper] - i[upper], i[upper]), coo.data[upper])
-            if not np.array_equal(band, mirror, equal_nan=True):
-                raise ValueError("weight matrix is not symmetric")
-            self._init_band(band)
-            return
         entries = np.asarray(entries, dtype=np.float64)
         if entries.ndim != 2:
             raise ValueError("weight matrix must be 2-dimensional")
@@ -97,10 +79,7 @@ class WeightMatrix:
         ``band[d, j] = M[j + d, j]``, without scipy. The entries past the
         matrix's end, ``band[d, m - d:]``, are not used but must be finite."""
         self = cls.__new__(cls)
-        self._init_band(np.array(band, dtype=np.float64))
-        return self
-
-    def _init_band(self, band):
+        band = np.array(band, dtype=np.float64)
         if band.ndim != 2 or not 1 <= band.shape[0] <= max(band.shape[1], 1):
             raise ValueError(f"a band has shape (bandwidth + 1, m), got {band.shape}")
         if not np.isfinite(band).all():
@@ -111,6 +90,7 @@ class WeightMatrix:
         self._band = band[: np.flatnonzero(band.any(axis=1)).max(initial=0) + 1]
         self._dense = None
         self._chol = None
+        return self
 
     @property
     def entries(self):
@@ -118,7 +98,7 @@ class WeightMatrix:
         matrix on each access, for callers outside this module."""
         if self._band is None:
             return self._dense
-        return _band_to_scipy(self._band, symmetric=True)
+        return _band_to_scipy(self._band)
 
     def lower_entries(self):
         """The nonzero entries on and below the diagonal as (rows, cols,
@@ -157,23 +137,21 @@ class WeightMatrix:
             y[: m - d] += band[d, : m - d] * x[d:]
         return y
 
-    @property
-    def chol(self):
-        """Lower-triangular L with M = L L^T: the dense factor, or for a
-        sparse M a new scipy CSR matrix built from the band factor on each
-        access, for callers outside this module."""
-        L = self._factor()
-        return L if self._band is None else _band_to_scipy(L)
-
     def _factor(self):
-        """The Cholesky factor, computed on first use: the dense L, or for a
-        sparse M the band of L, ``band[d, j] = L[j + d, j]``, at
-        O(m * bandwidth^2)."""
+        """The Cholesky factor M = L L^T, computed on first use by one LAPACK
+        call: the dense L from ``dpotrf``, or for a sparse M the band of L,
+        ``band[d, j] = L[j + d, j]``, from ``dpbtrf`` at O(m * bandwidth^2).
+        LAPACK's info j > 0, a leading minor of order j that is not
+        positive, is the error's pivot j - 1."""
         if self._chol is None:
-            if self._band is None:
-                self._chol = _dense_cholesky(self._dense)
-            else:
-                self._chol = _band_cholesky(self._band)
+            dense = self._band is None
+            L, info = _lapack.potrf(self._dense) if dense else _lapack.pbtrf(self._band)
+            if info:
+                raise NotPositiveDefiniteError(
+                    f"weight matrix is not positive definite (leading minor of order {info})",
+                    pivot=info - 1,
+                )
+            self._chol = L
         return self._chol
 
     def apply_lt(self, A):
@@ -227,53 +205,14 @@ def column_blocks(n):
     return [slice(j, j + BLOCK) for j in range(0, head, BLOCK)] + [slice(head, n)]
 
 
-def _not_positive(pivot):
-    return NotPositiveDefiniteError(
-        f"weight matrix is not positive definite (leading minor of order {pivot + 1})",
-        pivot=pivot,
-    )
-
-
-def _band_to_scipy(band, symmetric=False):
-    """A new scipy CSR matrix of a lower band without its zeros, mirrored
-    into the upper triangle if ``symmetric``."""
+def _band_to_scipy(band):
+    """A new scipy CSR matrix of a symmetric matrix from its lower band."""
     import scipy.sparse
 
     m = band.shape[1]
-    offsets = range(1 - band.shape[0], band.shape[0] if symmetric else 1)
+    offsets = range(1 - band.shape[0], band.shape[0])
     diagonals = [band[abs(k), : m - abs(k)] for k in offsets]
     return scipy.sparse.diags(diagonals, offsets, shape=(m, m)).tocsr()
-
-
-def _dense_cholesky(M):
-    """numpy's Cholesky factor of a dense M. If M is not positive definite,
-    bisection over leading blocks finds the first leading minor that is not
-    positive (the factor of a leading block is the leading block of the
-    factor); the error's pivot is its order minus one, as LAPACK's ``potrf``
-    reports it."""
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        pass
-    lo, hi = 0, M.shape[0]  # the minor of order lo is positive, of order hi not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            np.linalg.cholesky(M[:mid, :mid])
-            lo = mid
-        except np.linalg.LinAlgError:
-            hi = mid
-    raise _not_positive(hi - 1)
-
-
-def _band_cholesky(ab):
-    """The band of L for M = L L^T from the lower band ``ab`` of M, by one
-    call of LAPACK's ``dpbtrf``; a non-positive leading minor of order j is
-    the pivot j - 1."""
-    L, info = _lapack.pbtrf(ab)
-    if info:
-        raise _not_positive(info - 1)
-    return L
 
 
 def _check_vector(x, m, name):

@@ -13,7 +13,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from incpod.fhn import FhnParams, Mesh1D, build_weight_matrix, simulate
 from incpod.incremental import Tolerances, reconstruct, run_stream
@@ -258,7 +257,7 @@ def _write_synthetic_stream(path, m, count, rank=8, seed=99):
 def test_c9_streaming_contract(tmp_path):
     m = 1000
     weight_path = str(tmp_path / "synth.wm")
-    write_weight_matrix(weight_path, WeightMatrix(scipy.sparse.eye(m)))
+    write_weight_matrix(weight_path, WeightMatrix.from_band(np.ones((1, m))))
 
     prefixes = {}
     for label, count in (("small", 200), ("big", 10_000)):

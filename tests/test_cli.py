@@ -7,9 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from incpod import cli
 from incpod.cli import main
+from incpod.fhn import Mesh1D, build_weight_matrix
 from incpod.incremental import RUN
-from incpod.io_formats import StreamReader, StreamWriter, read_stream_matrix
+from incpod.io_formats import (
+    StreamReader,
+    StreamWriter,
+    read_stream_matrix,
+    write_stream,
+    write_weight_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +81,6 @@ class TestUsageErrors:
                              ids=["zero_m", "negative_m", "negative_seed"])
     def test_bad_random_instance(self, tmp_path, args):
         assert main(["verify", "--output", str(tmp_path / "v"), "--random", *args]) == 1
-
-    @pytest.mark.parametrize("cap", ["0", "-3"])
-    def test_bad_column_cap(self, fhn_prefix, tmp_path, cap):
-        assert main(["verify", "--input", fhn_prefix, "--output", str(tmp_path / "v"),
-                     f"--max-columns={cap}"]) == 1
 
     @pytest.mark.parametrize("flag", [["--checkpoint-every", "5"], ["--resume", "x.podc"]],
                              ids=["checkpoint_every", "resume"])
@@ -291,6 +294,21 @@ def test_bytes_after_declared_records_exit_code(fhn_prefix, tmp_path, subcommand
     assert main([subcommand, "--input", padded, "--output", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("subcommand", ["verify", "report"])
+def test_nan_in_stream_is_a_data_error(tmp_path, capsys, subcommand):
+    # verify decomposes the whole stream before it streams a column, so the
+    # NaN must be caught where the stream is read, not by the SVD (exit 3)
+    prefix = str(tmp_path / "nan")
+    write_weight_matrix(prefix + ".wm", build_weight_matrix(Mesh1D(5)))
+    cols = np.random.default_rng(0).standard_normal((10, 8))
+    cols[4, 5] = np.nan
+    write_stream(prefix + ".pods", np.arange(1.0, 9.0), np.ones(8), cols)
+    capsys.readouterr()
+    assert main([subcommand, "--input", prefix, "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_grid_on_fhn_data(self, fhn_prefix, tmp_path):
         out = str(tmp_path / "ver")
@@ -324,10 +342,10 @@ class TestVerify:
             ["j", "sigma_j", "eps_j", "E_j", "gap_ok", "v_err", "v_bound", "w_err", "w_bound"]
         ]
 
-    def test_column_cap(self, fhn_prefix, tmp_path):
+    def test_column_cap(self, fhn_prefix, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_COLUMNS", 3)
         out = str(tmp_path / "cap")
-        assert main(["verify", "--input", fhn_prefix, "--output", out,
-                     "--max-columns", "3"]) == 2
+        assert main(["verify", "--input", fhn_prefix, "--output", out]) == 2
 
     def test_not_positive_definite_weights_exit_code(self, fhn_prefix, tmp_path):
         from incpod.io_formats import read_stream_matrix, write_stream

@@ -142,8 +142,8 @@ class TestWeightMatrix:
 
     def test_spd_at_large_scale(self):
         M = build_weight_matrix(Mesh1D(50000))
-        L = M.chol  # banded factorization must succeed
-        assert L.shape == (100000, 100000)
+        y = M.apply_lt(np.ones(M.dim))  # banded factorization must succeed
+        assert y.shape == (100000,) and np.isfinite(y).all()
 
     def test_constant_function_norm(self):
         # quadrature oracle: integral of 1 over (0, 1) is 1

@@ -155,7 +155,7 @@ class TestWeightMatrixFormat:
         nnz = int(path.read_text().splitlines()[1].split()[2])
         assert nnz == 2 * (2 * n - 1)
         M2 = read_weight_matrix(path)
-        M2.chol  # SPD after read
+        M2.apply_lt(np.ones(M2.dim))  # SPD after read: the factor exists
         assert (abs(M2.entries - M.entries)).max() == 0.0
 
     def test_random_spd_roundtrip_bitwise(self, rng, tmp_path):

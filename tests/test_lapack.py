@@ -1,4 +1,5 @@
-"""The ctypes binding of numpy's OpenBLAS against scipy's LAPACK wrappers.
+"""The ctypes binding of numpy's OpenBLAS against scipy's LAPACK wrappers
+and numpy's own ``cholesky``.
 
 Both call the same routines, so the factors, pivots and solutions must
 agree bit for bit.
@@ -111,6 +112,64 @@ def test_band_cholesky_pivot_is_lapacks(pivot, rng):
     with pytest.raises(NotPositiveDefiniteError) as exc:
         WeightMatrix.from_band(band)._factor()
     assert exc.value.pivot == pivot
+
+
+def random_verify_weight(m, seed):
+    """The dense weight of ``verify --random m n seed``."""
+    A = np.random.default_rng(seed).standard_normal((m, m))
+    return ((A @ A.T) + (A @ A.T).T) / 2.0 + m * np.eye(m)
+
+
+def assert_potrf_is_numpys(M):
+    L, info = _lapack.potrf(M)
+    assert info == 0
+    assert L.flags.c_contiguous
+    assert L.tobytes() == np.linalg.cholesky(M).tobytes()  # with its zero upper triangle
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 64, 129, 400])
+def test_dense_cholesky_equals_numpy_bitwise(m, rng):
+    for _ in range(3):
+        A = rng.standard_normal((m, m))
+        M = A @ A.T + 10.0 ** rng.uniform(-3, 1) * np.eye(m)
+        assert_potrf_is_numpys((M + M.T) / 2.0)
+
+
+@pytest.mark.parametrize("m, seed", [(60, 0), (200, 3)])
+def test_dense_cholesky_on_the_random_verify_weights(m, seed):
+    M = random_verify_weight(m, seed)
+    assert_potrf_is_numpys(M)
+    assert WeightMatrix(M)._factor().tobytes() == np.linalg.cholesky(M).tobytes()
+
+
+def test_dense_cholesky_of_an_empty_matrix():
+    L, info = _lapack.potrf(np.zeros((0, 0)))
+    assert info == 0 and L.shape == (0, 0)
+
+
+def first_nonpositive_minor(M):
+    """The order of the first leading block that numpy cannot factor, by
+    trying every order in turn."""
+    for j in range(1, M.shape[0] + 1):
+        try:
+            np.linalg.cholesky(M[:j, :j])
+        except np.linalg.LinAlgError:
+            return j
+    return 0
+
+
+@pytest.mark.parametrize("m", [1, 5, 40])
+def test_dense_cholesky_pivot_is_the_first_nonpositive_minor(m, rng):
+    for _ in range(20):
+        A = rng.standard_normal((m, m))
+        M = A @ A.T + rng.uniform(-2.0, 2.0, m) * np.eye(m) * m ** 0.5
+        M = (M + M.T) / 2.0
+        order = first_nonpositive_minor(M)
+        assert _lapack.potrf(M)[1] == order
+        if order:
+            with pytest.raises(NotPositiveDefiniteError, match=f"order {order}\\)") as exc:
+                WeightMatrix(M).apply_lt(np.ones(m))
+            assert exc.value.pivot == order - 1
 
 
 def same_bits(a, b):
