@@ -44,7 +44,7 @@ class BandLU:
     so that all arguments are built once."""
 
     def __init__(self, m, kl, ku):
-        self._ab = np.zeros((2 * kl + ku + 1, m), order="F")
+        self._ab, self._kl = np.zeros((2 * kl + ku + 1, m), order="F"), kl
         self._b, self._ipiv, self._info = np.zeros(m), np.zeros(m, np.int64), ctypes.c_int64()
         trans, m_, kl_, ku_, one, ab, ldab, ipiv, b, info = _refs(
             b"N", m, kl, ku, 1, self._ab, self._ab.shape[0], self._ipiv, self._b, self._info
@@ -56,9 +56,12 @@ class BandLU:
         )
 
     def factor(self, ab):
-        """Factor a copy of ``ab``, in ``dgbtrf``'s storage. Returns LAPACK's
-        info: 0, or i > 0 if U[i - 1, i - 1] is exactly zero."""
-        self._ab[...] = ab
+        """Factor a copy of the band ``ab``, shape (kl + ku + 1, m) in
+        LAPACK's band storage: entry (r, c) at row ku + r - c of column c.
+        It goes below the kl rows of the factor's fill-in, which ``dgbtrf``
+        does not read on entry. Returns LAPACK's info: 0, or i > 0 if
+        U[i - 1, i - 1] is exactly zero."""
+        self._ab[self._kl :] = ab
         self._factor()
         return self._info.value
 
@@ -91,19 +94,13 @@ def pbtrf(ab):
 
 
 def gesdd(A):
-    """Thin SVD A = U diag(s) Vt by ``dgesdd``, as numpy's ``svd(A,
-    full_matrices=False)``. ``A`` must be a Fortran-ordered float64 array;
-    it is destroyed. With JOBZ='O' the longer factor is written over A: for
-    m < n, Vt (m x n) is A and U (m x m) a new array; for m >= n, U (m x n)
-    is A and Vt (n x n) new. numpy calls JOBZ='S' with LAPACK's optimal
-    workspace, which is queried here too. For m >= 11n/6 LAPACK's 'O' path
-    forms U in other steps than 'S' does, so there 'S' writes U into a new
-    m x n array. The factors then equal numpy's bit for bit, but for one
-    case: for n >= 11m/6, 'O' multiplies Vt in column chunks of about
-    4m + 7 columns, so above that width s and U still equal numpy's, and Vt
-    may differ in its last bit. Returns (U, s, Vt) with s descending. A
-    failed SVD (info != 0: no convergence, or a NaN in A) is a
-    ``LinAlgError``, as numpy's."""
+    """Thin SVD A = U diag(s) Vt by ``dgesdd`` with JOBZ='O' and LAPACK's
+    optimal workspace, which is queried first. ``A`` must be a
+    Fortran-ordered float64 array; it is destroyed, and the longer factor
+    is written over it: for m < n, Vt (m x n) is A and U (m x m) a new
+    array; for m >= n, U (m x n) is A and Vt (n x n) new. Returns (U, s,
+    Vt) with s descending. A failed SVD (info != 0: no convergence, or a NaN
+    in A) is a ``LinAlgError``, as numpy's."""
     if A.dtype != np.float64 or not A.flags.f_contiguous or not A.flags.writeable:
         raise ValueError("gesdd overwrites a writeable Fortran-ordered float64 array")
     m, n = A.shape
@@ -112,15 +109,11 @@ def gesdd(A):
         return np.zeros((m, r)), np.zeros(0), np.zeros((r, n))
     s = np.empty(r)
     if m < n:
-        U, Vt, factors = np.empty((m, m), order="F"), A, (b"O", m, 1)
-    elif m < int(n * 11.0 / 6.0):  # dgesdd's threshold MNTHR
-        U, Vt, factors = A, np.empty((n, n), order="F"), (b"O", 1, n)
+        U, Vt, ldu, ldvt = np.empty((m, m), order="F"), A, m, 1
     else:
-        U, Vt = np.empty((m, n), order="F"), np.empty((n, n), order="F")
-        factors = (b"S", m, n)
-    jobz, ldu, ldvt = factors
+        U, Vt, ldu, ldvt = A, np.empty((n, n), order="F"), 1, n
     iwork, info, size = np.empty(8 * r, np.int64), ctypes.c_int64(), np.empty(1)
-    svd = functools.partial(_routine("dgesdd"), *_refs(jobz, m, n, A, m, s, U, ldu, Vt, ldvt))
+    svd = functools.partial(_routine("dgesdd"), *_refs(b"O", m, n, A, m, s, U, ldu, Vt, ldvt))
     jobz_length = ctypes.c_size_t(1)  # the hidden length of the string JOBZ
     svd(*_refs(size, -1, iwork, info), jobz_length)  # the workspace query
     work = np.empty(int(size[0]))

@@ -250,11 +250,8 @@ class _FhnSystem:
         return self.A_band + self.msys_band * g_prime
 
     def iteration_matrix(self, y, dh):
-        """M_sys - dh J(y) in the storage of LAPACK's ``dgbtrf``: band storage
-        under _BW zero rows, the room for the factor's fill-in."""
-        ab = np.zeros((3 * _BW + 1, y.size), order="F")
-        ab[_BW:] = self.msys_band - dh * self.jacobian(y)
-        return ab
+        """M_sys - dh J(y) in band storage."""
+        return self.msys_band - dh * self.jacobian(y)
 
 
 def _scaled_rms(vec, scale):

@@ -302,6 +302,10 @@ def restore(path):
     if len(payload) < _CKPT_HEAD.size:
         raise FormatError(f"payload shorter than the {_CKPT_HEAD.size}-byte header")
     m, n, k, k0, rows_p, j, e, t_p, t_sv, tol, tol_sv = _CKPT_HEAD.unpack_from(payload)
+    try:
+        tols = Tolerances(tol=tol, tol_sv=tol_sv)
+    except ValueError as exc:
+        raise CorruptCheckpointError(f"{exc}: tol {tol!r}, tol_sv {tol_sv!r}") from None
     if j >= RUN:
         raise CorruptCheckpointError(f"open run of {j} columns; a run holds fewer than {RUN}")
     if j and not k:
@@ -329,7 +333,7 @@ def restore(path):
         V=V.reshape(m, k), sigma=sigma, W0=W0.reshape(n0, k0), Wp=Wp.reshape(rows_p, k),
         n=n, e=e, T_p=t_p, T_sv=t_sv, D=D, j=j,
     )
-    return state, Tolerances(tol=tol, tol_sv=tol_sv)
+    return state, tols
 
 
 def _format_cell(value):

@@ -4,8 +4,8 @@ Everything here reads the full data matrix U and exists to validate the
 streaming results. Beyond U, the oracle builds one m x n array: S = L^T U,
 over which LAPACK's ``dgesdd`` writes the longer factor of the exact SVD
 (M = L L^T is the weight's Cholesky factorization). The exact errors go
-through U - V diag(sigma) W^T a block of columns at a time, and a sweep
-keeps the streamed state of its tightest cell only.
+through U - V diag(sigma) W^T 128 columns at a time, and a sweep keeps the
+streamed state of its tightest cell only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import _lapack
 from .errors import InvalidInputError
 from .incremental import Tolerances, flush, low_rank_factors, reconstruct, run_stream
-from .weighted_linalg import BLOCK, column_blocks, weighted_operator_norm
+from .weighted_linalg import column_blocks, weighted_operator_norm
 
 __all__ = [
     "ExactSvd",
@@ -50,11 +50,9 @@ def exact_weighted_svd(U, M):
     computed in place, and the left factor is mapped back with a triangular
     back substitution. S is Fortran-ordered when U is and a sparse M's band
     computes it; otherwise (a C-ordered U, a dense M) S is copied into
-    Fortran order first. The factors equal numpy's ``svd(S)`` bit for bit,
-    but for the one case that :func:`_lapack.gesdd` names. Singular values
-    below 1e-14 * sigma_1 are dropped together with their vectors. W is a
-    copy of the kept columns, so it does not hold the whole right factor
-    alive.
+    Fortran order first. Singular values below 1e-14 * sigma_1 are dropped
+    together with their vectors. W is a copy of the kept columns, so it
+    does not hold the whole right factor alive.
     """
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[0] != M.dim:
@@ -91,12 +89,10 @@ def exact_error(U, state, M):
 
 
 def _differences(U, VS, W):
-    """U - VS W^T over :func:`column_blocks`, a block at a time, each in
-    pieces of at most ``BLOCK`` columns."""
+    """U - VS W^T, a block of :func:`column_blocks` at a time."""
     for cols in column_blocks(U.shape[1]):
         D = VS @ W[cols].T
-        np.subtract(U[:, cols], D, out=D)
-        yield from (D[:, j : j + BLOCK] for j in range(0, D.shape[1], BLOCK))
+        yield np.subtract(U[:, cols], D, out=D)
 
 
 @dataclass(frozen=True)

@@ -193,16 +193,8 @@ BLOCK = 128  # columns per block of the column-blocked products
 
 
 def column_blocks(n):
-    """Slices that cover n columns in order: :data:`BLOCK` columns each,
-    but the last one holds the final 2 * BLOCK to 3 * BLOCK - 1 columns (all
-    n if n < 3 * BLOCK). With one thread, numpy's OpenBLAS gives the
-    trailing n mod 4 columns of a product with more than 192 columns other
-    bits than those of a narrower product; with the wide last block,
-    ``A @ B[:, cols]`` taken over these blocks equals ``A @ B`` bit for bit
-    (checked on 400 random shapes with up to 3,000 columns and an inner
-    dimension at most A's row count)."""
-    head = max(n // BLOCK - 2, 0) * BLOCK
-    return [slice(j, j + BLOCK) for j in range(0, head, BLOCK)] + [slice(head, n)]
+    """Slices of at most :data:`BLOCK` columns that cover n columns in order."""
+    return [slice(j, min(j + BLOCK, n)) for j in range(0, n, BLOCK)]
 
 
 def _band_to_scipy(band):

@@ -261,6 +261,16 @@ class TestPod:
         assert main(["pod", "--input", fhn_prefix, "--output", str(tmp_path / "p"),
                      "--resume", ckpt + ".podc"]) == 2
 
+    def test_resume_from_nonpositive_tolerance_exit_code(self, fhn_prefix, tmp_path):
+        # tol (payload bytes 72-80) forged to -1 under a valid CRC
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["pod", "--input", fhn_prefix, "--output", ckpt]) == 0
+        blob = Path(ckpt + ".podc").read_bytes()
+        payload = blob[8:80] + struct.pack("<d", -1.0) + blob[88:-4]
+        Path(ckpt + ".podc").write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
+        assert main(["pod", "--input", fhn_prefix, "--output", str(tmp_path / "p"),
+                     "--resume", ckpt + ".podc"]) == 2
+
     def test_resume_from_empty_checkpoint_exit_code(self, fhn_prefix, tmp_path):
         # magic, version 1 and the CRC of an empty payload, nothing else
         ckpt = tmp_path / "empty.podc"

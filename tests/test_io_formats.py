@@ -349,6 +349,20 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError, match=match):
             restore(path)
 
+    @pytest.mark.parametrize("value", [-1.0, 0.0, -0.0, float("nan")], ids=str)
+    @pytest.mark.parametrize("at", [72, 80], ids=["tol", "tol_sv"])
+    def test_nonpositive_tolerance_rejected(self, rng, tmp_path, at, value):
+        # a forged tol or tol_sv (payload bytes 72-80 or 80-88) under a
+        # valid CRC is a corrupt checkpoint
+        state, _ = self._make_state(rng)
+        path = tmp_path / "c.podc"
+        checkpoint(state, path, Tolerances())
+        blob = path.read_bytes()
+        payload = blob[8 : 8 + at] + struct.pack("<d", value) + blob[16 + at : -4]
+        path.write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(CorruptCheckpointError, match="tolerances must be positive"):
+            restore(path)
+
     def test_rank_zero_roundtrip(self, tmp_path):
         # a state cut inside the leading zero columns: k = 0, W has 3 rows
         M = WeightMatrix(np.eye(4))

@@ -5,6 +5,8 @@ Both call the same routines, so the factors, pivots and solutions must
 agree bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack as scipy_lapack
@@ -23,17 +25,22 @@ def fhn_iteration_matrix(nodes, seed):
 
 
 def random_band(rng, m):
-    """A general band matrix with KL sub- and KU superdiagonals in dgbtrf's
+    """A general band matrix with KL sub- and KU superdiagonals in band
     storage, weakly diagonally dominant so that it pivots now and then."""
-    ab = np.zeros((2 * KL + KU + 1, m), order="F")
-    ab[KL:] = rng.standard_normal((KL + KU + 1, m))
-    ab[KL + KU] *= 2.0
+    ab = rng.standard_normal((KL + KU + 1, m))
+    ab[KU] *= 2.0
     return ab
+
+
+def dgbtrf_storage(ab):
+    """The band under KL zero rows, the room for the factor's fill-in, as
+    scipy's ``dgbtrf`` takes it."""
+    return np.vstack([np.zeros((KL, ab.shape[1])), ab]).copy(order="F")
 
 
 def assert_lu_matches_scipy(ab, rng, solves=50):
     m = ab.shape[1]
-    lu, piv, info = scipy_lapack.dgbtrf(ab.copy(order="F"), KL, KU)
+    lu, piv, info = scipy_lapack.dgbtrf(dgbtrf_storage(ab), KL, KU)
     ours = _lapack.BandLU(m, KL, KU)
     assert ours.factor(ab) == info == 0
     assert ours._ab.tobytes() == lu.tobytes()
@@ -56,23 +63,28 @@ def test_band_lu_on_random_bands(m, rng):
 
 
 def test_band_lu_refactors_and_solves_do_not_alias(rng):
+    # the second factor starts from the first one's fill-in rows, which
+    # dgbtrf does not read: it equals a factor from zeroed rows
     ours = _lapack.BandLU(50, KL, KU)
     first, second = random_band(rng, 50), random_band(rng, 50)
+    kept = first.copy()
     b = rng.standard_normal(50)
     ours.factor(first)
     x1 = ours.solve(b)
+    assert ours._ab[:KL].any()
     ours.factor(second)
     x2 = ours.solve(b)
-    lu, piv, _ = scipy_lapack.dgbtrf(second.copy(order="F"), KL, KU)
+    lu, piv, _ = scipy_lapack.dgbtrf(dgbtrf_storage(second), KL, KU)
+    assert ours._ab.tobytes() == lu.tobytes()
     assert x2.tobytes() == scipy_lapack.dgbtrs(lu, KL, KU, b, piv)[0].tobytes()
     assert not np.array_equal(x1, x2)
-    assert first.flags.f_contiguous and not first[:KL].any()  # input left alone
+    assert np.array_equal(first, kept)  # input left alone
 
 
 def test_band_lu_reports_an_exactly_zero_pivot(rng):
     ab = random_band(rng, 30)
-    ab[KL:, 11] = 0.0  # column 11 is zero, so U[11, 11] is exactly zero
-    info = scipy_lapack.dgbtrf(ab.copy(order="F"), KL, KU)[2]
+    ab[:, 11] = 0.0  # column 11 is zero, so U[11, 11] is exactly zero
+    info = scipy_lapack.dgbtrf(dgbtrf_storage(ab), KL, KU)[2]
     assert _lapack.BandLU(30, KL, KU).factor(ab) == info == 12
 
 
@@ -179,8 +191,9 @@ def same_bits(a, b):
 def svd_inputs():
     """(id, matrix) pairs: both orientations, the square case, the wide and
     tall shapes past LAPACK's 11/6 aspect switch (the wide ones narrower
-    than the chunks of about 4m + 7 columns in which dgesdd multiplies Vt),
-    a rank-deficient and an all-zero matrix."""
+    than the chunks of about 4m + 7 columns in which dgesdd multiplies Vt;
+    the tall ones from just past it, 74 x 40, to 2000 x 300), a
+    rank-deficient and an all-zero matrix."""
     rng = np.random.default_rng(22)
     low_rank = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 30))
     return [
@@ -189,6 +202,10 @@ def svd_inputs():
         ("m=n", rng.standard_normal((25, 25))),
         ("n>=11m/6", rng.standard_normal((30, 60))),
         ("m>=11n/6", rng.standard_normal((120, 20))),
+        ("74x40", rng.standard_normal((74, 40))),
+        ("120x40", rng.standard_normal((120, 40))),
+        ("1000x100", rng.standard_normal((1000, 100))),
+        ("2000x300", rng.standard_normal((2000, 300))),
         ("fhn_size", rng.standard_normal((400, 688)) * np.geomspace(1.0, 1e-12, 688)),
         ("rank_3", low_rank),
         ("rank_3_wide", low_rank.T.copy()),
@@ -209,10 +226,27 @@ def test_gesdd_equals_numpy_svd_bitwise(name, A, order):
             _lapack.gesdd(A)
     S = np.asfortranarray(A)  # a copy for a C-ordered A, as the oracle makes
     U, sigma, Vt = _lapack.gesdd(S)
-    assert same_bits(U, u) and same_bits(sigma, s) and same_bits(Vt, vt)
-    # the longer factor is written over the input, but for m >= 11n/6
+    assert same_bits(sigma, s) and same_bits(Vt, vt)
     m, n = A.shape
-    assert ((Vt if m < n else U) is S) == (m < n or m < int(n * 11 / 6))
+    if m >= int(n * 11 / 6):  # dgesdd's MNTHR: there numpy's JOBZ='S' forms U in other steps
+        assert U.shape == u.shape and np.abs(U - u).max() <= 1e-15
+    else:
+        assert same_bits(U, u)
+    assert (Vt if m < n else U) is S  # the longer factor is written over the input
+
+
+def test_gesdd_tall_allocates_no_m_by_n_array():
+    # U is the input, so the new arrays (s, Vt and LAPACK's workspace) are
+    # O(n^2), far below the m x n that a new U would take
+    S = np.asfortranarray(np.random.default_rng(7).standard_normal((20_000, 20)))
+    tracemalloc.start()
+    try:
+        U = _lapack.gesdd(S)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert U is S
+    assert peak < 0.1 * S.nbytes, f"{peak / S.nbytes:.2f} x S"
 
 
 @pytest.mark.parametrize("m, n", [(25, 118), (60, 2000)])

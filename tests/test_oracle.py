@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from incpod import oracle
+from incpod import _lapack, oracle
 from incpod.cli import VERIFY_GRID
 from incpod.errors import IntegrationFailureError, InvalidInputError
 from incpod.fhn import FhnParams, Mesh1D, build_weight_matrix, simulate
@@ -101,6 +101,22 @@ class TestExactWeightedSvd:
         for x, y in ((a.sigma, b.sigma), (a.V, b.V), (a.W, b.W)):
             assert same_bits(x, y)
         assert same_bits(F, C)  # U is only read
+
+    @pytest.mark.parametrize("weight", ["dense", "fhn"])
+    def test_tall_u_is_decomposed_in_place(self, rng, monkeypatch, weight):
+        # m >= 11n/6, dgesdd's switch MNTHR: the left factor of S = L^T U is
+        # written over S, within 1e-15 of numpy's; sigma and W are numpy's bits
+        M = random_weight(rng, 120) if weight == "dense" else build_weight_matrix(Mesh1D(60))
+        U = rng.standard_normal((120, 40))
+        calls, gesdd = [], _lapack.gesdd
+        monkeypatch.setattr(_lapack, "gesdd", lambda S: calls.append((S.copy(), S)) or gesdd(S))
+        ex = exact_weighted_svd(U, M)
+        ((S0, S),) = calls
+        u, s, vt = np.linalg.svd(S0, full_matrices=False)
+        assert ex.k == 40
+        assert same_bits(ex.sigma, s) and same_bits(ex.W, vt.T)
+        assert np.abs(S - u).max() <= 1e-15  # S holds the left factor
+        assert m_orthonormality_defect(ex.V, M) <= 1e-13
 
     def test_identity_weight_matches_standard_svd(self, rng):
         U = rng.standard_normal((12, 7))
