@@ -1,5 +1,5 @@
 """LAPACK's band LU, dense and band Cholesky and in-place SVD from the
-OpenBLAS in numpy's wheels.
+OpenBLAS in numpy's wheels, and that OpenBLAS's thread count.
 
 numpy >= 2.0 wheels link ``numpy._core._multiarray_umath`` against
 scipy-openblas, whose LAPACK, with 64-bit integers, a ``CDLL`` of that
@@ -18,13 +18,25 @@ REQUIREMENT = "incpod needs the OpenBLAS that numpy's wheels (numpy >= 2.0) bund
 
 
 @functools.cache
-def _routine(name):
+def _symbol(name):
     try:
-        f = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), f"scipy_{name}_64_")
+        f = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), name)
     except (AttributeError, OSError) as exc:
         raise LapackUnavailableError(f"{REQUIREMENT}: {exc}") from None
     f.restype = None
     return f
+
+
+def _routine(name):
+    """The LAPACK routine ``name`` with 64-bit integers."""
+    return _symbol(f"scipy_{name}_64_")
+
+
+def set_num_threads(count):
+    """Run the BLAS of numpy's OpenBLAS on ``count`` threads from now on.
+    How a product is split between threads can change its bits, so a
+    caller that fixes the count gets the same bits in any environment."""
+    _symbol("scipy_openblas_set_num_threads64_")(ctypes.c_int(count))
 
 
 def _refs(*values):

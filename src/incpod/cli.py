@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 usage, 2 data/format error, 3 numerical failure,
 
 Every subcommand runs on numpy alone: ``simulate``'s band LU, the weight's
 Cholesky factor and the oracle's exact SVD call the LAPACK in numpy's own
-OpenBLAS.
+OpenBLAS. ``pod`` sets that OpenBLAS to one thread before it streams, so
+that its outputs do not depend on the environment's thread settings.
 
 With two usable cores and BLAS pinned to one thread, ``verify`` shares its
 nine tolerance cells with the one worker of a forked process pool (see
@@ -20,13 +21,13 @@ core.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     AmbiguousAlignmentError,
     FormatError,
@@ -159,7 +160,9 @@ def cmd_simulate(args):
     return 0
 
 
-_TRACE_HEADER = "n,k,p,e_p,e_sv,e\r\n"  # as csv.writer ends its rows
+# the rows csv.writer would write, which quotes no number
+_TRACE_HEADER = "n,k,p,e_p,e_sv,e\r\n"
+_TRACE_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g\r\n"
 
 
 def _open_trace(path, state):
@@ -192,6 +195,9 @@ def cmd_pod(args):
     M, reader = _load_inputs(args)
     tols = Tolerances(args.tol, args.tol_sv)
     ckpt_path = args.output + ".podc"
+    # a block projection's bits depend on how its products are split
+    # between threads: one thread makes them the same everywhere
+    _lapack.set_num_threads(1)
     state = None
     with reader:
         if args.resume:
@@ -202,16 +208,12 @@ def cmd_pod(args):
                 raise FormatError(
                     f"checkpoint dimension {state.V.shape[0]} does not match stream {M.dim}"
                 )
-        with _open_trace(args.output + "_trace.csv", state) as trace_fh:
+        with _open_trace(args.output + "_trace.csv", state) as trace:
             # rows go straight to the file, so the trace's memory does not
             # grow with the column count
-            trace = csv.writer(trace_fh)
 
             def on_column(state, rep):
-                trace.writerow(
-                    [str(state.n), str(state.k)]
-                    + [f"{v:.17g}" for v in (rep.p, rep.e_p, rep.e_sv, state.e)]
-                )
+                trace.write(_TRACE_ROW % (state.n, state.k, rep.p, rep.e_p, rep.e_sv, state.e))
                 if args.checkpoint_every and state.n % args.checkpoint_every == 0:
                     checkpoint(state, ckpt_path, tols)
 

@@ -10,7 +10,9 @@ values at or below ``tol_sv`` are dropped after each update (adding the
 largest dropped value to the bound).
 
 A projected column leaves span(V) unchanged, so :func:`run_stream` folds a
-run of them with one thin SVD (a flush) instead of one small SVD each.
+run of them with one thin SVD (a flush) instead of one small SVD each, and
+while V is unchanged it projects the rest of a block of columns as one
+fixed-width product.
 """
 
 from __future__ import annotations
@@ -153,6 +155,40 @@ def _project(V, c, M):
     res = c - V @ d
     Mres = M.matvec(res)
     return d, res, float(np.sqrt(abs(res @ Mres))), Mres
+
+
+class _Block:
+    """The projections of up to RUN columns against one V, as :func:`_project`
+    computes them for one, in two (m, RUN) buffers that every block reuses.
+
+    Column i of the block sits at position i, the others are zero, and
+    every product has the same shape, RUN columns wide, so that a
+    column's bits depend only on V, the column and its position: a resumed
+    stream, which recomputes the positions from n, projects it to the same
+    bits as an uninterrupted one.
+    """
+
+    def __init__(self, m):
+        self.R = np.zeros((m, RUN))  # the columns C, then the residuals C - V D
+        self.MR = np.empty((m, RUN))  # M C, then V D, then M R
+
+    def project(self, V, columns, pos, M):
+        """Project ``columns``, checked, at positions pos, pos + 1, ...; the
+        projection of position i is ``self[i]`` until the next call."""
+        R, MR = self.R, self.MR
+        R[:, :pos] = 0.0
+        R[:, pos + len(columns) :] = 0.0
+        for i, c in enumerate(columns, pos):
+            R[:, i] = c
+        self.D = V.T @ M.matvec(R, out=MR)
+        R -= np.matmul(V, self.D, out=MR)
+        M.matvec(R, out=MR)
+        self.p = np.sqrt(np.abs(np.einsum("ij,ij->j", R, MR)))
+
+    def __getitem__(self, i):
+        """(d, res, p, M res) of position i, views valid until the next
+        :meth:`project`."""
+        return self.D[:, i], self.R[:, i], float(self.p[i]), self.MR[:, i]
 
 
 def _rotate(state, V, B, M, tols, columns, e_p):
@@ -385,15 +421,29 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
     A column at rank k >= 1 with p < tol joins the open run (see
     :func:`flush`); every other column, p >= tol or at rank 0, goes
     through :func:`update`, which closes the run in its own small SVD.
-    Each column is projected once: the projection that decides is the one
-    :func:`update` uses.
     Runs also close at absolute n = 0 (mod RUN), so where they close does
-    not depend on where a stream was interrupted. ``on_column(state,
-    report)`` is called after
-    every column with its :class:`UpdateReport`; a flush's e_sv goes to the
-    report of the column that closes the run. A stream that ends at rank 0
-    (no columns, or only columns with p < tol) raises
-    :class:`InvalidInputError`.
+    not depend on where a stream was interrupted.
+
+    Columns are projected against V in blocks of RUN, at absolute
+    positions pos = n mod RUN. When pos >= 1 and every earlier column of
+    the block joined the run (``state.j == pos``), V has not changed since
+    the block began, and the block's remaining columns, up to RUN - pos,
+    are drawn from the stream and projected together (:class:`_Block`).
+    They are then consumed in order as above: :func:`update` gets the block
+    projection of the first column with p >= tol, and the block's later
+    columns are projected one at a time against the V it leaves. Every
+    other column is projected on its own. Whether a column is
+    block-projected depends on n and j alone, and its bits on V, the column
+    and its position, so a resumed stream projects every column to the
+    same bits as an uninterrupted one.
+
+    ``on_column(state, report)`` is called after every column with its
+    :class:`UpdateReport`; a flush's e_sv goes to the report of the column
+    that closes the run. A column that is not finite or has the wrong
+    shape, or an error of the stream itself, is raised when its turn
+    comes: the columns before it, drawn with it in one block, are consumed
+    and reported first. A stream that ends at rank 0 (no columns, or only
+    columns with p < tol) raises :class:`InvalidInputError`.
 
     Returns the final state with its run still open: :func:`flush` closes
     it, and :func:`reconstruct` and :func:`pod_output` refuse it until then.
@@ -407,9 +457,7 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
             raise FormatError(
                 f"stream ends after {passed} of the {state.n} columns the state consumed"
             )
-    for c in columns:
-        c = _column(c, M.dim)
-        projection = _project(state.V, c, M)
+    for c, projection in _projected(columns, state, M):
         d, _, p, _ = projection
         if state.k and p < tols.tol:
             report = _append(state, d, p, M, tols)
@@ -420,3 +468,29 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
     if state.k == 0:
         raise InvalidInputError("stream contained no usable columns")
     return state
+
+
+def _projected(columns, state, M):
+    """Each column of ``columns``, checked, with its projection against
+    ``state.V`` as it stands when the column's turn comes: the caller
+    consumes each pair, and may change ``state``, before the next one is
+    made. The block rule of :func:`run_stream`."""
+    m, block = M.dim, None
+    for c in columns:
+        c = _column(c, m)
+        pos = state.n % RUN
+        if not (pos and state.j == pos):
+            yield c, _project(state.V, c, M)
+            continue
+        drawn, error = [c], None
+        try:
+            for c in islice(columns, RUN - pos - 1):
+                drawn.append(_column(c, m))
+        except Exception as exc:  # raised in its turn, after the columns before it
+            error = exc
+        block = block or _Block(m)
+        block.project(state.V, drawn, pos, M)
+        for i, c in enumerate(drawn, pos):
+            yield c, block[i] if state.j == state.n % RUN else _project(state.V, c, M)
+        if error is not None:
+            raise error

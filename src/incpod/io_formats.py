@@ -78,8 +78,9 @@ class StreamWriter:
 
 
 class StreamReader:
-    """Iterates (t, weight, column) records with O(m) memory; a declared
-    count of records must end the file (else :class:`CorruptStreamError`)."""
+    """Iterates (t, weight, column) records with O(m) memory, RUN records
+    per read; a declared count of records must end the file (else
+    :class:`CorruptStreamError`)."""
 
     def __init__(self, path):
         self._fh = open(path, "rb")
@@ -98,25 +99,33 @@ class StreamReader:
         self.count = count  # 0 means unterminated
 
     def __iter__(self):
+        """Yield each record as (t, weight, column), the column a read-only
+        view of the record's bytes. Records are read RUN at a time; a
+        truncated record, or data after the declared count, raises
+        :class:`CorruptStreamError` once the complete records before it
+        have been yielded."""
         record_bytes = 16 + 8 * self.m
-        yielded = 0
+        left = self.count  # records still declared; unused if unterminated
         while True:
             offset = self._fh.tell()
-            if self.count and yielded == self.count:
+            if self.count and not left:
                 if self._fh.read(1):
                     raise CorruptStreamError(f"data after the last record at byte {offset}", offset)
                 return
-            blob = self._fh.read(record_bytes)
-            if not blob and not self.count:
+            want = min(RUN, left) if self.count else RUN
+            blob = self._fh.read(want * record_bytes)
+            whole = len(blob) // record_bytes
+            records = np.frombuffer(blob, dtype="<f8", count=whole * (record_bytes // 8))
+            for record in records.reshape(whole, record_bytes // 8):
+                yield float(record[0]), float(record[1]), record[2:]
+            if whole < want:  # the end of the file
+                if self.count or len(blob) % record_bytes:
+                    offset += whole * record_bytes
+                    raise CorruptStreamError(
+                        f"stream truncated mid-record at byte {offset}", offset=offset
+                    )
                 return
-            if len(blob) < record_bytes:
-                raise CorruptStreamError(
-                    f"stream truncated mid-record at byte {offset}", offset=offset
-                )
-            t, weight = struct.unpack_from("<dd", blob)
-            column = np.frombuffer(blob, dtype="<f8", offset=16)
-            yield t, weight, column
-            yielded += 1
+            left -= whole
 
     def close(self):
         if self._fh is not None:

@@ -119,17 +119,19 @@ class WeightMatrix:
     def is_sparse(self):
         return self._band is not None
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
         """M @ x for x of shape (m,) or (m, w), equal to ``entries @ x`` bit
-        for bit for a finite x."""
+        for bit for a finite x; written into ``out``, a float64 array of x's
+        shape that does not overlap it, when one is given."""
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[0] != self._m:
             raise ValueError(f"operand has shape {x.shape}, expected {self._m} rows")
         if self._band is None:
-            return self._dense @ x
+            return np.matmul(self._dense, x, out=out)
         m = self._m
         band = self._band if x.ndim == 1 else self._band[:, :, None]
-        y = np.zeros(x.shape)
+        y = np.zeros(x.shape) if out is None else out
+        y[...] = 0.0
         for d in range(band.shape[0] - 1, 0, -1):  # left of the diagonal, farthest first
             y[d:] += band[d, : m - d] * x[: m - d]
         y += band[0] * x
@@ -157,8 +159,9 @@ class WeightMatrix:
     def apply_lt(self, A):
         """Return L^T @ A as a new array. For a sparse M it has A's layout,
         and row j is the sum of ``L[j + d, j] * A[j + d]`` over the band's
-        rows d, in ascending order as in a CSR product with L^T, taken over
-        :func:`column_blocks`, so that no temporary is larger than a block."""
+        rows d, in ascending order as in a CSR product with L^T, taken in
+        tiles of at most :data:`BLOCK` rows by :data:`BLOCK` columns, so
+        that no temporary is larger than a tile."""
         L = self._factor()
         if self._band is None:
             return L.T @ A
@@ -166,11 +169,15 @@ class WeightMatrix:
         X = A.reshape(A.shape[0], -1)  # a vector as one column
         out = np.empty_like(X)
         band = L[:, :, None]  # a column per row of X
-        for cols in column_blocks(X.shape[1]):
-            x, o = X[:, cols], out[:, cols]
-            np.multiply(band[0], x, out=o)
-            for d in range(1, L.shape[0]):
-                o[:-d] += band[d, :-d] * x[d:]
+        m = self._m
+        for rows in column_blocks(m):
+            for cols in column_blocks(X.shape[1]):
+                o = out[rows, cols]
+                np.multiply(band[0, rows], X[rows, cols], out=o)
+                for d in range(1, L.shape[0]):
+                    # the tile's rows i to j - 1 have a row i + d < m below them
+                    i, j = rows.start, max(rows.start, min(rows.stop, m - d))
+                    o[: j - i] += band[d, i:j] * X[i + d : j + d, cols]
         return out.reshape(A.shape)
 
     def solve_lt(self, B):

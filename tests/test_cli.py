@@ -1,6 +1,10 @@
 import csv
+import io
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -9,12 +13,16 @@ import pytest
 
 from incpod import cli
 from incpod.cli import main
+from incpod.errors import InvalidInputError
 from incpod.fhn import Mesh1D, build_weight_matrix
-from incpod.incremental import RUN
+from incpod.incremental import RUN, SvdState, Tolerances, run_stream
 from incpod.io_formats import (
     StreamReader,
     StreamWriter,
+    checkpoint,
     read_stream_matrix,
+    read_weight_matrix,
+    restore,
     write_stream,
     write_weight_matrix,
 )
@@ -382,3 +390,167 @@ class TestReport:
         errs = read_csv_rows(out + "_mode_errors.csv")
         assert errs[0] == ["index", "sigma", "m_norm_error"]
         assert float(errs[1][2]) < 1e-6
+
+
+BLOCK_FLAGS = ["--tol", "1e-9", "--tol-sv", "1e-9"]
+
+
+@pytest.fixture(scope="module")
+def block_prefix(tmp_path_factory):
+    """A rank-40 stream plus noise of 1e-11 under the FEM mass weight of 500
+    nodes (m = 1000), the shape of the benchmark's synthetic stream: 32
+    directions from the first columns on, direction 32 + i first in column
+    100 + 40 i + 10, inside a block. At BLOCK_FLAGS most blocks are all
+    appends, and some have a growth after appends."""
+    prefix = str(tmp_path_factory.mktemp("blocks") / "synth")
+    M = build_weight_matrix(Mesh1D(500))
+    rng = np.random.default_rng(25)
+    n = 500
+    coeffs = rng.standard_normal((40, n)) * np.geomspace(1.0, 1e-5, 40)[:, None]
+    start = np.concatenate([np.zeros(32), 110 + 40 * np.arange(8)])
+    coeffs *= np.arange(n)[None, :] >= start[:, None]
+    cols = rng.standard_normal((M.dim, 40)) @ coeffs + 1e-11 * rng.standard_normal((M.dim, n))
+    write_weight_matrix(prefix + ".wm", M)
+    write_stream(prefix + ".pods", np.arange(1.0, n + 1.0), np.ones(n), cols)
+    full = prefix + "_full"
+    assert main(["pod", "--input", prefix, "--output", full, *BLOCK_FLAGS]) == 0
+    return prefix
+
+
+def block_cut(rows, where):
+    """The first n of a trace (rows without the header) where the state
+    lies inside a block whose columns all joined the run, at the end of such
+    a block, or right after a growth column that follows appends in its
+    block. Row n is column n, at position (n - 1) mod RUN."""
+    joined = [None] + [float(r[3]) > 0.0 for r in rows]  # joined[n]: column n
+    for n in range(RUN + 1, len(rows)):
+        pos = n % RUN
+        block = range(n - (pos or RUN) + 1, n + 1)  # the columns of n's block so far
+        if where == "in_block" and pos >= 2 and all(joined[t] for t in block):
+            return n
+        if where == "block_end" and not pos and all(joined[t] for t in block):
+            return n
+        if (where == "after_growth" and pos >= 3 and not joined[n]
+                and all(joined[t] for t in block[:-1])):
+            return n
+    raise AssertionError(f"no {where} cut in the trace")
+
+
+class TestBlockPod:
+    """pod where the rest of an all-append block is projected at once."""
+
+    @pytest.mark.parametrize("where", ["in_block", "block_end", "after_growth", "prefix_end"])
+    def test_resume_bitwise(self, block_prefix, tmp_path, where):
+        full = block_prefix + "_full"
+        rows = read_csv_rows(full + "_trace.csv")[1:]
+        n = block_cut(rows, "in_block" if where == "prefix_end" else where)
+        out = str(tmp_path / "out")
+        if where == "prefix_end":
+            # the interrupted run's stream ends at n, inside the block
+            times, weights, cols = read_stream_matrix(block_prefix + ".pods")
+            part = str(tmp_path / "part")
+            write_prefix(part, block_prefix, times, weights, cols[:, :n])
+            assert main(["pod", "--input", part, "--output", out, *BLOCK_FLAGS]) == 0
+        else:
+            # interrupted right after its checkpoint at n, with the rest of
+            # n's block already drawn from the stream and projected
+            class Stop(Exception):
+                pass
+
+            def on_column(state, report):
+                if state.n == n:
+                    checkpoint(state, out + ".podc", Tolerances(1e-9, 1e-9))
+                    raise Stop
+
+            M = read_weight_matrix(block_prefix + ".wm")
+            with StreamReader(block_prefix + ".pods") as reader, pytest.raises(Stop):
+                run_stream((c for _, _, c in reader), M, Tolerances(1e-9, 1e-9),
+                           on_column=on_column)
+            # its trace ran to n; the rows past it are dropped on resume
+            shutil.copy(full + "_trace.csv", out + "_trace.csv")
+        state, _ = restore(out + ".podc")
+        assert state.n == n and state.j == (0 if where == "after_growth" else n % RUN)
+        assert main(["pod", "--input", block_prefix, "--output", out, *BLOCK_FLAGS,
+                     "--resume", out + ".podc"]) == 0
+        for suffix in (".podc", "_eigenvalues.csv", "_trace.csv"):
+            assert Path(out + suffix).read_bytes() == Path(full + suffix).read_bytes()
+
+    def test_bad_column_inside_a_block(self, block_prefix, tmp_path):
+        # a NaN at position 20 of a block of appends, which is drawn from
+        # position 1 on: the columns before the NaN are consumed, reported
+        # and checkpointed, and the NaN leaves the state as it was
+        rows = read_csv_rows(block_prefix + "_full_trace.csv")[1:]
+        bad = block_cut(rows, "block_end") - RUN + 20  # 0-based index of the NaN column
+        times, weights, cols = read_stream_matrix(block_prefix + ".pods")
+        cols = cols.copy()
+        cols[7, bad] = np.nan
+        data, out = str(tmp_path / "nan"), str(tmp_path / "out")
+        write_prefix(data, block_prefix, times, weights, cols)
+        assert main(["pod", "--input", data, "--output", out, *BLOCK_FLAGS,
+                     "--checkpoint-every", "1"]) == 2
+        assert restore(out + ".podc")[0].n == bad
+        trace = Path(out + "_trace.csv").read_bytes().splitlines(keepends=True)
+        full = Path(block_prefix + "_full_trace.csv").read_bytes().splitlines(keepends=True)
+        assert trace == full[: bad + 1]
+
+        M, tols, seen = read_weight_matrix(data + ".wm"), Tolerances(1e-9, 1e-9), []
+        state = SvdState.empty(M.dim)
+
+        def on_column(s, report):
+            seen.append((s.n, s.j, s.e, s.T_p, s.V, s.sigma, s.Wp, s.run.copy()))
+
+        with pytest.raises(InvalidInputError):
+            run_stream(iter(cols.T), M, tols, state=state, on_column=on_column)
+        n, j, e, T_p, V, sigma, Wp, run = seen[-1]
+        assert (n, j) == (bad, bad % RUN)
+        assert (state.n, state.j, state.e, state.T_p) == (n, j, e, T_p)
+        assert state.V is V and state.sigma is sigma and state.Wp is Wp
+        assert np.array_equal(state.run, run)
+
+    def test_truncated_record_inside_a_block(self, block_prefix, tmp_path):
+        # the file ends inside the record at position 20 of a block of
+        # appends: the records before it are consumed and checkpointed, and
+        # pod exits 2
+        rows = read_csv_rows(block_prefix + "_full_trace.csv")[1:]
+        cut = block_cut(rows, "block_end") - RUN + 20
+        data, out = str(tmp_path / "cut"), str(tmp_path / "out")
+        shutil.copy(block_prefix + ".wm", data + ".wm")
+        blob = Path(block_prefix + ".pods").read_bytes()
+        record = 16 + 8 * 1000
+        Path(data + ".pods").write_bytes(blob[: 24 + cut * record + record // 2])
+        assert main(["pod", "--input", data, "--output", out, *BLOCK_FLAGS,
+                     "--checkpoint-every", "1"]) == 2
+        assert restore(out + ".podc")[0].n == cut
+        full = Path(block_prefix + "_full_trace.csv").read_bytes().splitlines(keepends=True)
+        assert Path(out + "_trace.csv").read_bytes().splitlines(keepends=True) == full[: cut + 1]
+
+
+    def test_outputs_do_not_depend_on_blas_threads(self, block_prefix, tmp_path):
+        # pod sets one BLAS thread itself: children started with one thread,
+        # two, or the variables unset write the same bytes
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            env["PYTHONPATH"] = src
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+            out = str(tmp_path / f"threads_{threads}")
+            subprocess.run([sys.executable, "-m", "incpod.cli", "pod", "--input", block_prefix,
+                            "--output", out, *BLOCK_FLAGS], env=env, check=True,
+                           capture_output=True)
+            outs.append(out)
+        for suffix in (".podc", "_eigenvalues.csv", "_trace.csv"):
+            first = Path(outs[0] + suffix).read_bytes()
+            assert all(Path(o + suffix).read_bytes() == first for o in outs[1:]), suffix
+
+
+def test_trace_rows_are_csv_rows():
+    # the trace's one format gives the bytes csv.writer gave
+    values = [(1, 0, 0.0, -0.0, 1e-300, 5e-324), (4000, 40, np.inf, -np.inf, np.nan, 0.1),
+              (7, 3, 3.2e-10, 1.0 / 3.0, 2.0**70, -1.25e-7)]
+    for n, k, *floats in values:
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerow([str(n), str(k)] + [f"{v:.17g}" for v in floats])
+        assert cli._TRACE_ROW % (n, k, *floats) == buf.getvalue()

@@ -5,6 +5,7 @@ import pytest
 
 import incpod.incremental
 from incpod.errors import FormatError, InvalidInputError, RankDeficientError
+from incpod.fhn import Mesh1D, build_weight_matrix
 from incpod.incremental import (
     RUN,
     SvdState,
@@ -517,6 +518,36 @@ class TestRunStream:
                 run_stream(iter(np.zeros((3, n)).T), M, EXACT)
 
 
+class TestBlockProjection:
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    @pytest.mark.parametrize("weight", ["dense", "fem"])
+    def test_column_bits_depend_on_the_column_and_its_position(self, rng, weight, k):
+        # each column's d, res, p and M res keep their bits whatever the
+        # other positions hold: other columns, zeros, or nothing drawn
+        M = random_weight(rng, 60) if weight == "dense" else build_weight_matrix(Mesh1D(500))
+        V = m_orthonormal_columns(rng, M, k)
+        cols = list(rng.standard_normal((RUN, M.dim)) * np.geomspace(1.0, 1e-8, RUN)[:, None])
+        others = list(rng.standard_normal((RUN, M.dim)))
+        block = incpod.incremental._Block(M.dim)
+
+        def projections(columns, pos):
+            block.project(V, columns, pos, M)
+            return {i: [np.array(a).tobytes() for a in block[i]] for i in range(pos, RUN)}
+
+        whole = projections(cols, 0)
+        for pos in (1, 13, RUN - 1):
+            assert projections(cols[pos:], pos) == {i: whole[i] for i in range(pos, RUN)}
+        for i in (0, 5, RUN - 1):
+            alone = projections([cols[i]], i)[i]
+            mixed = projections(others[:i] + [cols[i]] + others[i + 1 :], 0)[i]
+            assert alone == mixed == whole[i]
+            d, res, p, Mres = block[i]
+            # and they are the one-column projection's up to round-off
+            ref = incpod.incremental._project(V, cols[i], M)
+            for got, want in zip((d, res, p, Mres), ref):
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * np.max(np.abs(want))
+
+
 def run_data(rng, M, n=200, zeros=2):
     """Leading zero columns, then a rank-6 signal whose directions appear
     every 15 columns, noise of 1e-10 everywhere and of 1e-8 in every 30th
@@ -582,18 +613,59 @@ class TestRuns:
         assert m_orthonormality_defect(s.V, M) <= 1e-13
         assert np.max(np.abs(s.W.T @ s.W - np.eye(s.k))) <= 1e-13
 
-    def test_each_column_projected_once(self, rng, monkeypatch):
+    def test_each_column_projected_against_the_current_v(self, rng, monkeypatch):
+        # the projection that decides a column, the one update receives for
+        # a growth column, is against the V the column meets; a column
+        # drawn into a block and re-projected after a growth in that block
+        # is projected twice, no column more often
         M = random_weight(rng, 20)
         U = run_data(rng, M)
-        calls, grew = [], []
-        project = incpod.incremental._project
-        monkeypatch.setattr(
-            incpod.incremental, "_project", lambda *a: calls.append(1) or project(*a)
-        )
+        inc = incpod.incremental
+        project, block_project, projected = inc._project, inc._Block.project, inc._projected
+        times, drawn = {}, []  # projections per column, and every column drawn
+
+        def count(c):
+            drawn.append(c)  # keeps each id unique while the stream runs
+            times[id(c)] = times.get(id(c), 0) + 1
+
+        def counted_project(V, c, M):
+            count(c)
+            return project(V, c, M)
+
+        def counted_block(self, V, columns, pos, M):
+            for c in columns:
+                count(c)
+            return block_project(self, V, columns, pos, M)
+
+        decided, received = [], []
+
+        def checked(columns, state, M):
+            for c, projection in projected(columns, state, M):
+                d, res, p, Mres = projection
+                d_ref, res_ref, p_ref, _ = project(state.V, c, M)
+                scale = m_norm(c, M) * 1e-13
+                assert d.shape == d_ref.shape and np.max(np.abs(d - d_ref), initial=0.0) <= scale
+                assert np.max(np.abs(res - res_ref)) <= scale and abs(p - p_ref) <= scale
+                assert np.max(np.abs(Mres - M.matvec(res))) <= 1e-12 * np.max(np.abs(Mres))
+                decided.append(projection)
+                yield c, projection
+
+        def recording_update(state, c, M, tols, projection=None):
+            received.append(projection is decided[-1])
+            return update(state, c, M, tols, projection)
+
+        monkeypatch.setattr(inc, "_project", counted_project)
+        monkeypatch.setattr(inc._Block, "project", counted_block)
+        monkeypatch.setattr(inc, "_projected", checked)
+        monkeypatch.setattr(inc, "update", recording_update)
+        grew = []
         s = run_stream(iter(U.T), M, RUN_TOLS, on_column=lambda s, r: grew.append(r.rank_grew))
         # leading zero, growth and p-truncated columns are all among them
         assert not U[:, 0].any() and any(grew) and s.T_p > 100
-        assert len(calls) == U.shape[1]
+        assert len(decided) == U.shape[1] and len(times) == U.shape[1]
+        assert received and all(received)
+        assert max(times.values()) == 2 and 1 in times.values()
+        assert sum(times.values()) < 2 * U.shape[1]
 
     def test_open_run_is_refused(self, rng):
         M = random_weight(rng, 8)

@@ -76,6 +76,42 @@ class TestStream:
                 next(it)
         assert exc.value.offset == header + record
 
+    @pytest.mark.parametrize("count", [0, 2 * RUN + 5])
+    @pytest.mark.parametrize("end", ["whole", "cut", "extra"])
+    def test_chunked_reads_yield_every_whole_record_first(self, rng, tmp_path, count, end):
+        # records are read RUN at a time; a cut inside record RUN + 3, or
+        # bytes after the last record (past a declared count, or a partial
+        # record of an unterminated stream), raise only after every record
+        # before them has been yielded, each column with the file's bits
+        m, n = 6, 2 * RUN + 5
+        cols = rng.standard_normal((m, n))
+        path = tmp_path / "s.pods"
+        with StreamWriter(path, m, count=count) as w:
+            for j in range(n):
+                w.write_column(j + 0.5, 2.0 * j, cols[:, j])
+        header, record = 24, 16 + 8 * m
+        blob = path.read_bytes()
+        whole = n
+        if end == "cut":
+            whole = RUN + 3
+            path.write_bytes(blob[: header + whole * record + 10])
+        elif end == "extra":
+            path.write_bytes(blob + bytes(3))
+        got = []
+        with StreamReader(path) as reader:
+            it = iter(reader)
+            while len(got) < whole:
+                got.append(next(it))
+            if end != "whole":
+                with pytest.raises(CorruptStreamError) as exc:
+                    next(it)
+                assert exc.value.offset == header + whole * record
+            else:
+                assert next(it, None) is None
+        for j, (t, weight, c) in enumerate(got):  # held past the later reads
+            assert (t, weight) == (j + 0.5, 2.0 * j)
+            assert c.tobytes() == cols[:, j].tobytes()
+
     def test_unterminated_stream_reads_to_eof(self, rng, tmp_path):
         path = tmp_path / "live.pods"
         with StreamWriter(path, 3, count=0) as w:

@@ -137,6 +137,29 @@ def test_missing_lapack_exits_4_with_one_line(argv, tmp_path):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_pod_without_the_thread_setter_exits_4(tmp_path):
+    # pod sets numpy's OpenBLAS to one thread before it streams; without
+    # that symbol it stops with the environment error, having written nothing
+    from incpod import _lapack
+
+    prefix = str(tmp_path / "data")
+    M = build_weight_matrix(Mesh1D(5))
+    write_weight_matrix(prefix + ".wm", M)
+    with StreamWriter(prefix + ".pods", M.dim, count=3) as w:
+        for j in range(3):
+            w.write_column(float(j), 1.0, np.arange(M.dim) + j)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = str(tmp_path / "out")
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_LAPACK_MAIN, "pod", "--input", prefix, "--output", out],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith(f"environment error: {_lapack.REQUIREMENT}: ")
+    assert "scipy_openblas_set_num_threads64_" in proc.stderr
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.fixture(scope="module")
 def synth_prefix(tmp_path_factory):
     """A rank-6 stream plus noise under an FEM mass weight: it has growth

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -83,6 +84,15 @@ class TestWeightMatrix:
         for x in (rng.standard_normal(built.dim), rng.standard_normal((built.dim, 40))):
             assert built.matvec(x).tobytes() == read.matvec(x).tobytes()
 
+    def test_matvec_into_out(self, rng):
+        # the product written into a given array, whatever it held, has the
+        # bits of a new one
+        for M in (WeightMatrix(random_spd(rng, 40)), build_weight_matrix(Mesh1D(20))):
+            for shape in ((40,), (40, 32)):
+                x, out = rng.standard_normal(shape), np.full(shape, np.nan)
+                assert M.matvec(x, out=out) is out
+                assert out.tobytes() == M.matvec(x).tobytes()
+
 
 class TestMInner:
     def test_orthogonal_standard_basis(self):
@@ -138,6 +148,21 @@ class TestMNorm:
         # force a tiny negative quadratic form through the absolute value
         M = WeightMatrix(np.eye(2))
         assert np.isfinite(m_norm([1e-200, 0.0], M))
+
+
+def assert_apply_lt_is_one_product(M, rng, order, n):
+    """``apply_lt`` of a sparse M keeps the bits of one product over the
+    band's rows and A's layout."""
+    A = np.array(rng.standard_normal((M.dim, n)), order=order)
+    A[::3, ::2] = -0.0
+    L = M._factor()
+    expected = L[0][:, None] * A
+    for d in range(1, L.shape[0]):
+        expected[:-d] += L[d, :-d][:, None] * A[d:]
+    got = M.apply_lt(A)
+    assert got.tobytes() == expected.tobytes()
+    assert got.flags.f_contiguous == (order == "F" or n == 1)
+    assert M.apply_lt(A[:, 0]).tobytes() == expected[:, 0].tobytes()
 
 
 def cholesky_factor(W):
@@ -219,17 +244,38 @@ class TestCholesky:
         # the product over the band's rows at once, as it was taken before
         # it went a block of columns at a time: the same bits, and the
         # layout of A kept
-        M = build_weight_matrix(Mesh1D(30))
-        A = np.array(rng.standard_normal((M.dim, n)), order=order)
-        A[::3, ::2] = -0.0
-        L = M._factor()
-        expected = L[0][:, None] * A
-        for d in range(1, L.shape[0]):
-            expected[:-d] += L[d, :-d][:, None] * A[d:]
-        got = M.apply_lt(A)
-        assert got.tobytes() == expected.tobytes()
-        assert got.flags.f_contiguous == (order == "F" or n == 1)
-        assert M.apply_lt(A[:, 0]).tobytes() == expected[:, 0].tobytes()
+        assert_apply_lt_is_one_product(build_weight_matrix(Mesh1D(30)), rng, order, n)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, BLOCK + 3])
+    @pytest.mark.parametrize("weight", ["fem", "bandwidth_four"])
+    def test_band_apply_lt_in_tiles_equals_one_product(self, rng, order, n, weight):
+        # tiles of rows as well: the FEM weight of 200 nodes is three tiles
+        # of rows and a part, and at bandwidth four, m = 2 BLOCK + 2 ends
+        # in a tile of two rows, fewer than the band
+        if weight == "fem":
+            M = build_weight_matrix(Mesh1D(200))
+        else:
+            band = rng.uniform(-1.0, 1.0, (5, 2 * BLOCK + 2))
+            band[0] += 9.0  # diagonally dominant, so positive definite
+            M = WeightMatrix.from_band(band)
+        assert_apply_lt_is_one_product(M, rng, order, n)
+
+    def test_band_apply_lt_of_a_narrow_operand_peaks_at_its_result(self):
+        # with 40 columns one block of columns is the whole of A; the
+        # temporaries are held to a tile of rows, so the product takes
+        # little more than its result
+        M = build_weight_matrix(Mesh1D(3000))
+        A = np.random.default_rng(3).standard_normal((M.dim, 40))
+        M.apply_lt(A[:, :1])  # the factor is cached before the measurement
+        tracemalloc.start()
+        try:
+            S = M.apply_lt(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S.shape == A.shape
+        assert peak <= 1.1 * A.nbytes, f"{peak / A.nbytes:.2f} x A"
 
     def test_band_factor_equals_lapack_on_fhn_weight(self):
         W = build_weight_matrix(Mesh1D(60))
