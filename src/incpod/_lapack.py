@@ -1,5 +1,6 @@
-"""LAPACK's band LU, dense and band Cholesky and in-place SVD from the
-OpenBLAS in numpy's wheels, and that OpenBLAS's thread count.
+"""LAPACK's band LU, dense and band Cholesky, triangular solves and in-place
+SVD, BLAS's symmetric rank-k update, and the thread count of the OpenBLAS in
+numpy's wheels.
 
 numpy >= 2.0 wheels link ``numpy._core._multiarray_umath`` against
 scipy-openblas, whose LAPACK, with 64-bit integers, a ``CDLL`` of that
@@ -37,6 +38,13 @@ def set_num_threads(count):
     How a product is split between threads can change its bits, so a
     caller that fixes the count gets the same bits in any environment."""
     _symbol("scipy_openblas_set_num_threads64_")(ctypes.c_int(count))
+
+
+def get_num_threads():
+    """The number of threads the BLAS of numpy's OpenBLAS runs on."""
+    f = _symbol("scipy_openblas_get_num_threads64_")
+    f.restype = ctypes.c_int
+    return f()
 
 
 def _refs(*values):
@@ -103,6 +111,42 @@ def pbtrf(ab):
     kd = L.shape[0] - 1
     _routine("dpbtrf")(*_refs(b"L", L.shape[1], kd, L, kd + 1, info), ctypes.c_size_t(1))
     return np.ascontiguousarray(L), info.value
+
+
+def trsv_lt(L, B, band):
+    """X with L^T X = B, as a new Fortran-ordered array of B's shape, by one
+    LAPACK call: ``dtrtrs`` for a dense lower-triangular L, C-ordered (m, m),
+    or with ``band`` ``dtbtrs`` for the lower band of L, shape (kd + 1, m)
+    with ``band[d, j] = L[j + d, j]``. L must have a nonzero diagonal."""
+    X = np.array(B, dtype=np.float64, order="F")
+    m = X.shape[0]
+    nrhs = 1 if X.ndim == 1 else X.shape[1]
+    info = ctypes.c_int64()
+    if band:
+        L = np.asfortranarray(L)
+        name, a = "dtbtrs", (b"L", b"T", b"N", m, L.shape[0] - 1, nrhs, L, L.shape[0])
+    else:  # column-major, the C-ordered L is L^T: upper, not transposed
+        name, a = "dtrtrs", (b"U", b"N", b"N", m, nrhs, L, max(m, 1))
+    strings = [ctypes.c_size_t(1)] * 3  # the hidden lengths of UPLO, TRANS and DIAG
+    _routine(name)(*_refs(*a, X, max(m, 1), info), *strings)
+    if info.value:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info {info.value})")
+    return X
+
+
+def syrk_lower(G, S):
+    """Add S S^T to the lower triangle of the C-ordered (m, m) ``G`` in place,
+    for an (m, w) ``S`` in either order, by one ``dsyrk`` with beta = 1.
+    Column-major, G's buffer holds G^T, so its lower triangle is LAPACK's
+    upper one; a C-ordered S is S^T (w, m), and ``TRANS='T'`` forms A^T A."""
+    if not (G.flags.c_contiguous and G.flags.writeable and G.dtype == np.float64):
+        raise ValueError("syrk_lower updates a writeable C-ordered float64 array")
+    S = S if S.flags.f_contiguous else np.ascontiguousarray(S)
+    m, w = S.shape
+    trans, lda = (b"N", max(m, 1)) if S.flags.f_contiguous else (b"T", max(w, 1))
+    one = ctypes.c_double(1.0)
+    args = _refs(b"U", trans, m, w, one, S, lda, one, G, max(m, 1))
+    _routine("dsyrk")(*args, ctypes.c_size_t(1), ctypes.c_size_t(1))
 
 
 def gesdd(A):

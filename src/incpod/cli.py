@@ -9,10 +9,13 @@ Exit codes: 0 success, 1 usage, 2 data/format error, 3 numerical failure,
 
 Every subcommand runs on numpy alone: ``simulate``'s band LU, the weight's
 Cholesky factor and the oracle's exact SVD call the LAPACK in numpy's own
-OpenBLAS. ``pod`` sets that OpenBLAS to one thread before it streams, so
-that its outputs do not depend on the environment's thread settings.
+OpenBLAS. ``pod``, ``verify`` and ``report`` set that OpenBLAS to one
+thread before they compute, so that their outputs do not depend on the
+environment's thread settings. ``pod`` streams in the Cholesky factor of
+the weight matrix, so a weight that is not positive definite fails there
+too (exit 3).
 
-With two usable cores and BLAS pinned to one thread, ``verify`` shares its
+With two usable cores, ``verify`` shares its
 nine tolerance cells with the one worker of a forked process pool (see
 ``oracle.tolerance_sweep``); its outputs are byte-identical to a run on one
 core.
@@ -204,9 +207,9 @@ def cmd_pod(args):
             state, ckpt_tols = restore(args.resume)
             if ckpt_tols != tols:
                 raise FormatError(f"checkpoint was made with {ckpt_tols}, not {tols}")
-            if state.V.shape[0] != M.dim:
+            if state.Q.shape[0] != M.dim:
                 raise FormatError(
-                    f"checkpoint dimension {state.V.shape[0]} does not match stream {M.dim}"
+                    f"checkpoint dimension {state.Q.shape[0]} does not match stream {M.dim}"
                 )
         with _open_trace(args.output + "_trace.csv", state) as trace:
             # rows go straight to the file, so the trace's memory does not
@@ -240,10 +243,10 @@ def cmd_pod(args):
 
 
 def _mode_errors(exact, state, M, count):
-    errs = []
+    errs, V = [], state.V
     for j in range(count):
         v_ex = exact.V[:, j]
-        v_in = state.V[:, j]
+        v_in = V[:, j]
         if m_inner(v_in, v_ex, M) < 0.0:
             v_in = -v_in
         errs.append(m_norm(v_ex - v_in, M))
@@ -261,6 +264,9 @@ def _distinct_prefix(sigma, k):
 
 
 def cmd_verify(args):
+    # one thread: the sweep's bits do not depend on the environment, and
+    # its cells can share the cores in a forked worker instead
+    _lapack.set_num_threads(1)
     if args.random:
         m, n, seed = args.random
         if m < 1 or n < 1 or seed < 0:
@@ -304,6 +310,7 @@ def cmd_verify(args):
 
 
 def cmd_report(args):
+    _lapack.set_num_threads(1)
     M, U = _load_inputs(args, materialize=True)
     tols = Tolerances(args.tol, args.tol_sv)
     rows = tolerance_sweep(U, M, [tols])

@@ -3,7 +3,12 @@
 The state machine consumes one data column at a time and maintains a core
 SVD (V, sigma, W) of an approximate data matrix, together with a scalar e
 that bounds the weighted operator-norm distance between the true data
-matrix and the approximation. Truncation happens in two places: a new
+matrix and the approximation. With the weight's Cholesky factorization
+M = L L^T, the M-inner product of x and y is the Euclidean one of L^T x and
+L^T y, so the state keeps Q = L^T V, whose columns are orthonormal, and
+each column c enters as s = L^T c: the stream is the Euclidean algorithm on
+the columns of L^T U, with no product with M, and V = L^-T Q is built on
+demand. Truncation happens in two places: a new
 column whose out-of-basis residual norm p falls below ``tol`` is projected
 into the current basis (adding p to the bound), and trailing singular
 values at or below ``tol_sv`` are dropped after each update (adding the
@@ -11,20 +16,25 @@ largest dropped value to the bound).
 
 A projected column leaves span(V) unchanged, so :func:`run_stream` folds a
 run of them with one thin SVD (a flush) instead of one small SVD each, and
-while V is unchanged it projects the rest of a block of columns as one
+while Q is unchanged it projects the rest of a block of columns as one
 fixed-width product.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
 from .errors import FormatError, InvalidInputError
-from .weighted_linalg import column_blocks, modified_gram_schmidt_weighted, small_svd
+from .weighted_linalg import (
+    WeightMatrix,
+    column_blocks,
+    modified_gram_schmidt_weighted,
+    small_svd,
+)
 
 __all__ = [
     "RUN",
@@ -41,7 +51,7 @@ __all__ = [
 
 # The most columns a run holds. Runs close at absolute n = 0 (mod RUN), so an
 # interrupted stream splits into the same runs as an uninterrupted one.
-RUN = 32
+RUN = 64
 
 
 @dataclass(frozen=True)
@@ -59,9 +69,10 @@ class Tolerances:
 
 @dataclass
 class SvdState:
-    """Running decomposition: V (m, k) M-orthonormal, sigma descending
-    positive, and the orthonormal right vectors W kept as two factors, both
-    None when right vectors are skipped:
+    """Running decomposition: Q = L^T V (m, k) with orthonormal columns, so
+    that V = L^-T Q is M-orthonormal, sigma descending positive, and the
+    orthonormal right vectors W kept as two factors, both None when right
+    vectors are skipped:
 
         W = diag(W0, I) @ Wp = vstack([W0 @ Wp[:k0], Wp[k0:]])
 
@@ -71,18 +82,21 @@ class SvdState:
     access.
 
     ``D`` (k, RUN) holds in its first ``j`` columns the open run: the
-    coefficients d = V^T M c of consumed columns with p < tol that are not
-    yet folded into V, sigma and W (see :func:`flush`). Those columns have
-    no row of W yet, so W has n - j rows; with j = 0 the run is closed.
+    coefficients d = Q^T L^T c = V^T M c of consumed columns with p < tol
+    that are not yet folded into Q, sigma and W (see :func:`flush`). Those
+    columns have no row of W yet, so W has n - j rows; with j = 0 the run
+    is closed.
 
     ``n`` counts every column consumed, zero columns and the open run
     included. ``e`` is the accumulated error bound, each term added with
     upward rounding so that it is never below the exact real sum of its
     terms; ``T_p`` and ``T_sv`` count the truncation events that contributed
-    to it. Single-owner mutable state: one update at a time.
+    to it. ``M`` is the weight matrix the state was streamed in, whose factor
+    L maps Q to V; :func:`update` and :func:`run_stream` set it. Single-owner
+    mutable state: one update at a time.
     """
 
-    V: np.ndarray
+    Q: np.ndarray
     sigma: np.ndarray
     W0: np.ndarray | None
     Wp: np.ndarray | None
@@ -92,13 +106,14 @@ class SvdState:
     T_sv: int = 0
     D: np.ndarray | None = None
     j: int = 0
+    M: WeightMatrix | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def empty(cls, m, keep_w=True):
         """The rank-0 decomposition of no columns, where every stream starts:
         its first :func:`update` is the initialization."""
         W0, Wp = (np.zeros((0, 0)), np.zeros((0, 0))) if keep_w else (None, None)
-        return cls(V=np.zeros((m, 0)), sigma=np.zeros(0), W0=W0, Wp=Wp, n=0)
+        return cls(Q=np.zeros((m, 0)), sigma=np.zeros(0), W0=W0, Wp=Wp, n=0)
 
     @property
     def k(self):
@@ -109,6 +124,16 @@ class SvdState:
     def run(self):
         """Coefficients (k, j) of the open run's columns."""
         return self.D[:, : self.j] if self.j else np.zeros((self.k, 0))
+
+    @property
+    def V(self):
+        """The left singular vectors V = L^-T Q (m, k), M-orthonormal, from
+        one triangular solve on each access."""
+        if not self.k:
+            return np.zeros((self.Q.shape[0], 0))
+        if self.M is None:
+            raise ValueError("the state has no weight matrix to map Q to V")
+        return self.M.solve_lt(self.Q)
 
     @property
     def W(self):
@@ -149,70 +174,73 @@ def _column(c, m):
     return c
 
 
-def _project(V, c, M):
-    """d = V^T M c, the residual res = c - V d, its M-norm p and M res."""
-    d = V.T @ M.matvec(c)
-    res = c - V @ d
-    Mres = M.matvec(res)
-    return d, res, float(np.sqrt(abs(res @ Mres))), Mres
+def _project(Q, c, M):
+    """The projection of c in Cholesky coordinates: s = L^T c, d = Q^T s,
+    the residual res = s - Q d and its norm p, the M-norm of c - V d."""
+    s = M.apply_lt(c)
+    d = Q.T @ s
+    res = s - Q @ d
+    return d, res, float(np.sqrt(res @ res))
 
 
 class _Block:
-    """The projections of up to RUN columns against one V, as :func:`_project`
-    computes them for one, in two (m, RUN) buffers that every block reuses.
+    """The projections of up to RUN columns against one Q, as :func:`_project`
+    computes them for one, in two Fortran-ordered (m, RUN) buffers that
+    every block reuses.
 
     Column i of the block sits at position i, the others are zero, and
     every product has the same shape, RUN columns wide, so that a
-    column's bits depend only on V, the column and its position: a resumed
+    column's bits depend only on Q, the column and its position: a resumed
     stream, which recomputes the positions from n, projects it to the same
     bits as an uninterrupted one.
     """
 
     def __init__(self, m):
-        self.R = np.zeros((m, RUN))  # the columns C, then the residuals C - V D
-        self.MR = np.empty((m, RUN))  # M C, then V D, then M R
+        self.C = np.zeros((m, RUN), order="F")  # the columns, then Q D
+        self.R = np.empty((m, RUN), order="F")  # S = L^T C, then the residuals S - Q D
 
-    def project(self, V, columns, pos, M):
+    def project(self, Q, columns, pos, M):
         """Project ``columns``, checked, at positions pos, pos + 1, ...; the
         projection of position i is ``self[i]`` until the next call."""
-        R, MR = self.R, self.MR
-        R[:, :pos] = 0.0
-        R[:, pos + len(columns) :] = 0.0
+        C, R = self.C, self.R
+        C[:, :pos] = 0.0
+        C[:, pos + len(columns) :] = 0.0
         for i, c in enumerate(columns, pos):
-            R[:, i] = c
-        self.D = V.T @ M.matvec(R, out=MR)
-        R -= np.matmul(V, self.D, out=MR)
-        M.matvec(R, out=MR)
-        self.p = np.sqrt(np.abs(np.einsum("ij,ij->j", R, MR)))
+            C[:, i] = c
+        M.apply_lt(C, out=R)
+        self.D = Q.T @ R
+        R -= np.matmul(Q, self.D, out=C)
+        self.p = np.sqrt(np.einsum("ij,ij->j", R, R))
 
     def __getitem__(self, i):
-        """(d, res, p, M res) of position i, views valid until the next
+        """(d, res, p) of position i, views valid until the next
         :meth:`project`."""
-        return self.D[:, i], self.R[:, i], float(self.p[i]), self.MR[:, i]
+        return self.D[:, i], self.R[:, i], float(self.p[i])
 
 
-def _rotate(state, V, B, M, tols, columns, e_p):
+def _rotate(state, Q, B, M, tols, columns, e_p):
     """The tail that :func:`update` and a flush share, ending in the one
     assignment to ``state``.
 
     ``B`` is the small matrix of the step, its first k rows those of the
-    rank-k state; ``V`` holds its r = ``V.shape[1]`` left basis vectors.
-    The thin SVD B = V_B diag(s) W_B^T rotates V <- V V_B[:r, :r] and the
+    rank-k state; ``Q`` holds its r = ``Q.shape[1]`` left basis vectors.
+    The thin SVD B = V_B diag(s) W_B^T rotates Q <- Q V_B[:r, :r] and the
     right factor Wp <- [Wp W_B[:k, :r]; W_B[k:, :r]] (its rows past k are
     the step's new rows of W). Then the keep rule drops the trailing values
     at or below tol_sv (never the first), the fold rule moves Wp into W0
     when it has more than 2k rows, and the drift probe reorthogonalizes a
     basis of two or more columns whose first and last columns have drifted
-    more than tol out of M-orthogonality. Only then is the state assigned:
+    more than tol out of orthogonality (:func:`_orthonormalized`). Only
+    then is the state assigned, ``M`` with it:
     the run is closed, n grows by ``columns`` and e_p, then the largest
     value dropped, go into e.
 
     Returns ``(e_sv, reorthogonalized)``; e_sv is 0.0 if nothing was dropped.
     """
-    k, r = state.k, V.shape[1]
+    k, r = state.k, Q.shape[1]
     W0, Wp = state.W0, state.Wp
     V_B, sigma_B, W_B = small_svd(B)
-    V = V @ V_B[:r, :r]
+    Q = Q @ V_B[:r, :r]
     sigma = sigma_B[:r]
     if Wp is not None:
         Wp = np.vstack([Wp @ W_B[:k, :r], W_B[k:, :r]])
@@ -223,24 +251,29 @@ def _rotate(state, V, B, M, tols, columns, e_p):
         # copies, not views: a restored checkpoint holds contiguous arrays,
         # and the next projection must see the same layout to give the same bits
         e_sv = float(sigma[keep])
-        V, sigma = V[:, :keep].copy(), sigma[:keep]
+        Q, sigma = Q[:, :keep].copy(), sigma[:keep]
         if Wp is not None:
             Wp = Wp[:, :keep].copy()
     if Wp is not None and Wp.shape[0] > 2 * Wp.shape[1]:
         W0, Wp = _right_vectors(W0, Wp), np.eye(Wp.shape[1])
 
-    # at rank one V[:, -1] is V[:, 0]: there is no pair to compare
-    reorthogonalized = (
-        V.shape[1] >= 2 and abs(float(V[:, -1] @ M.matvec(V[:, 0]))) > tols.tol
-    )
+    # at rank one Q[:, -1] is Q[:, 0]: there is no pair to compare
+    reorthogonalized = Q.shape[1] >= 2 and abs(float(Q[:, -1] @ Q[:, 0])) > tols.tol
     if reorthogonalized:
-        V = modified_gram_schmidt_weighted(V, M)
+        Q = _orthonormalized(Q)
 
-    state.V, state.sigma, state.W0, state.Wp = V, sigma, W0, Wp
+    state.Q, state.sigma, state.W0, state.Wp, state.M = Q, sigma, W0, Wp, M
     state.D, state.j = None, 0
     state.n += columns
     _charge(state, e_p, e_sv)
     return e_sv, reorthogonalized
+
+
+def _orthonormalized(Q):
+    """Q's columns orthonormalized by modified Gram-Schmidt in the Euclidean
+    inner product, the weight of Cholesky coordinates: the M-orthonormal
+    basis of V = L^-T Q in exact arithmetic."""
+    return modified_gram_schmidt_weighted(Q, WeightMatrix.from_band(np.ones((1, Q.shape[0]))))
 
 
 def _charge(state, e_p, e_sv=0.0):
@@ -266,18 +299,19 @@ def _bordered(sigma, D, border):
 def update(state, c, M, tols, projection=None):
     """Fold one new column into the decomposition, all or nothing.
 
-    Follows the bordered-matrix update: with d = V^T M c and p the M-norm
-    of the residual c - V d, the small matrix [diag(sigma) d; 0 p] is
-    decomposed. When p >= tol and the rank is below the ambient
+    Follows the bordered-matrix update: with s = L^T c, d = Q^T s = V^T M c
+    and p the norm of the residual s - Q d, the M-norm of c - V d, the small
+    matrix [diag(sigma) d; 0 p] is decomposed. When p >= tol and the rank is below the ambient
     dimension, the residual direction joins the basis and the rank grows by
     one; otherwise it is discarded and p is added to the error bound.
     Trailing singular values at or below tol_sv are then truncated, adding
     the largest one dropped. Finally a basis of two or more columns is
     reorthogonalized when its first and last columns have drifted more than
-    tol out of M-orthogonality.
+    tol out of orthogonality.
 
     From :meth:`SvdState.empty` (k = 0) the first update is the
-    initialization: Q = [p], so V = c / p, sigma = p and W = [1]. A column
+    initialization: the small matrix is [p], so Q = s / p, sigma = p and
+    W = [1]. A column
     with p < tol, a zero column in particular, is an ordinary non-growing
     update at any rank: it adds p to e and a row to W, and n counts it.
 
@@ -296,39 +330,39 @@ def update(state, c, M, tols, projection=None):
     exception (a bad column, or a :class:`RankDeficientError` from the
     reorthogonalization) leaves it as it was.
 
-    ``projection`` is the ``(d, res, p, M res)`` of c against ``state.V``
-    when the caller has already computed it (:func:`run_stream` does, to
+    ``projection`` is the ``(d, res, p)`` of c against ``state.Q``
+    (:func:`_project`) when the caller has already computed it (:func:`run_stream` does, to
     decide between the run and this update); c is then not checked or
     projected again.
 
     Returns ``(state, UpdateReport)``.
     """
-    V = state.V
-    m, k = V.shape
+    Q = state.Q
+    m, k = Q.shape
     if projection is None:
         c = _column(c, m)
-        projection = _project(V, c, M)
-    d, res, p, Mres = projection
-    Q = _bordered(state.sigma, state.run, True)
-    Q[:k, -1] = d
-    # as the paper writes it, p enters Q whenever p >= tol, even at full
+        projection = _project(Q, c, M)
+    d, res, p = projection
+    B = _bordered(state.sigma, state.run, True)
+    B[:k, -1] = d
+    # as the paper writes it, p enters B whenever p >= tol, even at full
     # rank where the residual direction is then discarded
-    Q[k, -1] = 0.0 if p < tols.tol else p
+    B[k, -1] = 0.0 if p < tols.tol else p
 
     grow = p >= tols.tol and k < m
     if grow:
         # One extra projection pass before normalizing: the raw residual
-        # carries cancellation round-off of size eps*||c||, which p may not
+        # carries cancellation round-off of size eps*||s||, which p may not
         # dominate. Re-projecting shrinks the in-span contamination to
-        # eps*||res|| so the new direction stays M-orthogonal to V at
+        # eps*||res|| so the new direction stays orthogonal to Q at
         # machine level regardless of how small p is. Exact arithmetic:
         # a no-op.
-        res2 = res - V @ (V.T @ Mres)
-        p2 = float(np.sqrt(abs(res2 @ M.matvec(res2))))
+        res2 = res - Q @ (Q.T @ res)
+        p2 = float(np.sqrt(res2 @ res2))
         u = res2 / p2 if p2 > 0.0 else res / p
-        V = np.hstack([V, u[:, None]])
+        Q = np.hstack([Q, u[:, None]])
     e_p = 0.0 if grow else p
-    e_sv, reorthogonalized = _rotate(state, V, Q, M, tols, 1, e_p)
+    e_sv, reorthogonalized = _rotate(state, Q, B, M, tols, 1, e_p)
     report = UpdateReport(
         p=p,
         e_p=e_p,
@@ -344,7 +378,7 @@ def flush(state, M, tols):
 
     The run's columns c_i added V d_i to the approximate matrix and left
     span(V) unchanged, so it is V [diag(sigma) D] diag(W, I)^T. One thin SVD
-    [diag(sigma) D] = V_B diag(s) W_B^T gives V <- V V_B, sigma <- s and
+    [diag(sigma) D] = V_B diag(s) W_B^T gives Q <- Q V_B, sigma <- s and
     W <- [W W_B[:k]; W_B[k:]], the state that one :func:`update` per column
     gives in exact arithmetic, where appending columns lowers no singular
     value (interlacing) and so truncates none. The keep rule still runs and
@@ -352,7 +386,7 @@ def flush(state, M, tols):
     All or nothing, as :func:`update`.
     """
     if state.j:
-        _rotate(state, state.V, _bordered(state.sigma, state.run, False), M, tols, 0, 0.0)
+        _rotate(state, state.Q, _bordered(state.sigma, state.run, False), M, tols, 0, 0.0)
     return state
 
 
@@ -371,7 +405,7 @@ def _append(state, d, p, M, tols):
         _charge(state, p)
         return UpdateReport(p=p, e_p=p, e_sv=0.0, rank_grew=False, reorthogonalized=False)
     B = _bordered(state.sigma, D[:, : j + 1], False)
-    e_sv, reorthogonalized = _rotate(state, state.V, B, M, tols, 1, p)
+    e_sv, reorthogonalized = _rotate(state, state.Q, B, M, tols, 1, p)
     return UpdateReport(
         p=p, e_p=p, e_sv=e_sv, rank_grew=False, reorthogonalized=reorthogonalized
     )
@@ -385,7 +419,8 @@ def _closed(state):
 
 def low_rank_factors(state):
     """(V diag(sigma), W), whose product V diag(sigma) W^T is the
-    approximate data; the run must be closed (:func:`flush`)."""
+    approximate data, V built from Q; the run must be closed
+    (:func:`flush`)."""
     if _closed(state).Wp is None:
         raise ValueError("right singular vectors were not maintained")
     return state.V * state.sigma, state.W
@@ -404,8 +439,8 @@ def reconstruct(state):
 
 
 def pod_output(state):
-    """POD modes (the M-orthonormal columns of V) and eigenvalues sigma^2;
-    the run must be closed (:func:`flush`)."""
+    """POD modes (the M-orthonormal columns of V, built from Q) and
+    eigenvalues sigma^2; the run must be closed (:func:`flush`)."""
     _closed(state)
     return state.V, state.sigma**2
 
@@ -416,7 +451,8 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
     The stream starts from :meth:`SvdState.empty`, or from ``state``, a
     restored decomposition of a prefix of this stream: the ``state.n``
     columns it consumed are passed over (a :class:`FormatError` if the
-    stream ends first) and the remaining ones update it.
+    stream ends first) and the remaining ones update it. Either way the
+    state's weight matrix is set to ``M``.
 
     A column at rank k >= 1 with p < tol joins the open run (see
     :func:`flush`); every other column, p >= tol or at rank 0, goes
@@ -424,16 +460,16 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
     Runs also close at absolute n = 0 (mod RUN), so where they close does
     not depend on where a stream was interrupted.
 
-    Columns are projected against V in blocks of RUN, at absolute
+    Columns are projected against Q in blocks of RUN, at absolute
     positions pos = n mod RUN. When pos >= 1 and every earlier column of
-    the block joined the run (``state.j == pos``), V has not changed since
+    the block joined the run (``state.j == pos``), Q has not changed since
     the block began, and the block's remaining columns, up to RUN - pos,
     are drawn from the stream and projected together (:class:`_Block`).
     They are then consumed in order as above: :func:`update` gets the block
     projection of the first column with p >= tol, and the block's later
-    columns are projected one at a time against the V it leaves. Every
+    columns are projected one at a time against the Q it leaves. Every
     other column is projected on its own. Whether a column is
-    block-projected depends on n and j alone, and its bits on V, the column
+    block-projected depends on n and j alone, and its bits on Q, the column
     and its position, so a resumed stream projects every column to the
     same bits as an uninterrupted one.
 
@@ -457,8 +493,9 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
             raise FormatError(
                 f"stream ends after {passed} of the {state.n} columns the state consumed"
             )
+    state.M = M
     for c, projection in _projected(columns, state, M):
-        d, _, p, _ = projection
+        d, _, p = projection
         if state.k and p < tols.tol:
             report = _append(state, d, p, M, tols)
         else:
@@ -472,7 +509,7 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
 
 def _projected(columns, state, M):
     """Each column of ``columns``, checked, with its projection against
-    ``state.V`` as it stands when the column's turn comes: the caller
+    ``state.Q`` as it stands when the column's turn comes: the caller
     consumes each pair, and may change ``state``, before the next one is
     made. The block rule of :func:`run_stream`."""
     m, block = M.dim, None
@@ -480,7 +517,7 @@ def _projected(columns, state, M):
         c = _column(c, m)
         pos = state.n % RUN
         if not (pos and state.j == pos):
-            yield c, _project(state.V, c, M)
+            yield c, _project(state.Q, c, M)
             continue
         drawn, error = [c], None
         try:
@@ -489,8 +526,8 @@ def _projected(columns, state, M):
         except Exception as exc:  # raised in its turn, after the columns before it
             error = exc
         block = block or _Block(m)
-        block.project(state.V, drawn, pos, M)
+        block.project(state.Q, drawn, pos, M)
         for i, c in enumerate(drawn, pos):
-            yield c, block[i] if state.j == state.n % RUN else _project(state.V, c, M)
+            yield c, block[i] if state.j == state.n % RUN else _project(state.Q, c, M)
         if error is not None:
             raise error

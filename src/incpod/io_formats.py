@@ -34,7 +34,7 @@ __all__ = [
 _STREAM_MAGIC = b"PODS"
 _CHECKPOINT_MAGIC = b"PODC"
 _STREAM_VERSION = 1
-_CHECKPOINT_VERSION = 5
+_CHECKPOINT_VERSION = 6
 _STREAM_HEADER = struct.Struct("<4sIQQ")  # magic, version, m, count
 
 
@@ -242,13 +242,13 @@ def read_weight_matrix(path):
 
 
 # checkpoint payload header: m, n, k, k0, rows of Wp, j (u64), e (f64),
-# T_p, T_sv (u64), tol, tol_sv (f64); then V, sigma, W0, Wp and the open
+# T_p, T_sv (u64), tol, tol_sv (f64); then Q, sigma, W0, Wp and the open
 # run D[:, :j] as f64 runs; trailing CRC32 of the payload. The run's j
 # columns have no rows of W yet, so W0 has n0 = n - j - (rows of Wp - k0)
 # rows. ``e`` is the whole error-bound accumulator and the factors and the
 # run are stored as they are (a checkpoint never flushes), so these values
 # are all a resumed run needs to continue bitwise. Version 5 added j and D
-# to version 4.
+# to version 4; version 6 stores Q = L^T V in place of V.
 _CKPT_HEAD = struct.Struct("<QQQQQQdQQdd")
 
 
@@ -262,7 +262,7 @@ def checkpoint(state, path, tols):
     if state.Wp is None:
         raise ValueError("checkpointing requires the right singular vectors")
     head = _CKPT_HEAD.pack(
-        state.V.shape[0],
+        state.Q.shape[0],
         state.n,
         state.k,
         state.W0.shape[1],
@@ -281,7 +281,7 @@ def checkpoint(state, path, tols):
             fh.write(struct.pack("<I", _CHECKPOINT_VERSION))
             fh.write(head)
             crc = zlib.crc32(head)  # of the payload, folded in as it is written
-            for a in (state.V, state.sigma, state.W0, state.Wp, state.run):
+            for a in (state.Q, state.sigma, state.W0, state.Wp, state.run):
                 chunk = np.ascontiguousarray(a, dtype="<f8")
                 fh.write(chunk)
                 crc = zlib.crc32(chunk, crc)
@@ -333,13 +333,13 @@ def restore(path):
         )
     arrays = np.frombuffer(payload, dtype="<f8", offset=_CKPT_HEAD.size)
     # one copy per array, so each gets its own buffer as in an uninterrupted run
-    V, sigma, W0, Wp, run = (a.copy() for a in np.split(arrays, np.cumsum(sizes[:-1])))
+    Q, sigma, W0, Wp, run = (a.copy() for a in np.split(arrays, np.cumsum(sizes[:-1])))
     D = None
     if j:
         D = np.empty((k, RUN))
         D[:, :j] = run.reshape(k, j)
     state = SvdState(
-        V=V.reshape(m, k), sigma=sigma, W0=W0.reshape(n0, k0), Wp=Wp.reshape(rows_p, k),
+        Q=Q.reshape(m, k), sigma=sigma, W0=W0.reshape(n0, k0), Wp=Wp.reshape(rows_p, k),
         n=n, e=e, T_p=t_p, T_sv=t_sv, D=D, j=j,
     )
     return state, tols

@@ -11,6 +11,7 @@ streamed state of its tightest cell only.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,23 +147,18 @@ def _row(U, M, grid, i):
     return row if i == tightest else replace(row, state=None)
 
 
-def _thread_count():
-    """Threads of this process, native ones included; 0 if unknown."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 0
-
-
 def _fork_context(cells):
     """The ``fork`` context of the sweep's pool if the sweep has two cells,
-    two cores to run them on and this process runs one thread, else None. A
-    second thread is most often a BLAS pool (no ``OPENBLAS_NUM_THREADS=1``),
-    which already uses the cores: with a worker that had a pool of its own,
-    a 500-node verify took 44 s instead of 10. ``multiprocessing`` is
-    imported only here, so that importing the package does not pay for it."""
+    two cores to run them on, and the caller runs one Python thread and
+    numpy's OpenBLAS one thread, else None. A forked child of a process
+    with other threads can hang on a lock one of them held; a BLAS that
+    runs more threads already uses the cores: with a worker that had a pool
+    of its own, a 500-node verify took 44 s instead of 10.
+    ``multiprocessing`` is imported only here, so that importing the
+    package does not pay for it."""
     affinity = getattr(os, "sched_getaffinity", None)
-    if cells < 2 or affinity is None or len(affinity(0)) < 2 or _thread_count() != 1:
+    cores = len(affinity(0)) if affinity else 1
+    if cells < 2 or cores < 2 or threading.active_count() != 1 or _lapack.get_num_threads() != 1:
         return None
     import multiprocessing
 
@@ -187,7 +183,6 @@ def _init_worker(*cells):
     both ends of the pool's pipes, so it would otherwise wait for ever."""
     global _pool_cells
     _pool_cells = cells
-    import threading
     from multiprocessing import connection, parent_process
 
     parent = parent_process().sentinel

@@ -164,7 +164,8 @@ def vector_bound_check(exact, approx, M, eps, k):
     """
     if min(exact.sigma.size, approx.sigma.size) < 1:
         raise PreconditionViolationError("decompositions must be nonempty")
-    if approx.sigma.size < k or approx.V.shape[1] < k:
+    V_approx = approx.V  # a streamed state builds V on access
+    if approx.sigma.size < k or V_approx.shape[1] < k:
         raise PreconditionViolationError(
             f"approximate decomposition has rank {approx.sigma.size}, need {k}"
         )
@@ -180,7 +181,7 @@ def vector_bound_check(exact, approx, M, eps, k):
             v_a, w_a = align_singular_pair(
                 exact.V[:, j - 1],
                 W_exact[:, j - 1],
-                approx.V[:, j - 1],
+                V_approx[:, j - 1],
                 W_approx[:, j - 1],
                 M,
             )

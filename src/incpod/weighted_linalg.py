@@ -119,19 +119,17 @@ class WeightMatrix:
     def is_sparse(self):
         return self._band is not None
 
-    def matvec(self, x, out=None):
+    def matvec(self, x):
         """M @ x for x of shape (m,) or (m, w), equal to ``entries @ x`` bit
-        for bit for a finite x; written into ``out``, a float64 array of x's
-        shape that does not overlap it, when one is given."""
+        for bit for a finite x."""
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[0] != self._m:
             raise ValueError(f"operand has shape {x.shape}, expected {self._m} rows")
         if self._band is None:
-            return np.matmul(self._dense, x, out=out)
+            return self._dense @ x
         m = self._m
         band = self._band if x.ndim == 1 else self._band[:, :, None]
-        y = np.zeros(x.shape) if out is None else out
-        y[...] = 0.0
+        y = np.zeros(x.shape)
         for d in range(band.shape[0] - 1, 0, -1):  # left of the diagonal, farthest first
             y[d:] += band[d, : m - d] * x[: m - d]
         y += band[0] * x
@@ -156,44 +154,42 @@ class WeightMatrix:
             self._chol = L
         return self._chol
 
-    def apply_lt(self, A):
-        """Return L^T @ A as a new array. For a sparse M it has A's layout,
-        and row j is the sum of ``L[j + d, j] * A[j + d]`` over the band's
-        rows d, in ascending order as in a CSR product with L^T, taken in
-        tiles of at most :data:`BLOCK` rows by :data:`BLOCK` columns, so
-        that no temporary is larger than a tile."""
+    def apply_lt(self, A, out=None):
+        """Return L^T @ A, written into ``out``, a float64 array of A's shape
+        that does not overlap it, when one is given, else a new array. For a
+        sparse M row j is the sum of ``L[j + d, j] * A[j + d]`` over the
+        band's rows d, in ascending order as in a CSR product with L^T; a
+        new array has A's layout. A 2-D A is taken in tiles of at most
+        :data:`BLOCK` rows by BLOCK columns, so that no temporary is larger
+        than a tile; the tiles do not change the bits."""
         L = self._factor()
         if self._band is None:
-            return L.T @ A
+            return np.matmul(L.T, A, out=out)
         A = np.asarray(A, dtype=np.float64)
-        X = A.reshape(A.shape[0], -1)  # a vector as one column
-        out = np.empty_like(X)
-        band = L[:, :, None]  # a column per row of X
         m = self._m
+        if A.ndim == 1:
+            out = np.multiply(L[0], A, out=out)
+            for d in range(1, L.shape[0]):
+                out[: m - d] += L[d, : m - d] * A[d:]
+            return out
+        if out is None:
+            out = np.empty_like(A)
+        band = L[:, :, None]  # a column per row of A
         for rows in column_blocks(m):
-            for cols in column_blocks(X.shape[1]):
+            for cols in column_blocks(A.shape[1]):
                 o = out[rows, cols]
-                np.multiply(band[0, rows], X[rows, cols], out=o)
+                np.multiply(band[0, rows], A[rows, cols], out=o)
                 for d in range(1, L.shape[0]):
                     # the tile's rows i to j - 1 have a row i + d < m below them
                     i, j = rows.start, max(rows.start, min(rows.stop, m - d))
-                    o[: j - i] += band[d, i:j] * X[i + d : j + d, cols]
-        return out.reshape(A.shape)
+                    o[: j - i] += band[d, i:j] * A[i + d : j + d, cols]
+        return out
 
     def solve_lt(self, B):
-        """Solve L^T X = B by back substitution, one row of X at a time from
-        the last: ``X[j] = (B[j] - L[j+1:, j] @ X[j+1:]) / L[j, j]``, where a
-        sparse M's column of L holds its band alone."""
-        L = self._factor()
-        dense = self._band is None
-        diagonal = np.diagonal(L) if dense else L[0]
-        X = np.array(B, dtype=np.float64, order="C")  # layout-independent bits
-        m = self._m
-        for j in range(m - 1, -1, -1):
-            below = L[j + 1 :, j] if dense else L[1 : m - j, j]
-            X[j] -= below @ X[j + 1 : j + 1 + below.size]
-            X[j] /= diagonal[j]
-        return X
+        """Solve L^T X = B by one LAPACK triangular solve, ``dtrtrs`` for a
+        dense M or ``dtbtrs`` on the band of L for a sparse one; X is a new
+        Fortran-ordered array of B's shape."""
+        return _lapack.trsv_lt(self._factor(), B, band=self._band is not None)
 
 
 BLOCK = 128  # columns per block of the column-blocked products
@@ -329,8 +325,8 @@ def _scaled_gram(A, M):
     """(scale, G) for :func:`weighted_operator_norm`: the largest absolute
     entry of S = L^T A and the Gram matrix of S / scale, or None if S is
     empty or zero. Blocks after the first add to G's lower triangle only,
-    the one ``eigvalsh`` reads, in bands of rows, so that they make no
-    m x m temporary."""
+    the one ``eigvalsh`` reads, by one BLAS ``dsyrk`` each, so that they make
+    no m x m temporary."""
     blocked = isinstance(A, Iterator)
     scale, G = 0.0, None
     for block in A if blocked else [A]:
@@ -355,9 +351,7 @@ def _scaled_gram(A, M):
         if G is None:
             G = S.T @ S if not blocked and S.shape[0] > S.shape[1] else S @ S.T
         else:
-            for i in range(0, S.shape[0], BLOCK):
-                j = min(i + BLOCK, S.shape[0])
-                G[i:j, :j] += S[i:j] @ S[:j].T
+            _lapack.syrk_lower(G, S)
     return scale, G
 
 

@@ -51,6 +51,21 @@ def write_prefix(prefix, source, times, weights, cols):
     shutil.copy(source + ".wm", prefix + ".wm")
 
 
+def run_with_blas_threads(threads, tmp_path, *argv):
+    """Run ``incpod.cli argv`` in a child with ``threads`` BLAS threads in
+    its environment, or with the variables unset if None; returns the
+    output prefix it wrote."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if threads:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+    out = str(tmp_path / f"{argv[0]}_threads_{threads}")
+    subprocess.run([sys.executable, "-m", "incpod.cli", *argv, "--output", out], env=env,
+                   check=True, capture_output=True)
+    return out
+
+
 def run_cut(rows, where):
     """The first column n of a trace where a checkpoint falls inside an
     open run, where a run closes at n = 0 (mod RUN), or on a growth column
@@ -171,7 +186,9 @@ class TestPod:
         pytest.param(3, None, id="3"),
         pytest.param(5, 2, id="cut_in_zeros"),
         pytest.param(0, "in_run", id="in_run"),
-        pytest.param(0, "run_boundary", id="run_boundary"),
+        # two leading zeros put a run's end, n = 0 (mod RUN), between two
+        # appended columns of this data
+        pytest.param(2, "run_boundary", id="run_boundary"),
         pytest.param(0, "growth", id="growth"),
     ])
     def test_checkpoint_resume_bitwise(self, fhn_prefix, tmp_path, leading_zeros, cut):
@@ -268,6 +285,32 @@ class TestPod:
         Path(ckpt + ".podc").write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:])
         assert main(["pod", "--input", fhn_prefix, "--output", str(tmp_path / "p"),
                      "--resume", ckpt + ".podc"]) == 2
+
+    def test_resume_from_version_5_exit_code(self, fhn_prefix, tmp_path):
+        # version 5 had version 6's layout with V = L^-T Q in place of Q: a
+        # well-formed one is refused, not resumed from its V as Q
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["pod", "--input", fhn_prefix, "--output", ckpt]) == 0
+        state, _ = restore(ckpt + ".podc")
+        state.M = read_weight_matrix(fhn_prefix + ".wm")
+        head = Path(ckpt + ".podc").read_bytes()[8 : 8 + 88]
+        payload = head + b"".join(
+            np.ascontiguousarray(a, dtype="<f8").tobytes()
+            for a in (state.V, state.sigma, state.W0, state.Wp, state.run)
+        )
+        Path(ckpt + ".podc").write_bytes(
+            b"PODC" + struct.pack("<I", 5) + payload + struct.pack("<I", zlib.crc32(payload)))
+        assert main(["pod", "--input", fhn_prefix, "--output", str(tmp_path / "p"),
+                     "--resume", ckpt + ".podc"]) == 2
+
+    def test_not_positive_definite_weight_exit_code(self, tmp_path):
+        # pod streams in the weight's Cholesky factor: an indefinite weight
+        # is a numerical failure, as in verify
+        bad = str(tmp_path / "bad")
+        write_stream(bad + ".pods", [1.0, 2.0], [1.0, 1.0], np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with open(bad + ".wm", "w") as fh:
+            fh.write("%%WeightMatrix symmetric\n2 2 2\n1 1 1\n2 2 -1\n")
+        assert main(["pod", "--input", bad, "--output", str(tmp_path / "o")]) == 3
 
     def test_resume_from_nonpositive_tolerance_exit_code(self, fhn_prefix, tmp_path):
         # tol (payload bytes 72-80) forged to -1 under a valid CRC
@@ -377,6 +420,18 @@ class TestVerify:
         assert main(["verify", "--input", bad, "--output",
                      str(tmp_path / "o")]) == 3
 
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # verify sets one BLAS thread itself: children started with one
+        # thread, two, or the variables unset write the same bytes. At 100
+        # nodes a two-thread BLAS changes the exact SVD's modes
+        data = str(tmp_path / "fhn")
+        assert main(["simulate", "--nodes", "100", "--t-final", "2.5", "--output", data]) == 0
+        outs = [run_with_blas_threads(threads, tmp_path, "verify", "--input", data)
+                for threads in ("1", "2", None)]
+        for suffix in ("_sweep.csv", "_modes.csv"):
+            first = Path(outs[0] + suffix).read_bytes()
+            assert all(Path(o + suffix).read_bytes() == first for o in outs[1:]), suffix
+
 
 class TestReport:
     def test_figure_data(self, fhn_prefix, tmp_path):
@@ -400,14 +455,14 @@ def block_prefix(tmp_path_factory):
     """A rank-40 stream plus noise of 1e-11 under the FEM mass weight of 500
     nodes (m = 1000), the shape of the benchmark's synthetic stream: 32
     directions from the first columns on, direction 32 + i first in column
-    100 + 40 i + 10, inside a block. At BLOCK_FLAGS most blocks are all
-    appends, and some have a growth after appends."""
+    110 + 80 i, inside a block. At BLOCK_FLAGS most blocks are all appends,
+    and some have a growth after appends."""
     prefix = str(tmp_path_factory.mktemp("blocks") / "synth")
     M = build_weight_matrix(Mesh1D(500))
     rng = np.random.default_rng(25)
-    n = 500
+    n = 700
     coeffs = rng.standard_normal((40, n)) * np.geomspace(1.0, 1e-5, 40)[:, None]
-    start = np.concatenate([np.zeros(32), 110 + 40 * np.arange(8)])
+    start = np.concatenate([np.zeros(32), 110 + 80 * np.arange(8)])
     coeffs *= np.arange(n)[None, :] >= start[:, None]
     cols = rng.standard_normal((M.dim, 40)) @ coeffs + 1e-11 * rng.standard_normal((M.dim, n))
     write_weight_matrix(prefix + ".wm", M)
@@ -497,14 +552,14 @@ class TestBlockPod:
         state = SvdState.empty(M.dim)
 
         def on_column(s, report):
-            seen.append((s.n, s.j, s.e, s.T_p, s.V, s.sigma, s.Wp, s.run.copy()))
+            seen.append((s.n, s.j, s.e, s.T_p, s.Q, s.sigma, s.Wp, s.run.copy()))
 
         with pytest.raises(InvalidInputError):
             run_stream(iter(cols.T), M, tols, state=state, on_column=on_column)
-        n, j, e, T_p, V, sigma, Wp, run = seen[-1]
+        n, j, e, T_p, Q, sigma, Wp, run = seen[-1]
         assert (n, j) == (bad, bad % RUN)
         assert (state.n, state.j, state.e, state.T_p) == (n, j, e, T_p)
-        assert state.V is V and state.sigma is sigma and state.Wp is Wp
+        assert state.Q is Q and state.sigma is sigma and state.Wp is Wp
         assert np.array_equal(state.run, run)
 
     def test_truncated_record_inside_a_block(self, block_prefix, tmp_path):
@@ -528,19 +583,9 @@ class TestBlockPod:
     def test_outputs_do_not_depend_on_blas_threads(self, block_prefix, tmp_path):
         # pod sets one BLAS thread itself: children started with one thread,
         # two, or the variables unset write the same bytes
-        src = str(Path(cli.__file__).resolve().parents[1])
-        outs = []
-        for threads in ("1", "2", None):
-            env = {k: v for k, v in os.environ.items()
-                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-            env["PYTHONPATH"] = src
-            if threads:
-                env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
-            out = str(tmp_path / f"threads_{threads}")
-            subprocess.run([sys.executable, "-m", "incpod.cli", "pod", "--input", block_prefix,
-                            "--output", out, *BLOCK_FLAGS], env=env, check=True,
-                           capture_output=True)
-            outs.append(out)
+        outs = [run_with_blas_threads(threads, tmp_path, "pod", "--input", block_prefix,
+                                      *BLOCK_FLAGS)
+                for threads in ("1", "2", None)]
         for suffix in (".podc", "_eigenvalues.csv", "_trace.csv"):
             first = Path(outs[0] + suffix).read_bytes()
             assert all(Path(o + suffix).read_bytes() == first for o in outs[1:]), suffix

@@ -211,7 +211,7 @@ class TestUpdate:
         M = random_weight(rng, 8)
         U = rng.standard_normal((8, 5))
         s = stream_matrix(U[:, :4], M, Tolerances())
-        s.V[:, -1] += drift * s.V[:, 0]
+        s.Q[:, -1] += drift * s.Q[:, 0]
         s, rep = update(s, U[:, 4], M, Tolerances())
         assert rep.reorthogonalized == (drift > 0.0)
         assert m_orthonormality_defect(s.V, M) <= 1e-13
@@ -230,13 +230,13 @@ class TestUpdate:
     def test_failed_update_leaves_state_unchanged(self):
         # two equal basis vectors: the grown basis is rank deficient, so the
         # reorthogonalization raises after the rotation has been computed
-        M = WeightMatrix(np.eye(4))
+        M = WeightMatrix(np.eye(4))  # L = I: Q is V
         v = np.array([1.0, 0.0, 0.0, 0.0])
-        V, sigma, W = np.column_stack([v, v]), np.array([2.0, 1.0]), np.eye(2)
-        s = SvdState(V=V.copy(), sigma=sigma.copy(), W0=W.copy(), Wp=np.eye(2), n=2)
+        Q, sigma, W = np.column_stack([v, v]), np.array([2.0, 1.0]), np.eye(2)
+        s = SvdState(Q=Q.copy(), sigma=sigma.copy(), W0=W.copy(), Wp=np.eye(2), n=2)
         with pytest.raises(RankDeficientError):
             update(s, np.array([1.0, 0.5, 0.0, 0.0]), M, Tolerances())
-        assert np.array_equal(s.V, V) and np.array_equal(s.W, W)
+        assert np.array_equal(s.Q, Q) and np.array_equal(s.W, W)
         assert np.array_equal(s.W0, W) and np.array_equal(s.Wp, np.eye(2))
         assert np.array_equal(s.sigma, sigma) and s.k == 2 and s.n == 2
         assert s.e == 0.0 and s.T_p == 0 and s.T_sv == 0
@@ -328,14 +328,15 @@ class TestFactoredW:
         s = SvdState.empty(20)
         W_ref, folds = np.zeros((0, 0)), 0
         for c in U.T:
-            V, sigma, W0, k = s.V, s.sigma, s.W0, s.k
-            res = c - V @ (V.T @ M.matvec(c))
-            p = float(np.sqrt(abs(res @ M.matvec(res))))
-            Q = np.zeros((k + 1, k + 1))
-            Q[:k, :k] = np.diag(sigma)
-            Q[:k, k] = V.T @ M.matvec(c)
-            Q[k, k] = 0.0 if p < MIXED_TOLS.tol else p
-            _, _, W_Q = small_svd(Q)
+            Q, sigma, W0, k = s.Q, s.sigma, s.W0, s.k
+            d = Q.T @ M.apply_lt(c)  # in Cholesky coordinates, as update
+            res = M.apply_lt(c) - Q @ d
+            p = float(np.sqrt(res @ res))
+            B = np.zeros((k + 1, k + 1))
+            B[:k, :k] = np.diag(sigma)
+            B[:k, k] = d
+            B[k, k] = 0.0 if p < MIXED_TOLS.tol else p
+            _, _, W_Q = small_svd(B)
 
             s, rep = update(s, c, M, MIXED_TOLS)
             r = k + rep.rank_grew
@@ -416,7 +417,8 @@ class TestPodOutput:
 
     def test_two_modes(self):
         s = SvdState(
-            V=np.eye(2), sigma=np.array([3.0, 1.0]), W0=np.eye(2), Wp=np.eye(2), n=2
+            Q=np.eye(2), sigma=np.array([3.0, 1.0]), W0=np.eye(2), Wp=np.eye(2), n=2,
+            M=WeightMatrix(np.eye(2)),
         )
         _, eigs = pod_output(s)
         assert np.allclose(eigs, [9.0, 1.0], atol=0)
@@ -470,25 +472,28 @@ class TestRunStream:
         with pytest.raises(FormatError):
             run_stream(iter(U[:, :5].T), M, EXACT, state=state)
 
-    def test_growth_column_reuses_projection_matvec(self, rng, monkeypatch):
-        # M c and M res for the projection, M res2 for the new direction and
-        # one for the drift probe; the second pass reuses the projection's M res
+    def test_growth_column_reuses_its_projection(self, rng, monkeypatch):
+        # one product L^T c for the projection; the second pass, the new
+        # direction and the drift probe reuse it, with no product with M
         M = random_weight(rng, 10)
         U = rng.standard_normal((10, 4))
         tols = Tolerances(1e-8, 1e-8)
         by_update, by_stream = (run_stream(iter(U[:, :3].T), M, tols) for _ in range(2))
         assert by_update.k == 3 and by_update.j == 0
-        calls = []
-        matvec = WeightMatrix.matvec
-        monkeypatch.setattr(
-            WeightMatrix, "matvec", lambda self, x: calls.append(1) or matvec(self, x)
-        )
+        calls = {"matvec": 0, "apply_lt": 0}
+        for name in calls:
+
+            def counted(self, *a, _orig=getattr(WeightMatrix, name), _name=name, **kw):
+                calls[_name] += 1
+                return _orig(self, *a, **kw)
+
+            monkeypatch.setattr(WeightMatrix, name, counted)
         _, rep = update(by_update, U[:, 3], M, tols)
         assert rep.rank_grew and not rep.reorthogonalized
-        assert len(calls) == 4
-        del calls[:]
+        assert calls == {"matvec": 0, "apply_lt": 1}
+        calls.update(matvec=0, apply_lt=0)
         assert run_stream(iter(U.T), M, tols, state=by_stream).k == 4
-        assert len(calls) == 4
+        assert calls == {"matvec": 0, "apply_lt": 1}
 
     def test_passed_projection_is_bitwise_the_recomputed_one(self, rng):
         # every column goes through update (no p < tol): growth, non-growing
@@ -522,16 +527,16 @@ class TestBlockProjection:
     @pytest.mark.parametrize("k", [1, 7, 40])
     @pytest.mark.parametrize("weight", ["dense", "fem"])
     def test_column_bits_depend_on_the_column_and_its_position(self, rng, weight, k):
-        # each column's d, res, p and M res keep their bits whatever the
-        # other positions hold: other columns, zeros, or nothing drawn
+        # each column's d, res and p keep their bits whatever the other
+        # positions hold: other columns, zeros, or nothing drawn
         M = random_weight(rng, 60) if weight == "dense" else build_weight_matrix(Mesh1D(500))
-        V = m_orthonormal_columns(rng, M, k)
+        Q = M.apply_lt(m_orthonormal_columns(rng, M, k))
         cols = list(rng.standard_normal((RUN, M.dim)) * np.geomspace(1.0, 1e-8, RUN)[:, None])
         others = list(rng.standard_normal((RUN, M.dim)))
         block = incpod.incremental._Block(M.dim)
 
         def projections(columns, pos):
-            block.project(V, columns, pos, M)
+            block.project(Q, columns, pos, M)
             return {i: [np.array(a).tobytes() for a in block[i]] for i in range(pos, RUN)}
 
         whole = projections(cols, 0)
@@ -541,10 +546,10 @@ class TestBlockProjection:
             alone = projections([cols[i]], i)[i]
             mixed = projections(others[:i] + [cols[i]] + others[i + 1 :], 0)[i]
             assert alone == mixed == whole[i]
-            d, res, p, Mres = block[i]
+            d, res, p = block[i]
             # and they are the one-column projection's up to round-off
-            ref = incpod.incremental._project(V, cols[i], M)
-            for got, want in zip((d, res, p, Mres), ref):
+            ref = incpod.incremental._project(Q, cols[i], M)
+            for got, want in zip((d, res, p), ref):
                 assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -628,25 +633,24 @@ class TestRuns:
             drawn.append(c)  # keeps each id unique while the stream runs
             times[id(c)] = times.get(id(c), 0) + 1
 
-        def counted_project(V, c, M):
+        def counted_project(Q, c, M):
             count(c)
-            return project(V, c, M)
+            return project(Q, c, M)
 
-        def counted_block(self, V, columns, pos, M):
+        def counted_block(self, Q, columns, pos, M):
             for c in columns:
                 count(c)
-            return block_project(self, V, columns, pos, M)
+            return block_project(self, Q, columns, pos, M)
 
         decided, received = [], []
 
         def checked(columns, state, M):
             for c, projection in projected(columns, state, M):
-                d, res, p, Mres = projection
-                d_ref, res_ref, p_ref, _ = project(state.V, c, M)
+                d, res, p = projection
+                d_ref, res_ref, p_ref = project(state.Q, c, M)
                 scale = m_norm(c, M) * 1e-13
                 assert d.shape == d_ref.shape and np.max(np.abs(d - d_ref), initial=0.0) <= scale
                 assert np.max(np.abs(res - res_ref)) <= scale and abs(p - p_ref) <= scale
-                assert np.max(np.abs(Mres - M.matvec(res))) <= 1e-12 * np.max(np.abs(Mres))
                 decided.append(projection)
                 yield c, projection
 
@@ -666,6 +670,36 @@ class TestRuns:
         assert received and all(received)
         assert max(times.values()) == 2 and 1 in times.values()
         assert sum(times.values()) < 2 * U.shape[1]
+
+    def test_no_product_with_m_outside_the_reorthogonalization(self, rng, monkeypatch):
+        # growth, runs, blocks and flushes, and V built at the end, meet M
+        # only through L^T and its solve; a drifted basis is reorthogonalized
+        # by Gram-Schmidt, which alone calls matvec
+        M = random_weight(rng, 20)
+        U = run_data(rng, M)
+        inc = incpod.incremental
+        calls, inside = [], []
+        matvec, mgs = WeightMatrix.matvec, inc.modified_gram_schmidt_weighted
+
+        def counted(self, *a, **kw):
+            calls.append(bool(inside))
+            return matvec(self, *a, **kw)
+
+        def reorthogonalize(*a):
+            inside.append(1)
+            try:
+                return mgs(*a)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(WeightMatrix, "matvec", counted)
+        monkeypatch.setattr(inc, "modified_gram_schmidt_weighted", reorthogonalize)
+        s = flush(run_stream(iter(U[:, :150].T), M, RUN_TOLS), M, RUN_TOLS)
+        pod_output(s)
+        assert s.T_p > 50 and s.k == 6 and calls == []
+        s.Q[:, -1] += 1e-6 * s.Q[:, 0]
+        s = flush(run_stream(iter(U.T), M, RUN_TOLS, state=s), M, RUN_TOLS)
+        assert calls and all(calls)
 
     def test_open_run_is_refused(self, rng):
         M = random_weight(rng, 8)
@@ -695,7 +729,7 @@ class TestRuns:
         M = random_weight(rng, 8)
         U = m_orthonormal_columns(rng, M, 2) @ rng.standard_normal((2, RUN))
         s = run_stream(iter(U[:, : RUN - 1].T), M, RUN_TOLS)
-        before = (s.n, s.j, s.e, s.T_p, s.D[:, : s.j].copy(), s.V, s.sigma, s.Wp)
+        before = (s.n, s.j, s.e, s.T_p, s.D[:, : s.j].copy(), s.Q, s.sigma, s.Wp)
 
         def broken(_):
             raise RankDeficientError("forced", column=0)
@@ -705,4 +739,24 @@ class TestRuns:
             run_stream(iter(U.T), M, RUN_TOLS, state=s)
         assert (s.n, s.j, s.e, s.T_p) == before[:4]
         assert np.array_equal(s.D[:, : s.j], before[4])
-        assert s.V is before[5] and s.sigma is before[6] and s.Wp is before[7]
+        assert s.Q is before[5] and s.sigma is before[6] and s.Wp is before[7]
+
+
+def test_v_stays_m_orthonormal_over_a_long_stream():
+    # the benchmark's synthetic stream at 20,000 columns: rank 40, singular
+    # values from 1 to 1e-6, and noise of 1e-11 under the FEM mass weight of
+    # 500 nodes (m = 1000), made 500 columns at a time
+    M = build_weight_matrix(Mesh1D(500))
+    rng = np.random.default_rng(18)
+    V = M.solve_lt(np.linalg.qr(rng.standard_normal((M.dim, 40)))[0])
+    V *= np.geomspace(1.0, 1e-6, 40) / np.sqrt(20_000)
+
+    def columns():
+        for _ in range(40):
+            chunk = V @ rng.standard_normal((40, 500)) + 1e-11 * rng.standard_normal((M.dim, 500))
+            yield from chunk.T
+
+    tols = Tolerances(1e-9, 1e-9)
+    s = flush(run_stream(columns(), M, tols, keep_w=False), M, tols)
+    assert s.n == 20_000 and s.k == 40
+    assert m_orthonormality_defect(s.V, M) <= 1e-13

@@ -76,14 +76,15 @@ class TestStream:
                 next(it)
         assert exc.value.offset == header + record
 
-    @pytest.mark.parametrize("count", [0, 2 * RUN + 5])
+    @pytest.mark.parametrize("count", [0, RUN + 5])
     @pytest.mark.parametrize("end", ["whole", "cut", "extra"])
     def test_chunked_reads_yield_every_whole_record_first(self, rng, tmp_path, count, end):
-        # records are read RUN at a time; a cut inside record RUN + 3, or
-        # bytes after the last record (past a declared count, or a partial
-        # record of an unterminated stream), raise only after every record
-        # before them has been yielded, each column with the file's bits
-        m, n = 6, 2 * RUN + 5
+        # records are read RUN at a time, here one full read and a partial
+        # one; a cut inside record RUN + 3, or bytes after the last record
+        # (past a declared count, or a partial record of an unterminated
+        # stream), raise only after every record before them has been
+        # yielded, each column with the file's bits
+        m, n = 6, RUN + 5
         cols = rng.standard_normal((m, n))
         path = tmp_path / "s.pods"
         with StreamWriter(path, m, count=count) as w:
@@ -257,7 +258,7 @@ class TestCheckpoint:
         path = tmp_path / "c.podc"
         checkpoint(state, path, tols)
         restored, tols2 = restore(path)
-        assert np.array_equal(restored.V, state.V)
+        assert np.array_equal(restored.Q, state.Q) and restored.M is None
         assert np.array_equal(restored.sigma, state.sigma)
         assert np.array_equal(restored.W, state.W)
         assert restored.k == state.k and restored.n == state.n
@@ -281,7 +282,7 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             restore(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_empty_payload_rejected(self, tmp_path, version):
         # magic, version, then the CRC of an empty payload: 12 bytes
         path = tmp_path / "short.podc"
@@ -335,6 +336,22 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:])
         with pytest.raises(FormatError, match="version 4"):
+            restore(path)
+
+    def test_version_5_rejected(self, rng, tmp_path):
+        # version 5 had this layout with V = L^-T Q in place of Q
+        state, _ = self._make_state(rng)
+        path = tmp_path / "v5.podc"
+        checkpoint(state, path, Tolerances())
+        blob = path.read_bytes()
+        head = blob[8 : 8 + 88]
+        payload = head + b"".join(
+            np.ascontiguousarray(a, dtype="<f8").tobytes()
+            for a in (state.V, state.sigma, state.W0, state.Wp, state.run)
+        )
+        path.write_bytes(b"PODC" + struct.pack("<I", 5) + payload
+                         + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(FormatError, match="version 5"):
             restore(path)
 
     @staticmethod
@@ -521,12 +538,12 @@ class TestCheckpoint:
         path = tmp_path / "c.podc"
         checkpoint(state, path, tols)
         payload = struct.pack(
-            "<QQQQQQdQQdd", state.V.shape[0], state.n, state.k, state.W0.shape[1],
+            "<QQQQQQdQQdd", state.Q.shape[0], state.n, state.k, state.W0.shape[1],
             state.Wp.shape[0], state.j, state.e, state.T_p, state.T_sv, tols.tol, tols.tol_sv,
         )
-        for a in (state.V, state.sigma, state.W0, state.Wp, state.run):
+        for a in (state.Q, state.sigma, state.W0, state.Wp, state.run):
             payload += np.ascontiguousarray(a, dtype="<f8").tobytes()
-        expected = b"PODC" + struct.pack("<I", 5) + payload + struct.pack("<I", zlib.crc32(payload))
+        expected = b"PODC" + struct.pack("<I", 6) + payload + struct.pack("<I", zlib.crc32(payload))
         assert path.read_bytes() == expected
 
     def test_requires_w(self, rng):

@@ -272,3 +272,54 @@ def test_gesdd_empty(shape):
     U, sigma, Vt = _lapack.gesdd(np.zeros(shape, order="F"))
     u, s, vt = np.linalg.svd(np.zeros(shape), full_matrices=False)
     assert U.shape == u.shape and sigma.shape == s.shape and Vt.shape == vt.shape
+
+
+@pytest.mark.parametrize("shape", [(60,), (60, 7), (60, 0)], ids=["vector", "block", "empty"])
+def test_triangular_solves_of_l_transposed(shape, rng):
+    # dtrtrs on a dense factor, the same call as scipy's; dtbtrs on the band
+    # of the FHN weight's factor, against a dense solve of that factor
+    B = rng.standard_normal(shape)
+    dense = WeightMatrix(fhn_random_spd(rng, 60))._factor()
+    X = _lapack.trsv_lt(dense, B, band=False)
+    # the C-ordered L's buffer is L^T in column-major order, solved as upper
+    expected, info = scipy_lapack.dtrtrs(dense.T, B.reshape(60, -1), lower=0, trans=0)
+    assert info == 0 and X.shape == B.shape and X.flags.f_contiguous
+    assert X.tobytes() == expected.reshape(shape).tobytes()
+    band = build_weight_matrix(Mesh1D(30))._factor()
+    L = sum(np.diag(band[d, : 60 - d], -d) for d in range(band.shape[0]))
+    X = _lapack.trsv_lt(band, B, band=True)
+    assert X.shape == B.shape and X.flags.f_contiguous
+    assert np.allclose(X, np.linalg.solve(L.T, B.reshape(60, -1)).reshape(shape),
+                       rtol=1e-13, atol=1e-13)
+
+
+def fhn_random_spd(rng, m):
+    A = rng.standard_normal((m, m))
+    return A @ A.T + m * np.eye(m)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("w", [1, 5, 300])
+def test_syrk_adds_to_the_lower_triangle_only(order, w, rng):
+    G = rng.standard_normal((40, 40))
+    S = np.array(rng.standard_normal((40, w)), order=order)
+    before = G.copy()
+    _lapack.syrk_lower(G, S)
+    lower = np.tril_indices(40)
+    assert np.allclose(G[lower], (before + S @ S.T)[lower], rtol=1e-13, atol=1e-12)
+    assert np.array_equal(np.triu(G, 1), np.triu(before, 1))
+
+
+def test_syrk_needs_a_c_ordered_gram_matrix(rng):
+    with pytest.raises(ValueError):
+        _lapack.syrk_lower(np.zeros((4, 4), order="F"), rng.standard_normal((4, 2)))
+
+
+def test_thread_count_reads_back_what_was_set():
+    before = _lapack.get_num_threads()
+    try:
+        for count in (2, 1):
+            _lapack.set_num_threads(count)
+            assert _lapack.get_num_threads() == count
+    finally:
+        _lapack.set_num_threads(before)

@@ -36,10 +36,10 @@ def fhn_small():
     return simulate(FhnParams(), mesh, 2.5).columns, build_weight_matrix(mesh)
 
 
-def state_from_triple(V, sigma, W):
+def state_from_triple(V, sigma, W, M):
     return SvdState(
-        V=V.copy(), sigma=np.asarray(sigma, float).copy(), W0=W.copy(),
-        Wp=np.eye(W.shape[1]), n=W.shape[0],
+        Q=M.apply_lt(V), sigma=np.asarray(sigma, float).copy(), W0=W.copy(),
+        Wp=np.eye(W.shape[1]), n=W.shape[0], M=M,
     )
 
 
@@ -158,7 +158,7 @@ class TestExactError:
         M = random_weight(rng, 10)
         U = rng.standard_normal((10, 6))
         ex = exact_weighted_svd(U, M)
-        s = state_from_triple(ex.V, ex.sigma, ex.W)
+        s = state_from_triple(ex.V, ex.sigma, ex.W, M)
         assert exact_error(U, s, M) <= 1e-12 * ex.sigma[0]
 
     def test_rank_r_truncated_state(self, rng):
@@ -166,7 +166,7 @@ class TestExactError:
         U = rng.standard_normal((12, 8))
         ex = exact_weighted_svd(U, M)
         r = 3
-        s = state_from_triple(ex.V[:, :r], ex.sigma[:r], ex.W[:, :r])
+        s = state_from_triple(ex.V[:, :r], ex.sigma[:r], ex.W[:, :r], M)
         assert exact_error(U, s, M) == pytest.approx(ex.sigma[r], rel=1e-11)
 
     def test_inputs_unmodified(self, rng):
@@ -175,7 +175,7 @@ class TestExactError:
         U = rng.standard_normal((12, 30))
         tols = Tolerances(0.5, 0.5)
         state = flush(run_stream(iter(U.T), M, tols), M, tols)
-        arrays = (U, state.V, state.sigma, state.W0, state.Wp)
+        arrays = (U, state.Q, state.sigma, state.W0, state.Wp)
         before = [a.copy() for a in arrays]
         e = exact_error(U, state, M)
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
@@ -197,7 +197,7 @@ class TestExactError:
         M = random_weight(rng, 5)
         U = rng.standard_normal((5, 4))
         ex = exact_weighted_svd(U, M)
-        s = state_from_triple(ex.V, ex.sigma, ex.W)
+        s = state_from_triple(ex.V, ex.sigma, ex.W, M)
         with pytest.raises(ValueError):
             exact_error(rng.standard_normal((5, 6)), s, M)
 
@@ -314,10 +314,10 @@ class TestToleranceSweep:
 
 
 def use_cores(monkeypatch, count):
-    """``count`` usable cores, and a process of one thread whatever BLAS
-    pool this one runs."""
+    """``count`` usable cores, and a BLAS of one thread whatever the
+    environment sets."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(oracle, "_thread_count", lambda: 1)
+    monkeypatch.setattr(oracle._lapack, "get_num_threads", lambda: 1)
 
 
 def forbid_fork(monkeypatch):
@@ -381,7 +381,7 @@ from incpod import oracle
 from incpod.weighted_linalg import WeightMatrix
 
 os.sched_getaffinity = lambda pid: {0, 1}
-oracle._thread_count = lambda: 1
+oracle._lapack.get_num_threads = lambda: 1
 
 def sweep_row(U, M, tols):
     with open(sys.argv[1], "a") as fh:
@@ -509,9 +509,9 @@ class TestForkedSweep:
                     os.kill(pid, signal.SIGKILL)
 
     def test_second_thread_starts_no_process(self, monkeypatch, rng):
-        # a thread besides the caller's, e.g. a BLAS pool, keeps the sweep
-        # in this process
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        # a Python thread besides the caller's keeps the sweep in this
+        # process: a forked child could hang on a lock that thread held
+        use_cores(monkeypatch, 2)
         forbid_fork(monkeypatch)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
@@ -522,6 +522,16 @@ class TestForkedSweep:
         finally:
             release.set()
             other.join()
+        assert [row.tol_sv for row in rows] == [1e-8, 1e-10]
+
+    def test_blas_threads_start_no_process(self, monkeypatch, rng):
+        # a BLAS that runs a second thread already uses the cores: the sweep
+        # stays in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(oracle._lapack, "get_num_threads", lambda: 2)
+        forbid_fork(monkeypatch)
+        M = random_weight(rng, 8)
+        rows = tolerance_sweep(rng.standard_normal((8, 5)), M, VERIFY_GRID[:2])
         assert [row.tol_sv for row in rows] == [1e-8, 1e-10]
 
     def test_one_cell_grid_starts_no_process(self, monkeypatch, rng):

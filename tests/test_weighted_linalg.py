@@ -84,14 +84,14 @@ class TestWeightMatrix:
         for x in (rng.standard_normal(built.dim), rng.standard_normal((built.dim, 40))):
             assert built.matvec(x).tobytes() == read.matvec(x).tobytes()
 
-    def test_matvec_into_out(self, rng):
-        # the product written into a given array, whatever it held, has the
-        # bits of a new one
+    def test_apply_lt_into_out(self, rng):
+        # the product written into a given array, whatever it held and in
+        # either order, has the bits of a new one
         for M in (WeightMatrix(random_spd(rng, 40)), build_weight_matrix(Mesh1D(20))):
-            for shape in ((40,), (40, 32)):
-                x, out = rng.standard_normal(shape), np.full(shape, np.nan)
-                assert M.matvec(x, out=out) is out
-                assert out.tobytes() == M.matvec(x).tobytes()
+            for shape, order in (((40,), "C"), ((40, 64), "C"), ((40, 64), "F")):
+                x, out = rng.standard_normal(shape), np.full(shape, np.nan, order=order)
+                assert M.apply_lt(x, out=out) is out
+                assert out.tobytes() == M.apply_lt(x).tobytes()
 
 
 class TestMInner:
