@@ -11,10 +11,9 @@ from incpod import (
     SvdState,
     Tolerances,
     WeightMatrix,
+    exact_error,
     exact_weighted_svd,
-    reconstruct,
     update,
-    weighted_operator_norm,
 )
 
 rng = np.random.default_rng(42)
@@ -41,8 +40,9 @@ exact = exact_weighted_svd(U, M)
 print("exact rank:", exact.k, " streamed rank:", state.k)
 print("max singular value deviation:",
       np.max(np.abs(state.sigma - exact.sigma)))
-print("reconstruction error (weighted operator norm):",
-      weighted_operator_norm(U - reconstruct(state), M))
+# the state carries the weight it was streamed in, so the exact error
+# (a weighted operator norm) needs no M
+print("reconstruction error (weighted operator norm):", exact_error(U, state))
 print("running error bound e:", state.e)
 
 # Now give the data a decaying spectrum (the typical POD situation) and
@@ -54,7 +54,7 @@ state = SvdState.empty(m)
 for j in range(n):
     state, report = update(state, decayed[:, j], M, tols)
 
-err = weighted_operator_norm(decayed - reconstruct(state), M)
+err = exact_error(decayed, state)
 print("\ndecaying spectrum, truncation at 1e-6:")
 print(f"  rank {state.k} (down from {n}), T_p={state.T_p}, T_sv={state.T_sv}")
 print(f"  exact error  {err:.3e}")

@@ -9,7 +9,7 @@ sqrt(E_j) + 2 eps_j / sigma_j (right).
 
 import numpy as np
 
-from incpod import WeightMatrix, exact_weighted_svd, m_norm
+from incpod import WeightMatrix, exact_weighted_svd
 from incpod.perturbation import (
     bound_sequence,
     singular_value_gap_check,
@@ -31,8 +31,9 @@ U = (V * sigmas) @ W.T
 
 # rank-one perturbation with weighted operator norm exactly eps
 eps = 1e-9
+# with M = L L^T, the M-norm of u is the 2-norm of L^T u
 u = rng.standard_normal(m)
-u /= m_norm(u, M)
+u /= np.linalg.norm(M.apply_lt(u))
 z = rng.standard_normal(n)
 z /= np.linalg.norm(z)
 U_pert = U + eps * np.outer(u, z)
@@ -49,8 +50,9 @@ for j in range(3):
     print(f"  j={j + 1}: eps_j={seq.eps_seq[j]:.3e}  E_j={seq.E_seq[j]:.3e}  "
           f"gap ok: {seq.gap_ok[j]}")
 
+# both decompositions carry Q = L^T V, in which |v_j - v~_j|_M = |q_j - q~_j|
 print("\nvector bounds:")
-rows = vector_bound_check(exact, pert, M, eps=eps, k=3)
+rows = vector_bound_check(exact, pert, eps=eps, k=3)
 for r in rows:
     if r.gap_ok:
         print(f"  j={r.j}: |v_j - v~_j|_M = {r.v_err:.3e} <= {r.v_bound:.3e}  "

@@ -59,7 +59,7 @@ with StreamReader(stream_path) as reader:
 # both streams end inside the same open run (a checkpoint never closes one);
 # the flush folds it into V, sigma and W in the same way for both
 print(f"open run at the end: {direct.j} and {resumed.j} columns")
-direct, resumed = flush(direct, M2, tols), flush(resumed, M2, tols)
+direct, resumed = flush(direct, tols), flush(resumed, tols)
 print(f"direct run:  rank {direct.k}, e = {direct.e:.6e}")
 print(f"resumed run: rank {resumed.k}, e = {resumed.e:.6e}")
 print("bitwise identical:",

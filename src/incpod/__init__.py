@@ -49,8 +49,6 @@ from .perturbation import (
 )
 from .weighted_linalg import (
     WeightMatrix,
-    m_inner,
-    m_norm,
     m_orthonormality_defect,
     modified_gram_schmidt_weighted,
     small_svd,

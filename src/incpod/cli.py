@@ -44,7 +44,7 @@ from .errors import (
 from .fhn import FhnParams, Mesh1D, build_weight_matrix, simulate
 # ``update`` is not called here; bench/tracer.py wraps ``incpod.cli.update``
 # by name and expects it to exist.
-from .incremental import Tolerances, flush, pod_output, run_stream, update  # noqa: F401
+from .incremental import Tolerances, flush, run_stream, update  # noqa: F401
 from .io_formats import (
     StreamReader,
     checkpoint,
@@ -57,7 +57,7 @@ from .io_formats import (
 )
 from .oracle import exact_weighted_svd, tolerance_sweep
 from .perturbation import vector_bound_check
-from .weighted_linalg import WeightMatrix, m_inner, m_norm
+from .weighted_linalg import WeightMatrix
 
 VERIFY_GRID = tuple(
     Tolerances(t, tsv) for t in (1e-8, 1e-10, 1e-12) for tsv in (1e-8, 1e-10, 1e-12)
@@ -229,8 +229,8 @@ def cmd_pod(args):
     # that the two are byte-identical; the outputs come from the closed run
     if state.Wp is not None:
         checkpoint(state, ckpt_path, tols)
-    flush(state, M, tols)
-    modes, eigenvalues = pod_output(state)
+    flush(state, tols)
+    eigenvalues = state.sigma**2  # V is not written, so it is not built
     write_csv(
         args.output + "_eigenvalues.csv",
         ["index", "sigma", "eigenvalue"],
@@ -242,14 +242,15 @@ def cmd_pod(args):
     return 0
 
 
-def _mode_errors(exact, state, M, count):
-    errs, V = [], state.V
+def _mode_errors(exact, state, count):
+    """The M-norm errors of the first ``count`` modes after sign alignment,
+    ||q_j - q~_j|| on the columns of Q = L^T V."""
+    errs = []
     for j in range(count):
-        v_ex = exact.V[:, j]
-        v_in = V[:, j]
-        if m_inner(v_in, v_ex, M) < 0.0:
-            v_in = -v_in
-        errs.append(m_norm(v_ex - v_in, M))
+        q_ex, q_in = exact.Q[:, j], state.Q[:, j]
+        if q_in @ q_ex < 0.0:
+            q_in = -q_in
+        errs.append(float(np.linalg.norm(q_ex - q_in)))
     return errs
 
 
@@ -298,7 +299,7 @@ def cmd_verify(args):
     eps = max(tight.incr_error_bound, np.finfo(float).tiny)
     k = _distinct_prefix(ex.sigma, min(30, tight.state.k))
     # written also when no mode qualifies, so that no older file survives
-    bound_rows = vector_bound_check(ex, tight.state, M, eps, k) if k >= 1 else []
+    bound_rows = vector_bound_check(ex, tight.state, eps, k) if k >= 1 else []
     write_csv(
         args.output + "_modes.csv",
         ["j", "sigma_j", "eps_j", "E_j", "gap_ok", "v_err", "v_bound", "w_err", "w_bound"],
@@ -334,7 +335,7 @@ def cmd_report(args):
     )
 
     shared = min(ex.k, state.k)
-    errs = _mode_errors(ex, state, M, shared)
+    errs = _mode_errors(ex, state, shared)
     write_csv(
         args.output + "_mode_errors.csv",
         ["index", "sigma", "m_norm_error"],

@@ -92,8 +92,9 @@ class SvdState:
     upward rounding so that it is never below the exact real sum of its
     terms; ``T_p`` and ``T_sv`` count the truncation events that contributed
     to it. ``M`` is the weight matrix the state was streamed in, whose factor
-    L maps Q to V; :func:`update` and :func:`run_stream` set it. Single-owner
-    mutable state: one update at a time.
+    L maps Q to V; :func:`update` and :func:`run_stream` set it, and every
+    function that reads V takes it from here. Single-owner mutable state:
+    one update at a time.
     """
 
     Q: np.ndarray
@@ -218,7 +219,7 @@ class _Block:
         return self.D[:, i], self.R[:, i], float(self.p[i])
 
 
-def _rotate(state, Q, B, M, tols, columns, e_p):
+def _rotate(state, Q, B, tols, columns, e_p):
     """The tail that :func:`update` and a flush share, ending in the one
     assignment to ``state``.
 
@@ -231,9 +232,8 @@ def _rotate(state, Q, B, M, tols, columns, e_p):
     when it has more than 2k rows, and the drift probe reorthogonalizes a
     basis of two or more columns whose first and last columns have drifted
     more than tol out of orthogonality (:func:`_orthonormalized`). Only
-    then is the state assigned, ``M`` with it:
-    the run is closed, n grows by ``columns`` and e_p, then the largest
-    value dropped, go into e.
+    then is the state assigned: the run is closed, n grows by ``columns``
+    and e_p, then the largest value dropped, go into e.
 
     Returns ``(e_sv, reorthogonalized)``; e_sv is 0.0 if nothing was dropped.
     """
@@ -262,7 +262,7 @@ def _rotate(state, Q, B, M, tols, columns, e_p):
     if reorthogonalized:
         Q = _orthonormalized(Q)
 
-    state.Q, state.sigma, state.W0, state.Wp, state.M = Q, sigma, W0, Wp, M
+    state.Q, state.sigma, state.W0, state.Wp = Q, sigma, W0, Wp
     state.D, state.j = None, 0
     state.n += columns
     _charge(state, e_p, e_sv)
@@ -326,9 +326,10 @@ def update(state, c, M, tols, projection=None):
     ``Wp <- I``), an O(n k0 k) product once every k or so columns. Nothing
     here reads W, so V, sigma and e do not depend on whether it is kept.
 
-    ``state`` is assigned only after the last step that can raise, so an
-    exception (a bad column, or a :class:`RankDeficientError` from the
-    reorthogonalization) leaves it as it was.
+    ``state`` is assigned, ``state.M = M`` last, only after the last step
+    that can raise, so an exception (a bad column, or a
+    :class:`RankDeficientError` from the reorthogonalization) leaves it as
+    it was.
 
     ``projection`` is the ``(d, res, p)`` of c against ``state.Q``
     (:func:`_project`) when the caller has already computed it (:func:`run_stream` does, to
@@ -362,7 +363,8 @@ def update(state, c, M, tols, projection=None):
         u = res2 / p2 if p2 > 0.0 else res / p
         Q = np.hstack([Q, u[:, None]])
     e_p = 0.0 if grow else p
-    e_sv, reorthogonalized = _rotate(state, Q, B, M, tols, 1, e_p)
+    e_sv, reorthogonalized = _rotate(state, Q, B, tols, 1, e_p)
+    state.M = M
     report = UpdateReport(
         p=p,
         e_p=e_p,
@@ -373,7 +375,7 @@ def update(state, c, M, tols, projection=None):
     return state, report
 
 
-def flush(state, M, tols):
+def flush(state, tols):
     """Close the open run, if any, and return the state.
 
     The run's columns c_i added V d_i to the approximate matrix and left
@@ -386,11 +388,11 @@ def flush(state, M, tols):
     All or nothing, as :func:`update`.
     """
     if state.j:
-        _rotate(state, state.Q, _bordered(state.sigma, state.run, False), M, tols, 0, 0.0)
+        _rotate(state, state.Q, _bordered(state.sigma, state.run, False), tols, 0, 0.0)
     return state
 
 
-def _append(state, d, p, M, tols):
+def _append(state, d, p, tols):
     """Add a column with p < tol at rank k >= 1 to the open run.
 
     Its p enters e at once and n counts it; the run is flushed when this
@@ -405,7 +407,7 @@ def _append(state, d, p, M, tols):
         _charge(state, p)
         return UpdateReport(p=p, e_p=p, e_sv=0.0, rank_grew=False, reorthogonalized=False)
     B = _bordered(state.sigma, D[:, : j + 1], False)
-    e_sv, reorthogonalized = _rotate(state, state.Q, B, M, tols, 1, p)
+    e_sv, reorthogonalized = _rotate(state, state.Q, B, tols, 1, p)
     return UpdateReport(
         p=p, e_p=p, e_sv=e_sv, rank_grew=False, reorthogonalized=reorthogonalized
     )
@@ -494,10 +496,10 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
                 f"stream ends after {passed} of the {state.n} columns the state consumed"
             )
     state.M = M
-    for c, projection in _projected(columns, state, M):
+    for c, projection in _projected(columns, state):
         d, _, p = projection
         if state.k and p < tols.tol:
-            report = _append(state, d, p, M, tols)
+            report = _append(state, d, p, tols)
         else:
             state, report = update(state, c, M, tols, projection)
         if on_column is not None:
@@ -507,12 +509,13 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
     return state
 
 
-def _projected(columns, state, M):
+def _projected(columns, state):
     """Each column of ``columns``, checked, with its projection against
-    ``state.Q`` as it stands when the column's turn comes: the caller
-    consumes each pair, and may change ``state``, before the next one is
-    made. The block rule of :func:`run_stream`."""
-    m, block = M.dim, None
+    ``state.Q`` in ``state.M`` as they stand when the column's turn comes:
+    the caller consumes each pair, and may change ``state``, before the next
+    one is made. The block rule of :func:`run_stream`."""
+    M, block = state.M, None
+    m = M.dim
     for c in columns:
         c = _column(c, m)
         pos = state.n % RUN

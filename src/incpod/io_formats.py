@@ -320,7 +320,8 @@ def restore(path):
     if j and not k:
         raise CorruptCheckpointError(f"open run of {j} columns at rank 0")
     n0 = n - j - (rows_p - k0)
-    if not 0 <= n0 <= n:
+    # Wp's first k0 rows are the ones W0 multiplies: it has at least k0
+    if rows_p < k0 or not 0 <= n0 <= n:
         raise CorruptCheckpointError(
             f"Wp has {rows_p} rows, W0 {k0} columns and the run {j} columns, "
             f"inconsistent with n = {n}"

@@ -3,7 +3,9 @@
 Everything here reads the full data matrix U and exists to validate the
 streaming results. Beyond U, the oracle builds one m x n array: S = L^T U,
 over which LAPACK's ``dgesdd`` writes the longer factor of the exact SVD
-(M = L L^T is the weight's Cholesky factorization). The exact errors go
+(M = L L^T is the weight's Cholesky factorization). The exact SVD is kept
+in the coordinates of S, as a streamed state is, so that the two compare
+without M. The exact errors go
 through U - V diag(sigma) W^T 128 columns at a time, and a sweep keeps the
 streamed state of its tightest cell only.
 """
@@ -19,7 +21,7 @@ import numpy as np
 from . import _lapack
 from .errors import InvalidInputError
 from .incremental import Tolerances, flush, low_rank_factors, reconstruct, run_stream
-from .weighted_linalg import column_blocks, weighted_operator_norm
+from .weighted_linalg import WeightMatrix, column_blocks, weighted_operator_norm
 
 __all__ = [
     "ExactSvd",
@@ -32,44 +34,52 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExactSvd:
-    """Core SVD with respect to the weighted inner product: V (m, k) with
-    V^T M V = I, sigma positive descending, W (n, k) orthonormal."""
+    """Core SVD with respect to the weighted inner product, in the
+    coordinates of a streamed state: Q = L^T V (m, k) with orthonormal
+    columns, sigma positive descending, W (n, k) orthonormal, and the
+    weight M = L L^T that maps Q to the M-orthonormal V."""
 
-    V: np.ndarray
+    Q: np.ndarray
     sigma: np.ndarray
     W: np.ndarray
+    M: WeightMatrix
 
     @property
     def k(self):
         return self.sigma.size
+
+    @property
+    def V(self):
+        """The left singular vectors V = L^-T Q (m, k), from one triangular
+        solve on each access."""
+        return self.M.solve_lt(self.Q)
 
 
 def exact_weighted_svd(U, M):
     """Core SVD of U in the M-inner product via S = L^T U.
 
     A standard SVD of S (LAPACK's ``dgesdd``, see :func:`_lapack.gesdd`) is
-    computed in place, and the left factor is mapped back with a triangular
-    back substitution. S is Fortran-ordered when U is and a sparse M's band
-    computes it; otherwise (a C-ordered U, a dense M) S is copied into
-    Fortran order first. Singular values below 1e-14 * sigma_1 are dropped
-    together with their vectors. W is a copy of the kept columns, so it
-    does not hold the whole right factor alive.
+    computed in place; its left factor is Q. S is Fortran-ordered when U is
+    and a sparse M's band computes it; otherwise (a C-ordered U, a dense M)
+    S is copied into Fortran order first. Singular values below
+    1e-14 * sigma_1 are dropped together with their vectors. Q and W are
+    copies of the kept columns, so that neither holds a whole factor alive.
     """
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[0] != M.dim:
         raise ValueError(f"U has shape {U.shape}, expected ({M.dim}, n)")
-    V_hat, sigma, Wh = _lapack.gesdd(np.asfortranarray(M.apply_lt(U)))
+    Q, sigma, Wh = _lapack.gesdd(np.asfortranarray(M.apply_lt(U)))
     if sigma.size == 0 or sigma[0] == 0.0:
         keep = 0
     else:
         keep = int(np.count_nonzero(sigma >= 1e-14 * sigma[0]))
-    V = M.solve_lt(V_hat[:, :keep]) if keep else np.zeros((M.dim, 0))
-    return ExactSvd(V=np.asarray(V), sigma=sigma[:keep], W=Wh[:keep].T.copy())
+    return ExactSvd(Q=Q[:, :keep].copy(order="F"), sigma=sigma[:keep], W=Wh[:keep].T.copy(), M=M)
 
 
-def exact_error(U, state, M):
-    """Weighted operator-norm distance between U and the streamed result;
-    a state with an open run is a ValueError (:func:`low_rank_factors`).
+def exact_error(U, state):
+    """Weighted operator-norm distance, in the state's weight ``state.M``,
+    between U and the streamed result; a state with an open run is a
+    ValueError (:func:`low_rank_factors`).
 
     For m <= n the difference goes to :func:`weighted_operator_norm` over
     :func:`column_blocks`, so that no m x n array is built; for m > n it
@@ -85,8 +95,8 @@ def exact_error(U, state, M):
     m, n = U.shape
     if m > n:
         R = reconstruct(state)  # a new array: the difference goes into it
-        return weighted_operator_norm(np.subtract(U, R, out=R), M)
-    return weighted_operator_norm(_differences(U, VS, W), M)
+        return weighted_operator_norm(np.subtract(U, R, out=R), state.M)
+    return weighted_operator_norm(_differences(U, VS, W), state.M)
 
 
 def _differences(U, VS, W):
@@ -125,12 +135,12 @@ def _as_matrix(snapshots):
 
 
 def _sweep_row(U, M, tols):
-    state = flush(run_stream(iter(U.T), M, tols), M, tols)
+    state = flush(run_stream(iter(U.T), M, tols), tols)
     return SweepRow(
         tol=tols.tol,
         tol_sv=tols.tol_sv,
         rank=state.k,
-        exact_error=exact_error(U, state, M),
+        exact_error=exact_error(U, state),
         incr_error_bound=state.e,
         sigma=state.sigma,
         T_p=state.T_p,

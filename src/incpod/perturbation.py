@@ -12,6 +12,10 @@ bounds the vector errors ||v_j - v~_j||_M <= sqrt(E_j) and
 condition eps_j <= (sigma_j - sigma_{j+1}) / 2 holds. Once the gap
 condition fails at some j, every later quantity consumes an invalid E and
 the whole tail is marked invalid rather than silently computed.
+
+The decompositions compared carry Q = L^T V (M = L L^T), in which the
+M-inner product is the Euclidean one: (v~, v)_M = q~ . q and
+||v - v~||_M = ||q - q~||, so the measured errors need no product with M.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousAlignmentError, PreconditionViolationError
-from .weighted_linalg import m_inner, m_norm
 
 __all__ = [
     "BoundSequence",
@@ -104,23 +107,23 @@ def bound_sequence(sigmas, eps, k):
     return BoundSequence(eps_seq=eps_seq, E_seq=E_seq, gap_ok=gap_ok)
 
 
-def align_singular_pair(v_exact, w_exact, v_approx, w_approx, M):
-    """Rescale the approximate pair by one sign so (v~, v)_M >= 0.
+def align_singular_pair(q_exact, w_exact, q_approx, w_approx):
+    """Rescale the approximate pair by one sign so q~ . q = (v~, v)_M >= 0,
+    for left vectors given as columns of Q = L^T V.
 
     Both vectors must be rescaled by the same constant: flipping only one
     of them would break the singular-pair relation. An exactly zero
     projection coefficient is reported as :class:`AmbiguousAlignmentError`
     rather than guessed.
     """
-    r = m_inner(v_approx, v_exact, M)
+    q_approx = np.asarray(q_approx, dtype=np.float64)
+    r = float(q_approx @ np.asarray(q_exact, dtype=np.float64))
     if r == 0.0:
         raise AmbiguousAlignmentError(
             "approximate vector is exactly M-orthogonal to the reference"
         )
     s = 1.0 if r > 0.0 else -1.0
-    return s * np.asarray(v_approx, dtype=np.float64), s * np.asarray(
-        w_approx, dtype=np.float64
-    )
+    return s * q_approx, s * np.asarray(w_approx, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -154,18 +157,19 @@ class VectorBoundRow:
         )
 
 
-def vector_bound_check(exact, approx, M, eps, k):
+def vector_bound_check(exact, approx, eps, k):
     """Check the per-vector perturbation bounds for j = 1..k.
 
-    ``exact`` and ``approx`` carry (V, sigma, W) triples; pairs are sign
-    aligned before differencing. Rows where the gap condition fails are
-    marked not-applicable and no assertion is made about them. A bound
-    holds when the measured error exceeds it by at most 1e-10.
+    ``exact`` and ``approx`` carry (Q, sigma, W) triples, Q = L^T V in one
+    weight: an :class:`~incpod.oracle.ExactSvd` or a streamed state. Pairs
+    are sign aligned before differencing, and v_err = ||q_j - q~_j||, the
+    M-norm of v_j - v~_j. Rows where the gap condition fails are marked
+    not-applicable and no assertion is made about them. A bound holds when
+    the measured error exceeds it by at most 1e-10.
     """
     if min(exact.sigma.size, approx.sigma.size) < 1:
         raise PreconditionViolationError("decompositions must be nonempty")
-    V_approx = approx.V  # a streamed state builds V on access
-    if approx.sigma.size < k or V_approx.shape[1] < k:
+    if approx.sigma.size < k:
         raise PreconditionViolationError(
             f"approximate decomposition has rank {approx.sigma.size}, need {k}"
         )
@@ -178,14 +182,10 @@ def vector_bound_check(exact, approx, M, eps, k):
         eps_j = float(seq.eps_seq[j - 1])
         E_j = float(seq.E_seq[j - 1])
         if applicable:
-            v_a, w_a = align_singular_pair(
-                exact.V[:, j - 1],
-                W_exact[:, j - 1],
-                V_approx[:, j - 1],
-                W_approx[:, j - 1],
-                M,
+            q_a, w_a = align_singular_pair(
+                exact.Q[:, j - 1], W_exact[:, j - 1], approx.Q[:, j - 1], W_approx[:, j - 1]
             )
-            v_err = m_norm(exact.V[:, j - 1] - v_a, M)
+            v_err = float(np.linalg.norm(exact.Q[:, j - 1] - q_a))
             w_err = float(np.linalg.norm(W_exact[:, j - 1] - w_a))
             v_bound = float(np.sqrt(E_j))
             w_bound = float(np.sqrt(E_j) + 2.0 * eps_j / sigma_j)

@@ -2,6 +2,8 @@
 
 All routines work with respect to a symmetric positive definite weight
 matrix M, i.e. the inner product (x, y)_M = y^T M x and the induced norm.
+With M's Cholesky factorization M = L L^T, these are the Euclidean inner
+product and norm of L^T x and L^T y: ``M.apply_lt(x)`` maps x there.
 M is a dense array or, for a sparse M (an FEM mass matrix), its lower
 band, which serves its products and its banded Cholesky factor.
 
@@ -26,8 +28,6 @@ from .errors import InvalidInputError, NotPositiveDefiniteError, RankDeficientEr
 __all__ = [
     "WeightMatrix",
     "column_blocks",
-    "m_inner",
-    "m_norm",
     "modified_gram_schmidt_weighted",
     "small_svd",
     "weighted_operator_norm",
@@ -210,30 +210,6 @@ def _band_to_scipy(band):
     return scipy.sparse.diags(diagonals, offsets, shape=(m, m)).tocsr()
 
 
-def _check_vector(x, m, name):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m,):
-        raise ValueError(f"{name} has shape {x.shape}, expected ({m},)")
-    return x
-
-
-def m_inner(x, y, M):
-    """Weighted inner product (x, y)_M = y^T M x."""
-    x = _check_vector(x, M.dim, "x")
-    y = _check_vector(y, M.dim, "y")
-    return float(y @ (M.matvec(x)))
-
-
-def m_norm(x, M):
-    """Weighted norm (|x^T M x|)^(1/2).
-
-    The absolute value guards against a tiny negative x^T M x produced by
-    round-off; the result is never NaN for finite input.
-    """
-    x = _check_vector(x, M.dim, "x")
-    return float(np.sqrt(abs(x @ M.matvec(x))))
-
-
 def modified_gram_schmidt_weighted(V, M):
     """M-orthonormalize the columns of V by modified Gram-Schmidt.
 
@@ -252,7 +228,9 @@ def modified_gram_schmidt_weighted(V, M):
     same column space as the input.
 
     Raises :class:`RankDeficientError` for a column whose post-projection
-    M-norm is at or below 1e-14 times its original M-norm.
+    M-norm is at or below 1e-14 times its original M-norm. An M-norm is
+    taken as |x^T M x|^(1/2): the absolute value keeps a round-off negative
+    x^T M x from making it NaN.
     """
     V = np.array(V, dtype=np.float64, copy=True)
     if V.ndim != 2 or V.shape[0] != M.dim:
@@ -261,11 +239,11 @@ def modified_gram_schmidt_weighted(V, M):
     MQ = np.empty_like(V)  # cache of M @ q_j for finished columns
     for i in range(k):
         u = V[:, i]
-        norm0 = m_norm(u, M)
+        norm0 = math.sqrt(abs(u @ M.matvec(u)))
         for _sweep in range(2):
             for j in range(i):
                 u = u - (MQ[:, j] @ u) * V[:, j]
-        nrm = m_norm(u, M)
+        nrm = math.sqrt(abs(u @ M.matvec(u)))
         if nrm <= 1e-14 * norm0 or norm0 == 0.0:
             raise RankDeficientError(
                 f"column {i} is numerically rank deficient", column=i

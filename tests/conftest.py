@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from incpod.weighted_linalg import WeightMatrix, m_norm, modified_gram_schmidt_weighted
+from incpod.weighted_linalg import WeightMatrix, modified_gram_schmidt_weighted
 
 
 @pytest.fixture
@@ -22,9 +22,10 @@ def random_weight(rng, m, cond=10.0):
 
 
 def m_unit_vector(rng, M):
-    """Random vector with M-norm one."""
+    """Random vector with M-norm one: with M = L L^T, the M-norm of v is
+    the 2-norm of L^T v."""
     v = rng.standard_normal(M.dim)
-    return v / m_norm(v, M)
+    return v / np.linalg.norm(M.apply_lt(v))
 
 
 def m_orthonormal_columns(rng, M, k):

@@ -322,6 +322,21 @@ class TestPod:
         assert main(["pod", "--input", fhn_prefix, "--output", str(tmp_path / "p"),
                      "--resume", ckpt + ".podc"]) == 2
 
+    def test_resume_from_w0_wider_than_wp_exit_code(self, fhn_prefix, tmp_path):
+        # a CRC-valid checkpoint whose W0 has more columns (4) than Wp has
+        # rows (3) is refused, not resumed by folding a later column's row
+        m = read_weight_matrix(fhn_prefix + ".wm").dim
+        rng = np.random.default_rng(3)
+        state = SvdState(
+            Q=np.linalg.qr(rng.standard_normal((m, 3)))[0], sigma=np.array([3.0, 2.0, 1.0]),
+            W0=rng.standard_normal((5, 4)), Wp=np.eye(3), n=5,
+            D=rng.standard_normal((3, RUN)), j=1,
+        )
+        ckpt = tmp_path / "wide.podc"
+        checkpoint(state, ckpt, Tolerances())
+        assert main(["pod", "--input", fhn_prefix, "--output", str(tmp_path / "p"),
+                     "--resume", str(ckpt)]) == 2
+
     def test_resume_from_empty_checkpoint_exit_code(self, fhn_prefix, tmp_path):
         # magic, version 1 and the CRC of an empty payload, nothing else
         ckpt = tmp_path / "empty.podc"

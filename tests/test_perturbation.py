@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from incpod.cli import _mode_errors
 from incpod.errors import AmbiguousAlignmentError, PreconditionViolationError
+from incpod.fhn import FhnParams, Mesh1D, build_weight_matrix, simulate
+from incpod.incremental import Tolerances, flush, run_stream
 from incpod.oracle import exact_weighted_svd
 from incpod.perturbation import (
     align_singular_pair,
@@ -9,9 +12,8 @@ from incpod.perturbation import (
     singular_value_gap_check,
     vector_bound_check,
 )
-from incpod.weighted_linalg import WeightMatrix, m_inner
 
-from conftest import engineered_pair, m_unit_vector, random_weight, rank_one_perturbation
+from conftest import engineered_pair, random_weight, rank_one_perturbation
 
 # independent evaluation of E_1 = 2(1 - sqrt(((2 - 0.2)^2 - 1)/(4 - 1)))
 E1_SIGMA_2_1_EPS_01 = 0.2718024804245706
@@ -98,36 +100,36 @@ class TestBoundSequence:
             bound_sequence([2.0, 1.0], 0.0, 1)
 
 
+def unit_vector(rng, m):
+    """A random column of some Q = L^T V: a unit vector in the 2-norm."""
+    q = rng.standard_normal(m)
+    return q / np.linalg.norm(q)
+
+
 class TestAlignSingularPair:
     def test_already_aligned(self, rng):
-        M = random_weight(rng, 6)
-        v = m_unit_vector(rng, M)
+        q = unit_vector(rng, 6)
         w = rng.standard_normal(4)
-        v2, w2 = align_singular_pair(v, w, v, w, M)
-        assert np.array_equal(v2, v) and np.array_equal(w2, w)
+        q2, w2 = align_singular_pair(q, w, q, w)
+        assert np.array_equal(q2, q) and np.array_equal(w2, w)
 
     def test_negated_pair(self, rng):
-        M = random_weight(rng, 6)
-        v = m_unit_vector(rng, M)
+        q = unit_vector(rng, 6)
         w = rng.standard_normal(4)
-        v2, w2 = align_singular_pair(v, w, -v, -w, M)
-        assert np.array_equal(v2, v) and np.array_equal(w2, w)
+        q2, w2 = align_singular_pair(q, w, -q, -w)
+        assert np.array_equal(q2, q) and np.array_equal(w2, w)
 
     def test_projection_nonnegative_after_alignment(self, rng):
-        M = random_weight(rng, 8)
-        v = m_unit_vector(rng, M)
-        near = v + 0.1 * rng.standard_normal(8)
-        near /= np.sqrt(abs(near @ M.matvec(near)))
+        q = unit_vector(rng, 8)
+        near = q + 0.1 * rng.standard_normal(8)
+        near /= np.linalg.norm(near)
         sign = rng.choice([-1.0, 1.0])
-        v2, _ = align_singular_pair(v, np.ones(3), sign * near, np.ones(3), M)
-        assert m_inner(v2, v, M) >= 0.0
+        q2, _ = align_singular_pair(q, np.ones(3), sign * near, np.ones(3))
+        assert q2 @ q >= 0.0
 
     def test_orthogonal_is_ambiguous(self):
-        M = WeightMatrix(np.eye(2))
         with pytest.raises(AmbiguousAlignmentError):
-            align_singular_pair(
-                np.array([1.0, 0.0]), np.ones(2), np.array([0.0, 1.0]), np.ones(2), M
-            )
+            align_singular_pair(np.array([1.0, 0.0]), np.ones(2), np.array([0.0, 1.0]), np.ones(2))
 
 
 class TestVectorBoundCheck:
@@ -135,7 +137,7 @@ class TestVectorBoundCheck:
         M = random_weight(rng, 12)
         U, _, _, _ = engineered_pair(rng, M, 10, [16.0, 8.0, 4.0, 2.0, 1.0])
         ex = exact_weighted_svd(U, M)
-        rows = vector_bound_check(ex, ex, M, eps=1e-15, k=3)
+        rows = vector_bound_check(ex, ex, eps=1e-15, k=3)
         assert all(r.gap_ok for r in rows)
         assert all(r.v_ok and r.w_ok for r in rows)
         assert all(r.v_err <= 1e-12 for r in rows)
@@ -148,7 +150,7 @@ class TestVectorBoundCheck:
             eps = 1e-9
             pert = exact_weighted_svd(U + rank_one_perturbation(rng, M, n, eps), M)
             ex = exact_weighted_svd(U, M)
-            rows = vector_bound_check(ex, pert, M, eps=eps, k=3)
+            rows = vector_bound_check(ex, pert, eps=eps, k=3)
             for r in rows:
                 if r.gap_ok:
                     assert r.v_ok and r.w_ok
@@ -157,7 +159,7 @@ class TestVectorBoundCheck:
         M = random_weight(rng, 10)
         U, _, _, _ = engineered_pair(rng, M, 8, [2.0, 1.0, 0.5, 0.25])
         ex = exact_weighted_svd(U, M)
-        rows = vector_bound_check(ex, ex, M, eps=0.51, k=2)
+        rows = vector_bound_check(ex, ex, eps=0.51, k=2)
         assert not rows[0].gap_ok
         assert rows[0].v_ok is None and rows[0].w_ok is None
 
@@ -167,4 +169,36 @@ class TestVectorBoundCheck:
         ex = exact_weighted_svd(U, M)
         lowrank = exact_weighted_svd((ex.V[:, :1] * ex.sigma[:1]) @ ex.W[:, :1].T, M)
         with pytest.raises(PreconditionViolationError):
-            vector_bound_check(ex, lowrank, M, eps=1e-6, k=2)
+            vector_bound_check(ex, lowrank, eps=1e-6, k=2)
+
+    @pytest.mark.parametrize("weight", ["dense", "fhn"])
+    def test_errors_in_q_match_the_m_space_formula(self, rng, weight):
+        # report's mode errors and the v_err of the check, taken on Q = L^T V
+        # columns, against ||v - v~||_M = sqrt((v - v~)^T M (v - v~)) after
+        # sign alignment, on a streamed state whose truncations move its modes
+        if weight == "fhn":
+            mesh = Mesh1D(40)
+            U, M = simulate(FhnParams(), mesh, 2.5).columns, build_weight_matrix(mesh)
+            tols = Tolerances(1e-10, 1e-10)
+        else:
+            M = random_weight(rng, 30)
+            U, _, _, _ = engineered_pair(rng, M, 50, np.geomspace(10.0, 1e-8, 12))
+            tols = Tolerances(1e-6, 1e-6)
+        state = flush(run_stream(iter(U.T), M, tols), tols)
+        ex = exact_weighted_svd(U, M)
+        count = min(ex.k, state.k)
+        V_ex, V_in = ex.V, state.V
+        expected = []
+        for j in range(count):
+            v_ex, v_in = V_ex[:, j], V_in[:, j]
+            if v_ex @ M.matvec(v_in) < 0.0:
+                v_in = -v_in
+            d = v_ex - v_in
+            expected.append(np.sqrt(d @ M.matvec(d)))
+        expected = np.array(expected)
+        assert count >= 5 and expected.max() > 1e-9  # the modes did move
+        assert np.abs(np.array(_mode_errors(ex, state, count)) - expected).max() <= 1e-14
+        rows = [r for r in vector_bound_check(ex, state, state.e, 4) if r.gap_ok]
+        assert rows
+        for r in rows:
+            assert abs(r.v_err - expected[r.j - 1]) <= 1e-14

@@ -17,8 +17,6 @@ from incpod.weighted_linalg import (
     BLOCK,
     WeightMatrix,
     column_blocks,
-    m_inner,
-    m_norm,
     m_orthonormality_defect,
     modified_gram_schmidt_weighted,
     small_svd,
@@ -95,13 +93,9 @@ class TestWeightMatrix:
 
 
 class TestMInner:
-    def test_orthogonal_standard_basis(self):
-        M = WeightMatrix(np.eye(2))
-        assert m_inner([1.0, 0.0], [0.0, 1.0], M) == 0.0
-
-    def test_diagonal_direct_sum(self):
-        M = WeightMatrix(np.diag([1.0, 4.0]))
-        assert m_inner([1.0, 1.0], [1.0, 1.0], M) == 5.0
+    """The M-inner product (x, y)_M = y^T M x, which the package takes as
+    the Euclidean one of L^T x and L^T y (M = L L^T) in its streamed and
+    exact decompositions."""
 
     def test_cholesky_split_oracle(self, rng):
         # oracle: (x, y)_M = (L^T y) . (L^T x) for M = L L^T
@@ -113,41 +107,15 @@ class TestMInner:
             x = rng.standard_normal(m)
             y = rng.standard_normal(m)
             expected = M.apply_lt(y) @ M.apply_lt(x)
-            got = m_inner(x, y, M)
+            got = y @ M.matvec(x)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
     def test_dimension_mismatch(self):
         M = WeightMatrix(np.eye(3))
-        with pytest.raises(ValueError):
-            m_inner([1.0, 2.0], [1.0, 2.0, 3.0], M)
         for W in (M, WeightMatrix.from_band(np.ones((1, 3)))):
             for operand in (np.ones(2), np.ones((3, 3, 2)), np.float64(1.0)):
                 with pytest.raises(ValueError, match="operand has shape"):
                     W.matvec(operand)
-
-
-class TestMNorm:
-    def test_euclidean(self):
-        assert m_norm([3.0, 4.0], WeightMatrix(np.eye(2))) == 5.0
-
-    def test_zero_vector(self):
-        assert m_norm(np.zeros(2), WeightMatrix(np.eye(2))) == 0.0
-
-    def test_diagonal(self):
-        assert m_norm([1.0, -1.0], WeightMatrix(np.diag([2.0, 2.0]))) == 2.0
-
-    def test_squared_equals_inner(self, rng):
-        for _ in range(20):
-            M = random_weight(rng, 10)
-            x = rng.standard_normal(10)
-            assert m_norm(x, M) ** 2 == pytest.approx(
-                m_inner(x, x, M), rel=1e-14
-            )
-
-    def test_no_nan_from_negative_roundoff(self):
-        # force a tiny negative quadratic form through the absolute value
-        M = WeightMatrix(np.eye(2))
-        assert np.isfinite(m_norm([1e-200, 0.0], M))
 
 
 def assert_apply_lt_is_one_product(M, rng, order, n):
@@ -500,7 +468,7 @@ class TestOperatorNormFromGram:
     def test_vector(self, rng):
         M = banded_weight(15)
         x = rng.standard_normal(15)
-        assert weighted_operator_norm(x, M) == pytest.approx(m_norm(x, M), rel=1e-12)
+        assert weighted_operator_norm(x, M) == pytest.approx(np.sqrt(x @ M.matvec(x)), rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -545,7 +513,8 @@ class TestOperatorNormFromGram:
         assert weighted_operator_norm(iter([np.zeros((6, 0)), np.zeros((6, 3))]), M) == 0.0
         x = rng.standard_normal(6)
         # a vector is one column; as a block its Gram matrix is m x m
-        assert weighted_operator_norm(iter([x]), M) == pytest.approx(m_norm(x, M), rel=1e-14)
+        expected = np.sqrt(x @ M.matvec(x))
+        assert weighted_operator_norm(iter([x]), M) == pytest.approx(expected, rel=1e-14)
         with pytest.raises(ValueError, match="rows"):
             weighted_operator_norm(iter([np.ones((6, 2)), np.ones((5, 2))]), M)
         bad = np.ones((6, 2))
