@@ -51,7 +51,7 @@ with StreamReader(stream_path) as reader:
     half = run_stream(islice((c for _, _, c in reader), s // 2), M2, tols)
 ckpt = workdir / "half.podc"
 checkpoint(half, ckpt, tols)
-resumed, tols2 = restore(ckpt)
+resumed, tols2 = restore(ckpt, M2)
 with StreamReader(stream_path) as reader:
     # the restored state passes over the columns it already consumed
     resumed = run_stream((c for _, _, c in reader), M2, tols2, state=resumed)

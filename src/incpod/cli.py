@@ -204,20 +204,17 @@ def cmd_pod(args):
     state = None
     with reader:
         if args.resume:
-            state, ckpt_tols = restore(args.resume)
+            state, ckpt_tols = restore(args.resume, M)
             if ckpt_tols != tols:
                 raise FormatError(f"checkpoint was made with {ckpt_tols}, not {tols}")
-            if state.Q.shape[0] != M.dim:
-                raise FormatError(
-                    f"checkpoint dimension {state.Q.shape[0]} does not match stream {M.dim}"
-                )
         with _open_trace(args.output + "_trace.csv", state) as trace:
             # rows go straight to the file, so the trace's memory does not
             # grow with the column count
+            every = args.checkpoint_every
 
             def on_column(state, rep):
                 trace.write(_TRACE_ROW % (state.n, state.k, rep.p, rep.e_p, rep.e_sv, state.e))
-                if args.checkpoint_every and state.n % args.checkpoint_every == 0:
+                if every and state.n % every == 0:
                     checkpoint(state, ckpt_path, tols)
 
             columns = (c for _, _, c in reader)

@@ -17,14 +17,16 @@ largest dropped value to the bound).
 A projected column leaves span(V) unchanged, so :func:`run_stream` folds a
 run of them with one thin SVD (a flush) instead of one small SVD each, and
 while Q is unchanged it projects the rest of a block of columns as one
-fixed-width product.
+fixed-width product, then adds the leading span of those with p < tol
+to the run in one step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +94,9 @@ class SvdState:
     upward rounding so that it is never below the exact real sum of its
     terms; ``T_p`` and ``T_sv`` count the truncation events that contributed
     to it. ``M`` is the weight matrix the state was streamed in, whose factor
-    L maps Q to V; :func:`update` and :func:`run_stream` set it, and every
-    function that reads V takes it from here. Single-owner mutable state:
+    L maps Q to V; :func:`update`, :func:`run_stream` and
+    ``io_formats.restore`` set it, and every function that reads V or
+    checkpoints the state takes it from here. Single-owner mutable state:
     one update at a time.
     """
 
@@ -155,8 +158,7 @@ def _right_vectors(W0, Wp):
     return W
 
 
-@dataclass(frozen=True)
-class UpdateReport:
+class UpdateReport(NamedTuple):
     """Per-column diagnostics of one update step."""
 
     p: float
@@ -166,10 +168,15 @@ class UpdateReport:
     reorthogonalized: bool
 
 
-def _column(c, m):
-    c = np.ascontiguousarray(c, dtype=np.float64)  # layout-independent bits
+def _shaped(c, m):
+    c = np.asarray(c, dtype=np.float64)
     if c.shape != (m,):
         raise ValueError(f"column has shape {c.shape}, expected ({m},)")
+    return c
+
+
+def _column(c, m):
+    c = _shaped(np.ascontiguousarray(c, dtype=np.float64), m)  # layout-independent bits
     if not np.isfinite(c).all():
         raise InvalidInputError("column contains non-finite entries")
     return c
@@ -201,17 +208,25 @@ class _Block:
         self.R = np.empty((m, RUN), order="F")  # S = L^T C, then the residuals S - Q D
 
     def project(self, Q, columns, pos, M):
-        """Project ``columns``, checked, at positions pos, pos + 1, ...; the
-        projection of position i is ``self[i]`` until the next call."""
+        """Project ``columns``, float64 of shape (m,), at positions pos,
+        pos + 1, ...; the projection of position i is ``self[i]`` until the
+        next call. One ``isfinite`` over the block checks them: returns the
+        number of leading finite columns, and the ones from the first
+        non-finite column on are left zero."""
         C, R = self.C, self.R
+        end = pos + len(columns)
         C[:, :pos] = 0.0
-        C[:, pos + len(columns) :] = 0.0
+        C[:, end:] = 0.0
         for i, c in enumerate(columns, pos):
             C[:, i] = c
+        finite = np.isfinite(C[:, pos:end]).all(axis=0)
+        count = len(columns) if finite.all() else int(finite.argmin())
+        C[:, pos + count : end] = 0.0
         M.apply_lt(C, out=R)
         self.D = Q.T @ R
         R -= np.matmul(Q, self.D, out=C)
         self.p = np.sqrt(np.einsum("ij,ij->j", R, R))
+        return count
 
     def __getitem__(self, i):
         """(d, res, p) of position i, views valid until the next
@@ -392,25 +407,54 @@ def flush(state, tols):
     return state
 
 
-def _append(state, d, p, tols):
-    """Add a column with p < tol at rank k >= 1 to the open run.
+def _append(state, d, p, tols, on_column):
+    """Add w columns with p < tol at rank k >= 1 to the open run in one
+    step: their coefficients ``d`` (k, w) and the list ``p`` of their p.
 
-    Its p enters e at once and n counts it; the run is flushed when this
-    column ends it, at absolute n = 0 (mod RUN). Returns its report.
+    One copy puts d into the run. Each p enters e in column order, as
+    :func:`_charge` adds it, and n and j count each column; ``on_column``,
+    if given, sees the state after each, with its report. The column that
+    reaches absolute n = 0 (mod RUN), the last if any, ends the run with a
+    flush, whose e_sv goes to its report.
     """
-    j = state.j
+    n, j, w = state.n, state.j, len(p)
     D = state.D if j else np.empty((state.k, RUN))
-    D[:, j] = d  # past the run's j columns: unused if a flush below raises
-    if (state.n + 1) % RUN:
-        state.D, state.j = D, j + 1
-        state.n += 1
-        _charge(state, p)
-        return UpdateReport(p=p, e_p=p, e_sv=0.0, rank_grew=False, reorthogonalized=False)
-    B = _bordered(state.sigma, D[:, : j + 1], False)
-    e_sv, reorthogonalized = _rotate(state, state.Q, B, tols, 1, p)
-    return UpdateReport(
-        p=p, e_p=p, e_sv=e_sv, rank_grew=False, reorthogonalized=reorthogonalized
-    )
+    D[:, j : j + w] = d  # past the run's j columns until each is counted
+    state.D = D
+    closes = (n + w) % RUN == 0
+    counted = w - closes
+    e, T_p = state.e, state.T_p
+    for i, p_i in enumerate(p[:counted], 1):
+        if p_i > 0.0:  # rounded up, as _charge adds it
+            e = math.nextafter(e + p_i, math.inf)
+            T_p += 1
+        if on_column is not None:
+            state.n, state.j, state.e, state.T_p = n + i, j + i, e, T_p
+            on_column(state, UpdateReport(p_i, p_i, 0.0, False, False))
+    state.n, state.j, state.e, state.T_p = n + counted, j + counted, e, T_p
+    if not closes:
+        return
+    B = _bordered(state.sigma, D[:, : j + w], False)
+    e_sv, reorthogonalized = _rotate(state, state.Q, B, tols, 1, p[-1])
+    if on_column is not None:
+        on_column(state, UpdateReport(p[-1], p[-1], e_sv, False, reorthogonalized))
+
+
+def _consume(state, c, tols, on_column, projection=None):
+    """One column, checked and projected against ``state.Q`` unless its
+    ``projection`` is given: appended to the run at rank k >= 1 with
+    p < tol, else an :func:`update`. Returns the state."""
+    if projection is None:
+        c = _column(c, state.M.dim)
+        projection = _project(state.Q, c, state.M)
+    d, _, p = projection
+    if state.k and p < tols.tol:
+        _append(state, d[:, None], [p], tols, on_column)
+        return state
+    state, report = update(state, c, state.M, tols, projection)
+    if on_column is not None:
+        on_column(state, report)
+    return state
 
 
 def _closed(state):
@@ -467,21 +511,25 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
     the block joined the run (``state.j == pos``), Q has not changed since
     the block began, and the block's remaining columns, up to RUN - pos,
     are drawn from the stream and projected together (:class:`_Block`).
-    They are then consumed in order as above: :func:`update` gets the block
-    projection of the first column with p >= tol, and the block's later
-    columns are projected one at a time against the Q it leaves. Every
-    other column is projected on its own. Whether a column is
-    block-projected depends on n and j alone, and its bits on Q, the column
-    and its position, so a resumed stream projects every column to the
-    same bits as an uninterrupted one.
+    The longest span of them from pos on with p < tol joins the run in one
+    step (:func:`_append`); :func:`update` gets the block projection of the
+    first column with p >= tol, and the block's later columns are
+    projected one at a time against the Q it leaves. Every other column
+    (at rank 0, at position 0 or after a growth) is projected on its own.
+    Whether a column is block-projected depends on n and j alone, and its
+    bits on Q, the column and its position, so a resumed stream projects
+    every column to the same bits as an uninterrupted one.
 
-    ``on_column(state, report)`` is called after every column with its
+    ``on_column(state, report)`` is called after every column, a span's
+    included, with the state as it stands after that column and its
     :class:`UpdateReport`; a flush's e_sv goes to the report of the column
-    that closes the run. A column that is not finite or has the wrong
-    shape, or an error of the stream itself, is raised when its turn
-    comes: the columns before it, drawn with it in one block, are consumed
-    and reported first. A stream that ends at rank 0 (no columns, or only
-    columns with p < tol) raises :class:`InvalidInputError`.
+    that closes the run. A drawn column's shape is checked as it is drawn,
+    and a block's finiteness by one check over the block. A column that
+    is not finite or has the wrong shape, or an error of the stream
+    itself, is raised when its turn comes: the columns before it, drawn
+    with it in one block, are consumed and reported first. A stream that
+    ends at rank 0 (no columns, or only columns with p < tol) raises
+    :class:`InvalidInputError`.
 
     Returns the final state with its run still open: :func:`flush` closes
     it, and :func:`reconstruct` and :func:`pod_output` refuse it until then.
@@ -496,41 +544,33 @@ def run_stream(columns, M, tols, keep_w=True, state=None, on_column=None):
                 f"stream ends after {passed} of the {state.n} columns the state consumed"
             )
     state.M = M
-    for c, projection in _projected(columns, state):
-        d, _, p = projection
-        if state.k and p < tols.tol:
-            report = _append(state, d, p, tols)
-        else:
-            state, report = update(state, c, M, tols, projection)
-        if on_column is not None:
-            on_column(state, report)
-    if state.k == 0:
-        raise InvalidInputError("stream contained no usable columns")
-    return state
-
-
-def _projected(columns, state):
-    """Each column of ``columns``, checked, with its projection against
-    ``state.Q`` in ``state.M`` as they stand when the column's turn comes:
-    the caller consumes each pair, and may change ``state``, before the next
-    one is made. The block rule of :func:`run_stream`."""
-    M, block = state.M, None
-    m = M.dim
+    m, block = M.dim, None
     for c in columns:
-        c = _column(c, m)
         pos = state.n % RUN
         if not (pos and state.j == pos):
-            yield c, _project(state.Q, c, M)
+            state = _consume(state, c, tols, on_column)
             continue
-        drawn, error = [c], None
+        drawn, error = [], None
         try:
-            for c in islice(columns, RUN - pos - 1):
-                drawn.append(_column(c, m))
+            for c in chain([c], islice(columns, RUN - pos - 1)):
+                drawn.append(_shaped(c, m))
         except Exception as exc:  # raised in its turn, after the columns before it
             error = exc
         block = block or _Block(m)
-        block.project(state.Q, drawn, pos, M)
-        for i, c in enumerate(drawn, pos):
-            yield c, block[i] if state.j == state.n % RUN else _project(state.Q, c, M)
+        finite = block.project(state.Q, drawn, pos, M)
+        if finite < len(drawn):
+            error = InvalidInputError("column contains non-finite entries")
+        end = pos + finite
+        below = block.p[pos:end] < tols.tol
+        stop = end if below.all() else pos + int(below.argmin())
+        if stop > pos:
+            _append(state, block.D[:, pos:stop], block.p[pos:stop].tolist(), tols, on_column)
+        if stop < end:
+            state = _consume(state, drawn[stop - pos], tols, on_column, block[stop])
+        for c in drawn[stop - pos + 1 : finite]:
+            state = _consume(state, c, tols, on_column)
         if error is not None:
             raise error
+    if state.k == 0:
+        raise InvalidInputError("stream contained no usable columns")
+    return state

@@ -34,7 +34,7 @@ __all__ = [
 _STREAM_MAGIC = b"PODS"
 _CHECKPOINT_MAGIC = b"PODC"
 _STREAM_VERSION = 1
-_CHECKPOINT_VERSION = 6
+_CHECKPOINT_VERSION = 7
 _STREAM_HEADER = struct.Struct("<4sIQQ")  # magic, version, m, count
 
 
@@ -242,18 +242,32 @@ def read_weight_matrix(path):
 
 
 # checkpoint payload header: m, n, k, k0, rows of Wp, j (u64), e (f64),
-# T_p, T_sv (u64), tol, tol_sv (f64); then Q, sigma, W0, Wp and the open
-# run D[:, :j] as f64 runs; trailing CRC32 of the payload. The run's j
-# columns have no rows of W yet, so W0 has n0 = n - j - (rows of Wp - k0)
-# rows. ``e`` is the whole error-bound accumulator and the factors and the
-# run are stored as they are (a checkpoint never flushes), so these values
-# are all a resumed run needs to continue bitwise. Version 5 added j and D
-# to version 4; version 6 stores Q = L^T V in place of V.
-_CKPT_HEAD = struct.Struct("<QQQQQQdQQdd")
+# T_p, T_sv (u64), tol, tol_sv (f64), the weight's CRC32 (u32, see
+# _weight_crc); then Q, sigma, W0, Wp and the open run D[:, :j] as f64
+# runs; trailing CRC32 of the payload. The run's j columns have no rows of
+# W yet, so W0 has n0 = n - j - (rows of Wp - k0) rows. ``e`` is the whole
+# error-bound accumulator and the factors and the run are stored as they
+# are (a checkpoint never flushes), so these values and the weight are all
+# a resumed run needs to continue bitwise. Version 5 added j and D to
+# version 4; version 6 stores Q = L^T V in place of V; version 7 adds the
+# weight's CRC, since Q means V only under the weight it was streamed in.
+_CKPT_HEAD = struct.Struct("<QQQQQQdQQddI")
+
+
+def _weight_crc(M):
+    """CRC32 of the weight's nonzero lower entries, as the triplets of
+    :func:`write_weight_matrix` list them: the 0-based rows and the columns
+    as little-endian u64, then the values as f64. A dense and a sparse
+    :class:`WeightMatrix` of the same matrix have the same CRC."""
+    rows, cols, vals = M.lower_entries()
+    crc = zlib.crc32(rows.astype("<u8"))
+    crc = zlib.crc32(cols.astype("<u8"), crc)
+    return zlib.crc32(vals.astype("<f8"), crc)
 
 
 def checkpoint(state, path, tols):
-    """Persist a state (requires W) so a stream can resume bitwise.
+    """Persist a state (requires W and the weight the state was streamed
+    in, ``state.M``) so a stream can resume bitwise.
 
     The file is written to ``<path>.tmp``, flushed to disk and then renamed
     over ``path``, so a failed write leaves the previous checkpoint intact
@@ -261,6 +275,8 @@ def checkpoint(state, path, tols):
     """
     if state.Wp is None:
         raise ValueError("checkpointing requires the right singular vectors")
+    if state.M is None:
+        raise ValueError("the state has no weight matrix to checkpoint it under")
     head = _CKPT_HEAD.pack(
         state.Q.shape[0],
         state.n,
@@ -273,6 +289,7 @@ def checkpoint(state, path, tols):
         state.T_sv,
         tols.tol,
         tols.tol_sv,
+        _weight_crc(state.M),
     )
     tmp = os.fspath(path) + ".tmp"
     try:
@@ -295,8 +312,10 @@ def checkpoint(state, path, tols):
     os.replace(tmp, path)
 
 
-def restore(path):
-    """Load a checkpoint; returns ``(state, tolerances)``."""
+def restore(path, M):
+    """Load a checkpoint made under the weight matrix ``M``; returns
+    ``(state, tolerances)``, the state carrying M. A checkpoint of another
+    dimension or another weight is a :class:`FormatError`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != _CHECKPOINT_MAGIC:
@@ -310,7 +329,13 @@ def restore(path):
         raise CorruptCheckpointError("checkpoint CRC mismatch")
     if len(payload) < _CKPT_HEAD.size:
         raise FormatError(f"payload shorter than the {_CKPT_HEAD.size}-byte header")
-    m, n, k, k0, rows_p, j, e, t_p, t_sv, tol, tol_sv = _CKPT_HEAD.unpack_from(payload)
+    m, n, k, k0, rows_p, j, e, t_p, t_sv, tol, tol_sv, weight_crc = _CKPT_HEAD.unpack_from(
+        payload
+    )
+    if m != M.dim:
+        raise FormatError(f"checkpoint dimension {m} does not match stream {M.dim}")
+    if weight_crc != _weight_crc(M):
+        raise FormatError("checkpoint was made under another weight matrix")
     try:
         tols = Tolerances(tol=tol, tol_sv=tol_sv)
     except ValueError as exc:
@@ -341,7 +366,7 @@ def restore(path):
         D[:, :j] = run.reshape(k, j)
     state = SvdState(
         Q=Q.reshape(m, k), sigma=sigma, W0=W0.reshape(n0, k0), Wp=Wp.reshape(rows_p, k),
-        n=n, e=e, T_p=t_p, T_sv=t_sv, D=D, j=j,
+        n=n, e=e, T_p=t_p, T_sv=t_sv, D=D, j=j, M=M,
     )
     return state, tols
 

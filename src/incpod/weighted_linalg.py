@@ -106,10 +106,13 @@ class WeightMatrix:
         if self._band is None:
             rows, cols = np.nonzero(np.tril(self._dense))
             return rows, cols, self._dense[rows, cols]
-        d, cols = np.nonzero(self._band)
-        rows = cols + d
-        order = np.lexsort((cols, rows))[: np.count_nonzero(rows < self._m)]
-        return rows[order], cols[order], self._band[d[order], cols[order]]
+        # T[i, b - d] = M[i, i - d]: T's row-major order is by row, then column
+        b, m = self._band.shape[0] - 1, self._m
+        T = np.zeros((m, b + 1))
+        for d in range(b + 1):
+            T[d:, b - d] = self._band[d, : m - d]
+        rows, t = np.nonzero(T)
+        return rows, rows - b + t, T[rows, t]
 
     @property
     def dim(self):

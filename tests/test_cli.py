@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import shutil
 import struct
@@ -291,8 +292,7 @@ class TestPod:
         # well-formed one is refused, not resumed from its V as Q
         ckpt = str(tmp_path / "ckpt")
         assert main(["pod", "--input", fhn_prefix, "--output", ckpt]) == 0
-        state, _ = restore(ckpt + ".podc")
-        state.M = read_weight_matrix(fhn_prefix + ".wm")
+        state, _ = restore(ckpt + ".podc", read_weight_matrix(fhn_prefix + ".wm"))
         head = Path(ckpt + ".podc").read_bytes()[8 : 8 + 88]
         payload = head + b"".join(
             np.ascontiguousarray(a, dtype="<f8").tobytes()
@@ -302,6 +302,36 @@ class TestPod:
             b"PODC" + struct.pack("<I", 5) + payload + struct.pack("<I", zlib.crc32(payload)))
         assert main(["pod", "--input", fhn_prefix, "--output", str(tmp_path / "p"),
                      "--resume", ckpt + ".podc"]) == 2
+
+    def test_resume_from_version_6_exit_code(self, fhn_prefix, tmp_path):
+        # version 6 had version 7's layout without the weight's CRC: a
+        # well-formed one is refused, not resumed under whatever weight is given
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["pod", "--input", fhn_prefix, "--output", ckpt]) == 0
+        blob = Path(ckpt + ".podc").read_bytes()
+        payload = blob[8 : 8 + 88] + blob[8 + 92 : -4]
+        Path(ckpt + ".podc").write_bytes(
+            b"PODC" + struct.pack("<I", 6) + payload + struct.pack("<I", zlib.crc32(payload)))
+        assert main(["pod", "--input", fhn_prefix, "--output", str(tmp_path / "p"),
+                     "--resume", ckpt + ".podc"]) == 2
+
+    def test_resume_under_another_weight_exit_code(self, fhn_prefix, tmp_path):
+        # a checkpoint of the first 100 columns under the stream's weight,
+        # resumed over the whole stream under 4 M (the same band, scaled):
+        # Q = L^T V would stand for another V there, so it is refused
+        times, weights, cols = read_stream_matrix(fhn_prefix + ".pods")
+        part, scaled = str(tmp_path / "part"), str(tmp_path / "scaled")
+        write_prefix(part, fhn_prefix, times, weights, cols[:, :100])
+        assert main(["pod", "--input", part, "--output", part + "_pod"]) == 0
+        head, dims, *triplets = Path(fhn_prefix + ".wm").read_text().splitlines()
+        lines = [head, dims] + [f"{i} {j} {4.0 * float(v):.17g}"
+                                for i, j, v in (t.split() for t in triplets)]
+        Path(scaled + ".wm").write_text("\n".join(lines) + "\n")
+        shutil.copy(fhn_prefix + ".pods", scaled + ".pods")
+        resume = ["--resume", part + "_pod.podc"]
+        assert main(["pod", "--input", scaled, "--output", str(tmp_path / "p"), *resume]) == 2
+        assert not Path(str(tmp_path / "p") + "_trace.csv").exists()
+        assert main(["pod", "--input", fhn_prefix, "--output", str(tmp_path / "q"), *resume]) == 0
 
     def test_not_positive_definite_weight_exit_code(self, tmp_path):
         # pod streams in the weight's Cholesky factor: an indefinite weight
@@ -325,12 +355,12 @@ class TestPod:
     def test_resume_from_w0_wider_than_wp_exit_code(self, fhn_prefix, tmp_path):
         # a CRC-valid checkpoint whose W0 has more columns (4) than Wp has
         # rows (3) is refused, not resumed by folding a later column's row
-        m = read_weight_matrix(fhn_prefix + ".wm").dim
+        M = read_weight_matrix(fhn_prefix + ".wm")
         rng = np.random.default_rng(3)
         state = SvdState(
-            Q=np.linalg.qr(rng.standard_normal((m, 3)))[0], sigma=np.array([3.0, 2.0, 1.0]),
+            Q=np.linalg.qr(rng.standard_normal((M.dim, 3)))[0], sigma=np.array([3.0, 2.0, 1.0]),
             W0=rng.standard_normal((5, 4)), Wp=np.eye(3), n=5,
-            D=rng.standard_normal((3, RUN)), j=1,
+            D=rng.standard_normal((3, RUN)), j=1, M=M,
         )
         ckpt = tmp_path / "wide.podc"
         checkpoint(state, ckpt, Tolerances())
@@ -538,9 +568,74 @@ class TestBlockPod:
                            on_column=on_column)
             # its trace ran to n; the rows past it are dropped on resume
             shutil.copy(full + "_trace.csv", out + "_trace.csv")
-        state, _ = restore(out + ".podc")
+        state, _ = restore(out + ".podc", read_weight_matrix(block_prefix + ".wm"))
         assert state.n == n and state.j == (0 if where == "after_growth" else n % RUN)
         assert main(["pod", "--input", block_prefix, "--output", out, *BLOCK_FLAGS,
+                     "--resume", out + ".podc"]) == 0
+        for suffix in (".podc", "_eigenvalues.csv", "_trace.csv"):
+            assert Path(out + suffix).read_bytes() == Path(full + suffix).read_bytes()
+
+    def test_callback_sees_each_column_of_a_span(self):
+        # a span of appends is consumed in one step, yet on_column sees for
+        # each column the n, j, T_p and e of charging it alone, each term
+        # rounded up: e_i = nextafter(e_{i-1} + p_i, inf). Rank 10 plus
+        # noise, the tenth direction from column 200 on, inside a block
+        M, tols = build_weight_matrix(Mesh1D(100)), Tolerances(1e-9, 1e-9)
+        rng = np.random.default_rng(29)
+        coeffs = rng.standard_normal((10, 450)) * np.geomspace(1.0, 1e-4, 10)[:, None]
+        coeffs[9, :200] = 0.0
+        cols = rng.standard_normal((M.dim, 10)) @ coeffs
+        cols += 1e-11 * rng.standard_normal(cols.shape)
+        seen = []
+        run_stream(iter(cols.T), M, tols,
+                   on_column=lambda s, r: seen.append((s.n, s.j, s.T_p, s.T_sv, s.e, s.k, r)))
+        n = j = k = T_p = T_sv = full = 0
+        e = 0.0
+        for got_n, got_j, got_T_p, got_T_sv, got_e, got_k, rep in seen:
+            appended = k >= 1 and rep.p < tols.tol
+            assert not appended or rep.e_p == rep.p
+            n += 1
+            if rep.e_p > 0.0:
+                e, T_p = math.nextafter(e + rep.e_p, math.inf), T_p + 1
+            if rep.e_sv > 0.0:
+                e, T_sv = math.nextafter(e + rep.e_sv, math.inf), T_sv + 1
+            full += appended and n % RUN == 0 and j == RUN - 1
+            j = j + 1 if appended and n % RUN else 0
+            k = got_k
+            assert (got_n, got_j, got_T_p, got_T_sv, got_e) == (n, j, T_p, T_sv, e)
+        assert n == 450 and k == 10 and full >= 4
+
+    @pytest.mark.parametrize("where", ["span_first", "in_span", "span_closing"])
+    def test_checkpoint_from_the_callback_resumes_bitwise(self, block_prefix, tmp_path,
+                                                          monkeypatch, where):
+        # pod's own checkpoint, at a --checkpoint-every that is not a
+        # multiple of RUN, taken after the first column of a span (position
+        # 1 of an all-append block), inside it and at the column that closes
+        # its run; the run is interrupted there and resumed
+        full = block_prefix + "_full"
+        end = block_cut(read_csv_rows(full + "_trace.csv")[1:], "block_end")
+        cut = {"span_first": end - RUN + 2, "in_span": end - RUN + 20, "span_closing": end}[where]
+        every = cut
+        while every % RUN == 0:
+            every //= 2
+        flags = [*BLOCK_FLAGS, "--checkpoint-every", str(every)]
+        out = str(tmp_path / "out")
+
+        class Stop(Exception):
+            pass
+
+        def stopping(state, path, tols, _write=cli.checkpoint):
+            _write(state, path, tols)
+            if state.n == cut:
+                raise Stop
+
+        monkeypatch.setattr(cli, "checkpoint", stopping)
+        with pytest.raises(Stop):
+            main(["pod", "--input", block_prefix, "--output", out, *flags])
+        monkeypatch.undo()
+        state, _ = restore(out + ".podc", read_weight_matrix(block_prefix + ".wm"))
+        assert state.n == cut and state.j == cut % RUN
+        assert main(["pod", "--input", block_prefix, "--output", out, *flags,
                      "--resume", out + ".podc"]) == 0
         for suffix in (".podc", "_eigenvalues.csv", "_trace.csv"):
             assert Path(out + suffix).read_bytes() == Path(full + suffix).read_bytes()
@@ -558,7 +653,7 @@ class TestBlockPod:
         write_prefix(data, block_prefix, times, weights, cols)
         assert main(["pod", "--input", data, "--output", out, *BLOCK_FLAGS,
                      "--checkpoint-every", "1"]) == 2
-        assert restore(out + ".podc")[0].n == bad
+        assert restore(out + ".podc", read_weight_matrix(data + ".wm"))[0].n == bad
         trace = Path(out + "_trace.csv").read_bytes().splitlines(keepends=True)
         full = Path(block_prefix + "_full_trace.csv").read_bytes().splitlines(keepends=True)
         assert trace == full[: bad + 1]
@@ -590,7 +685,7 @@ class TestBlockPod:
         Path(data + ".pods").write_bytes(blob[: 24 + cut * record + record // 2])
         assert main(["pod", "--input", data, "--output", out, *BLOCK_FLAGS,
                      "--checkpoint-every", "1"]) == 2
-        assert restore(out + ".podc")[0].n == cut
+        assert restore(out + ".podc", read_weight_matrix(data + ".wm"))[0].n == cut
         full = Path(block_prefix + "_full_trace.csv").read_bytes().splitlines(keepends=True)
         assert Path(out + "_trace.csv").read_bytes().splitlines(keepends=True) == full[: cut + 1]
 

@@ -621,10 +621,10 @@ class TestRuns:
         # drawn into a block and re-projected after a growth in that block
         # is projected twice, no column more often
         M = random_weight(rng, 20)
-        U = run_data(rng, M)
+        U = np.asfortranarray(run_data(rng, M))  # contiguous columns: each keeps its id
         inc = incpod.incremental
-        project, block_project, projected = inc._project, inc._Block.project, inc._projected
-        times, drawn = {}, []  # projections per column, and every column drawn
+        project, block_project, block_item = inc._project, inc._Block.project, inc._Block.__getitem__
+        times, drawn, made = {}, [], []  # projections per column, every column drawn, every projection
 
         def count(c):
             drawn.append(c)  # keeps each id unique while the stream runs
@@ -632,41 +632,84 @@ class TestRuns:
 
         def counted_project(Q, c, M):
             count(c)
-            return project(Q, c, M)
+            made.append(project(Q, c, M))
+            return made[-1]
 
         def counted_block(self, Q, columns, pos, M):
             for c in columns:
                 count(c)
             return block_project(self, Q, columns, pos, M)
 
-        decided, received = [], []
+        def recorded_item(self, i):
+            made.append(block_item(self, i))
+            return made[-1]
 
-        def checked(columns, state):
-            for c, projection in projected(columns, state):
-                d, res, p = projection
-                d_ref, res_ref, p_ref = project(state.Q, c, M)
-                scale = np.sqrt(c @ M.matvec(c)) * 1e-13
-                assert d.shape == d_ref.shape and np.max(np.abs(d - d_ref), initial=0.0) <= scale
-                assert np.max(np.abs(res - res_ref)) <= scale and abs(p - p_ref) <= scale
-                decided.append(projection)
-                yield c, projection
+        def check(projection, Q, c):
+            d, res, p = projection
+            d_ref, res_ref, p_ref = project(Q, c, M)
+            scale = np.sqrt(c @ M.matvec(c)) * 1e-13
+            assert d.shape == d_ref.shape and np.max(np.abs(d - d_ref), initial=0.0) <= scale
+            assert np.max(np.abs(res - res_ref)) <= scale and abs(p - p_ref) <= scale
 
-        def recording_update(state, c, M, tols, projection=None):
-            received.append(projection is decided[-1])
-            return update(state, c, M, tols, projection)
+        state = SvdState.empty(M.dim)  # run_stream updates this object in place
+        met, decided, received, grew = [state.Q], [], [], []
+
+        def recording_update(s, c, M, tols, projection=None):
+            received.append(projection is made[-1])
+            check(projection, s.Q, U[:, s.n])
+            return update(s, c, M, tols, projection)
+
+        def on_column(s, rep):
+            # the column's p, and its coefficients while it stays in the
+            # open run, are those of its projection against the Q it met
+            c, Q = U[:, s.n - 1], met[-1]
+            d_ref, _, p_ref = project(Q, c, M)
+            scale = np.sqrt(c @ M.matvec(c)) * 1e-13
+            assert abs(rep.p - p_ref) <= scale
+            if s.j:
+                assert np.max(np.abs(s.run[:, -1] - d_ref)) <= scale
+            decided.append(rep.p)
+            met.append(s.Q)
+            grew.append(rep.rank_grew)
 
         monkeypatch.setattr(inc, "_project", counted_project)
         monkeypatch.setattr(inc._Block, "project", counted_block)
-        monkeypatch.setattr(inc, "_projected", checked)
+        monkeypatch.setattr(inc._Block, "__getitem__", recorded_item)
         monkeypatch.setattr(inc, "update", recording_update)
-        grew = []
-        s = run_stream(iter(U.T), M, RUN_TOLS, on_column=lambda s, r: grew.append(r.rank_grew))
+        s = run_stream(iter(U.T), M, RUN_TOLS, state=state, on_column=on_column)
         # leading zero, growth and p-truncated columns are all among them
+        assert s is state
         assert not U[:, 0].any() and any(grew) and s.T_p > 100
         assert len(decided) == U.shape[1] and len(times) == U.shape[1]
         assert received and all(received)
         assert max(times.values()) == 2 and 1 in times.values()
         assert sum(times.values()) < 2 * U.shape[1]
+
+    def test_callback_free_spans_match_reported_ones(self, rng, monkeypatch):
+        # with no callback a span is one copy and a loop over its p: the
+        # state is bitwise the one a run with a no-op callback ends in; a
+        # fourth direction enters at column 150, inside a block
+        M = random_weight(rng, 20)
+        coeffs = rng.standard_normal((4, 630))
+        coeffs[3, :150] = 0.0
+        U = m_orthonormal_columns(rng, M, 4) @ coeffs + 1e-12 * rng.standard_normal((20, 630))
+        inc = incpod.incremental
+        spans, append = [], inc._append
+
+        def recorded(state, d, p, tols, on_column):
+            spans.append(len(p))
+            return append(state, d, p, tols, on_column)
+
+        monkeypatch.setattr(inc, "_append", recorded)
+        states = [run_stream(iter(U.T), M, RUN_TOLS, on_column=on_column)
+                  for on_column in (None, lambda s, r: None)]
+        assert spans.count(RUN - 1) >= 10 and any(1 < w < RUN - 1 for w in spans)
+        free, reported = states
+        assert free.k == 4 and free.n == reported.n == U.shape[1]
+        assert free.j == reported.j == U.shape[1] % RUN > 0
+        for name in ("Q", "sigma", "W0", "Wp", "run"):
+            assert np.array_equal(getattr(free, name), getattr(reported, name)), name
+        assert (free.e, free.T_p, free.T_sv) == (reported.e, reported.T_p, reported.T_sv)
 
     def test_no_product_with_m_outside_the_reorthogonalization(self, rng, monkeypatch):
         # growth, runs, blocks and flushes, and V built at the end, meet M

@@ -257,8 +257,8 @@ class TestCheckpoint:
         tols = Tolerances(1e-6, 1e-8)
         path = tmp_path / "c.podc"
         checkpoint(state, path, tols)
-        restored, tols2 = restore(path)
-        assert np.array_equal(restored.Q, state.Q) and restored.M is None
+        restored, tols2 = restore(path, state.M)
+        assert np.array_equal(restored.Q, state.Q) and restored.M is state.M
         assert np.array_equal(restored.sigma, state.sigma)
         assert np.array_equal(restored.W, state.W)
         assert restored.k == state.k and restored.n == state.n
@@ -274,21 +274,21 @@ class TestCheckpoint:
         blob[40] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptCheckpointError):
-            restore(path)
+            restore(path, state.M)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"hello world")
         with pytest.raises(FormatError):
-            restore(path)
+            restore(path, WeightMatrix(np.eye(3)))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_empty_payload_rejected(self, tmp_path, version):
         # magic, version, then the CRC of an empty payload: 12 bytes
         path = tmp_path / "short.podc"
         path.write_bytes(b"PODC" + struct.pack("<II", version, zlib.crc32(b"")))
         with pytest.raises(FormatError):
-            restore(path)
+            restore(path, WeightMatrix(np.eye(3)))
 
     def test_version_1_rejected(self, rng, tmp_path):
         # a well-formed version-1 file: its header also held e's compensation term
@@ -302,7 +302,7 @@ class TestCheckpoint:
         path.write_bytes(b"PODC" + struct.pack("<I", 1) + payload
                          + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(FormatError, match="version 1"):
-            restore(path)
+            restore(path, state.M)
 
     def test_version_2_rejected(self, rng, tmp_path):
         # a well-formed version-2 file: W whole, no factor shapes in the header
@@ -316,7 +316,7 @@ class TestCheckpoint:
         path.write_bytes(b"PODC" + struct.pack("<I", 2) + payload
                          + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(FormatError, match="version 2"):
-            restore(path)
+            restore(path, state.M)
 
     def test_version_3_rejected(self, rng, tmp_path):
         # version 3 had this layout, but its n left out leading zero columns
@@ -326,7 +326,7 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:4] + struct.pack("<I", 3) + blob[8:])
         with pytest.raises(FormatError, match="version 3"):
-            restore(path)
+            restore(path, state.M)
 
     def test_version_4_rejected(self, rng, tmp_path):
         # version 4 had no open run: j and D came in version 5
@@ -336,7 +336,7 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:])
         with pytest.raises(FormatError, match="version 4"):
-            restore(path)
+            restore(path, state.M)
 
     def test_version_5_rejected(self, rng, tmp_path):
         # version 5 had this layout with V = L^-T Q in place of Q
@@ -352,7 +352,40 @@ class TestCheckpoint:
         path.write_bytes(b"PODC" + struct.pack("<I", 5) + payload
                          + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(FormatError, match="version 5"):
-            restore(path)
+            restore(path, state.M)
+
+    def test_version_6_rejected(self, rng, tmp_path):
+        # version 6 had this layout without the weight's CRC at the header's end
+        state, _ = self._make_state(rng)
+        path = tmp_path / "v6.podc"
+        checkpoint(state, path, Tolerances())
+        blob = path.read_bytes()
+        payload = blob[8 : 8 + 88] + blob[8 + 92 : -4]
+        path.write_bytes(b"PODC" + struct.pack("<I", 6) + payload
+                         + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(FormatError, match="version 6"):
+            restore(path, state.M)
+
+    def test_weight_crc_checked(self, tmp_path):
+        # the checkpoint holds the CRC of its weight's lower entries: the
+        # same matrix, dense or as a band, restores; another weight of the
+        # same dimension, 4 M or M with one entry changed, is refused
+        M = build_weight_matrix(Mesh1D(20))
+        U = np.random.default_rng(7).standard_normal((M.dim, 30))
+        state = run_stream(iter(U.T), M, Tolerances(1e-6, 1e-6))
+        path = tmp_path / "c.podc"
+        checkpoint(state, path, Tolerances(1e-6, 1e-6))
+        dense = M.entries.toarray()
+        for same in (M, WeightMatrix(dense)):
+            restored, _ = restore(path, same)
+            assert restored.M is same and np.array_equal(restored.Q, state.Q)
+        changed = dense.copy()
+        changed[3, 3] = np.nextafter(changed[3, 3], np.inf)
+        for other in (WeightMatrix(4.0 * dense), WeightMatrix(changed)):
+            with pytest.raises(FormatError, match="another weight matrix"):
+                restore(path, other)
+        with pytest.raises(FormatError, match="dimension"):
+            restore(path, build_weight_matrix(Mesh1D(21)))
 
     @staticmethod
     def _open_run(rng, m=8, n=10):
@@ -367,13 +400,13 @@ class TestCheckpoint:
         assert state.j == 8 and state.W.shape == (2, 2)
         path = tmp_path / "run.podc"
         checkpoint(state, path, Tolerances(1e-8, 1e-8))
-        restored, tols = restore(path)
+        restored, tols = restore(path, state.M)
         assert restored.j == state.j and restored.D.shape == (state.k, RUN)
         assert np.array_equal(restored.D[:, : state.j], state.D[:, : state.j])
         assert np.array_equal(restored.W, state.W) and restored.n == state.n
         flush(restored, tols)
         flush(state, tols)
-        for name in ("Q", "sigma", "W"):  # the restored state has no weight to build V
+        for name in ("Q", "sigma", "W", "V"):  # the restored state carries its weight
             assert np.array_equal(getattr(restored, name), getattr(state, name)), name
 
     @staticmethod
@@ -402,7 +435,7 @@ class TestCheckpoint:
         checkpoint(state, path, Tolerances())
         self._forge_j(path, j)
         with pytest.raises(CorruptCheckpointError, match=match):
-            restore(path)
+            restore(path, state.M)
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, -0.0, float("nan")], ids=str)
     @pytest.mark.parametrize("at", [72, 80], ids=["tol", "tol_sv"])
@@ -416,7 +449,7 @@ class TestCheckpoint:
         payload = blob[8 : 8 + at] + struct.pack("<d", value) + blob[16 + at : -4]
         path.write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(CorruptCheckpointError, match="tolerances must be positive"):
-            restore(path)
+            restore(path, state.M)
 
     def test_rank_zero_roundtrip(self, tmp_path):
         # a state cut inside the leading zero columns: k = 0, W has 3 rows
@@ -426,7 +459,7 @@ class TestCheckpoint:
             update(state, np.zeros(4), M, Tolerances())
         path = tmp_path / "zero.podc"
         checkpoint(state, path, Tolerances())
-        restored, _ = restore(path)
+        restored, _ = restore(path, M)
         assert restored.k == 0 and restored.n == 3 and restored.e == 0.0
         assert restored.V.shape == (4, 0) and restored.W.shape == (3, 0)
 
@@ -445,7 +478,7 @@ class TestCheckpoint:
         payload = blob[8:32] + struct.pack("<QQ", k0, rows_p) + blob[48:-4]
         path.write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(CorruptCheckpointError):
-            restore(path)
+            restore(path, state.M)
 
     def test_w0_wider_than_wp_rejected(self, rng, tmp_path):
         # W0 (5, 4) multiplies the first four rows of Wp, which has three:
@@ -455,12 +488,12 @@ class TestCheckpoint:
         state = SvdState(
             Q=np.linalg.qr(rng.standard_normal((6, 3)))[0], sigma=np.array([3.0, 2.0, 1.0]),
             W0=rng.standard_normal((5, 4)), Wp=np.eye(3), n=5,
-            D=rng.standard_normal((3, RUN)), j=1,
+            D=rng.standard_normal((3, RUN)), j=1, M=WeightMatrix(np.eye(6)),
         )
         path = tmp_path / "c.podc"
         checkpoint(state, path, Tolerances())
         with pytest.raises(CorruptCheckpointError, match="Wp has 3 rows, W0 4 columns"):
-            restore(path)
+            restore(path, state.M)
 
     def test_payload_length_checked(self, rng, tmp_path):
         state, _ = self._make_state(rng)
@@ -470,7 +503,7 @@ class TestCheckpoint:
         payload = blob[8:-4] + b"\0\0\0"  # not a whole f64
         path.write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
         with pytest.raises(CorruptCheckpointError):
-            restore(path)
+            restore(path, state.M)
 
     @pytest.mark.parametrize(
         "where", ["before_fold", "on_fold", "after_fold", "in_run", "run_boundary", "growth"]
@@ -513,7 +546,7 @@ class TestCheckpoint:
         }.get(where, True)
         path = tmp_path / "mid.podc"
         checkpoint(half, path, tols)
-        resumed, tols2 = restore(path)
+        resumed, tols2 = restore(path, M)
         resumed = run_stream(iter(U.T), M, tols2, state=resumed)
 
         for s, name in ((direct, "direct"), (resumed, "resumed")):
@@ -544,7 +577,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("open_run", [False, True], ids=["closed", "open_run"])
     def test_bytes_equal_the_concatenated_payload(self, rng, tmp_path, open_run):
         # the file, written array by array with a running CRC, equals the
-        # payload built whole and its CRC
+        # payload built whole and its CRC; the header ends in the CRC of the
+        # weight's lower triplets, rows and columns as u64, then the values
         if open_run:
             state, _, _ = self._open_run(rng)
             assert state.j > 0
@@ -554,13 +588,19 @@ class TestCheckpoint:
         tols = Tolerances(1e-8, 1e-9)
         path = tmp_path / "c.podc"
         checkpoint(state, path, tols)
+        rows, cols = np.nonzero(np.tril(state.M.entries))
+        weight = b"".join(
+            np.asarray(a, dtype=t).tobytes()
+            for a, t in ((rows, "<u8"), (cols, "<u8"), (state.M.entries[rows, cols], "<f8"))
+        )
         payload = struct.pack(
-            "<QQQQQQdQQdd", state.Q.shape[0], state.n, state.k, state.W0.shape[1],
+            "<QQQQQQdQQddI", state.Q.shape[0], state.n, state.k, state.W0.shape[1],
             state.Wp.shape[0], state.j, state.e, state.T_p, state.T_sv, tols.tol, tols.tol_sv,
+            zlib.crc32(weight),
         )
         for a in (state.Q, state.sigma, state.W0, state.Wp, state.run):
             payload += np.ascontiguousarray(a, dtype="<f8").tobytes()
-        expected = b"PODC" + struct.pack("<I", 6) + payload + struct.pack("<I", zlib.crc32(payload))
+        expected = b"PODC" + struct.pack("<I", 7) + payload + struct.pack("<I", zlib.crc32(payload))
         assert path.read_bytes() == expected
 
     def test_requires_w(self, rng):

@@ -70,6 +70,21 @@ class TestWeightMatrix:
             with pytest.raises((TypeError, ValueError)):
                 WeightMatrix(sparse)
 
+    def test_lower_entries_of_a_band_match_the_dense_matrix(self, rng):
+        # by row, then column, zeros inside the band left out and entries
+        # past the matrix's end, band[d, m - d:], not read
+        m = 9
+        band = rng.standard_normal((4, m))
+        band[1, 2] = band[2, 4:] = band[3, :2] = 0.0
+        band[3, m - 3 :] = 7.0
+        dense = np.zeros((m, m))
+        for d in range(4):
+            dense[np.arange(d, m), np.arange(m - d)] = band[d, : m - d]
+        dense = np.tril(dense) + np.tril(dense, -1).T
+        for got, want in zip(WeightMatrix.from_band(band).lower_entries(),
+                             WeightMatrix(dense).lower_entries()):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_file_round_trip_keeps_the_file_and_csr_arrays(self, tmp_path, rng):
         built = build_weight_matrix(Mesh1D(60))
         write_weight_matrix(tmp_path / "fhn.wm", built)
