@@ -1,5 +1,5 @@
-"""LAPACK's band LU, dense and band Cholesky, triangular solves and in-place
-SVD, BLAS's symmetric rank-k update, and the thread count of the OpenBLAS in
+"""LAPACK's band LU, band Cholesky, band triangular solve and in-place SVD,
+BLAS's symmetric rank-k update, and the thread count of the OpenBLAS in
 numpy's wheels.
 
 numpy >= 2.0 wheels link ``numpy._core._multiarray_umath`` against
@@ -92,17 +92,6 @@ class BandLU:
         return self._b.copy()
 
 
-def potrf(a):
-    """``dpotrf`` with UPLO='L' on a Fortran-ordered copy of the SPD ``a``,
-    shape (m, m), as numpy's ``cholesky`` calls it. Returns L with
-    M = L L^T, C-ordered with a zero upper triangle as numpy's, and LAPACK's
-    info: 0, or j > 0 if the leading minor of order j is not positive."""
-    L, info = np.array(a, dtype=np.float64, order="F"), ctypes.c_int64()
-    m = L.shape[0]
-    _routine("dpotrf")(*_refs(b"L", m, L, max(m, 1), info), ctypes.c_size_t(1))
-    return np.ascontiguousarray(np.tril(L)), info.value
-
-
 def pbtrf(ab):
     """``dpbtrf`` on a copy of the lower band ``ab``, shape (kd + 1, m), of an
     SPD M. Returns the lower band of L with M = L L^T and LAPACK's info: 0,
@@ -113,22 +102,17 @@ def pbtrf(ab):
     return np.ascontiguousarray(L), info.value
 
 
-def trsv_lt(L, B, band):
+def trsv_lt(L, B):
     """X with L^T X = B, as a new Fortran-ordered array of B's shape, by one
-    LAPACK call: ``dtrtrs`` for a dense lower-triangular L, C-ordered (m, m),
-    or with ``band`` ``dtbtrs`` for the lower band of L, shape (kd + 1, m)
-    with ``band[d, j] = L[j + d, j]``. L must have a nonzero diagonal."""
-    X = np.array(B, dtype=np.float64, order="F")
-    m = X.shape[0]
+    ``dtbtrs`` on the lower band of L, shape (kd + 1, m) with
+    ``band[d, j] = L[j + d, j]``. L must have a nonzero diagonal."""
+    X, L = np.array(B, dtype=np.float64, order="F"), np.asfortranarray(L)
+    m, kd = X.shape[0], L.shape[0] - 1
     nrhs = 1 if X.ndim == 1 else X.shape[1]
     info = ctypes.c_int64()
-    if band:
-        L = np.asfortranarray(L)
-        name, a = "dtbtrs", (b"L", b"T", b"N", m, L.shape[0] - 1, nrhs, L, L.shape[0])
-    else:  # column-major, the C-ordered L is L^T: upper, not transposed
-        name, a = "dtrtrs", (b"U", b"N", b"N", m, nrhs, L, max(m, 1))
     strings = [ctypes.c_size_t(1)] * 3  # the hidden lengths of UPLO, TRANS and DIAG
-    _routine(name)(*_refs(*a, X, max(m, 1), info), *strings)
+    args = _refs(b"L", b"T", b"N", m, kd, nrhs, L, kd + 1, X, max(m, 1), info)
+    _routine("dtbtrs")(*args, *strings)
     if info.value:
         raise np.linalg.LinAlgError(f"triangular solve failed (info {info.value})")
     return X

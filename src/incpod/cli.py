@@ -269,6 +269,8 @@ def cmd_verify(args):
         m, n, seed = args.random
         if m < 1 or n < 1 or seed < 0:
             raise UsageError(f"--random needs M, N >= 1 and SEED >= 0, got {m} {n} {seed}")
+        if n > _MAX_COLUMNS:
+            raise UsageError(f"--random N is {n}, cap is {_MAX_COLUMNS}")
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((m, m))
         M = WeightMatrix(((A @ A.T) + (A @ A.T).T) / 2.0 + m * np.eye(m))

@@ -192,8 +192,8 @@ def write_weight_matrix(path, M):
 
 
 def read_weight_matrix(path):
-    """Parse the triplet format back into a sparse :class:`WeightMatrix`,
-    whose lower band the triplets fill. A repeated triplet is summed in file
+    """Parse the triplet format back into a :class:`WeightMatrix`, whose
+    lower band the triplets fill. A repeated triplet is summed in file
     order, as scipy's COO to CSR conversion does."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -257,8 +257,9 @@ _CKPT_HEAD = struct.Struct("<QQQQQQdQQddI")
 def _weight_crc(M):
     """CRC32 of the weight's nonzero lower entries, as the triplets of
     :func:`write_weight_matrix` list them: the 0-based rows and the columns
-    as little-endian u64, then the values as f64. A dense and a sparse
-    :class:`WeightMatrix` of the same matrix have the same CRC."""
+    as little-endian u64, then the values as f64. A :class:`WeightMatrix`
+    is its lower band however it was built, so one matrix has one CRC and
+    computes one set of bits under it."""
     rows, cols, vals = M.lower_entries()
     crc = zlib.crc32(rows.astype("<u8"))
     crc = zlib.crc32(cols.astype("<u8"), crc)
@@ -270,8 +271,8 @@ def checkpoint(state, path, tols):
     in, ``state.M``) so a stream can resume bitwise.
 
     The file is written to ``<path>.tmp``, flushed to disk and then renamed
-    over ``path``, so a failed write leaves the previous checkpoint intact
-    (and removes the ``.tmp`` file).
+    over ``path``, so a failed write or rename leaves the previous
+    checkpoint intact (and removes the ``.tmp`` file).
     """
     if state.Wp is None:
         raise ValueError("checkpointing requires the right singular vectors")
@@ -305,11 +306,11 @@ def checkpoint(state, path, tols):
             fh.write(struct.pack("<I", crc))
             fh.flush()
             os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
-    os.replace(tmp, path)
 
 
 def restore(path, M):

@@ -59,9 +59,9 @@ def exact_weighted_svd(U, M):
     """Core SVD of U in the M-inner product via S = L^T U.
 
     A standard SVD of S (LAPACK's ``dgesdd``, see :func:`_lapack.gesdd`) is
-    computed in place; its left factor is Q. S is Fortran-ordered when U is
-    and a sparse M's band computes it; otherwise (a C-ordered U, a dense M)
-    S is copied into Fortran order first. Singular values below
+    computed in place; its left factor is Q. S is Fortran-ordered when U is,
+    as M's band computes it; otherwise (a C-ordered U) S is copied into
+    Fortran order first. Singular values below
     1e-14 * sigma_1 are dropped together with their vectors. Q and W are
     copies of the kept columns, so that neither holds a whole factor alive.
     """

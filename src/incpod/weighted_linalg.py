@@ -4,15 +4,16 @@ All routines work with respect to a symmetric positive definite weight
 matrix M, i.e. the inner product (x, y)_M = y^T M x and the induced norm.
 With M's Cholesky factorization M = L L^T, these are the Euclidean inner
 product and norm of L^T x and L^T y: ``M.apply_lt(x)`` maps x there.
-M is a dense array or, for a sparse M (an FEM mass matrix), its lower
-band, which serves its products and its banded Cholesky factor.
+M is held as its lower band, whichever way it was built, which serves its
+products and its banded Cholesky factor, so that one matrix computes one
+set of bits.
 
 Everything here runs without scipy: products with M, the Cholesky factor
 with ``apply_lt``/``solve_lt``, ``small_svd`` and ``weighted_operator_norm``.
-The factor is one call of LAPACK's ``dpotrf`` (dense) or ``dpbtrf`` (band)
-from numpy's own OpenBLAS (see ``_lapack``). Only the scipy view that
-``entries`` returns for a sparse M, for callers outside the package (the
-benchmark's launcher), imports scipy.
+The factor is one call of LAPACK's band Cholesky ``dpbtrf`` from numpy's
+own OpenBLAS (see ``_lapack``). Only the scipy view that ``entries``
+returns, for callers outside the package (the benchmark's launcher),
+imports scipy.
 """
 
 from __future__ import annotations
@@ -44,15 +45,16 @@ class WeightMatrix:
         Symmetric matrix defining the inner product. Symmetry is checked
         exactly.
 
-    A sparse M is its lower band alone, in LAPACK's lower band storage
-    ``band[d, j] = M[j + d, j]``; :meth:`from_band` builds one without
-    scipy. It takes O(m * bandwidth) memory and work per product: FEM mass
-    matrices are tridiagonal per block, bandwidth one, but a single far
-    off-diagonal entry widens the whole band. ``matvec`` starts each row
-    from +0.0 and adds its diagonals in ascending column order, as scipy's
-    ``csr_matvec`` sums a row, so for a finite operand it equals
-    ``entries @ x`` bit for bit: a zero inside the band adds a signed zero,
-    which changes no finite sum.
+    M is held as its lower band alone, in LAPACK's lower band storage
+    ``band[d, j] = M[j + d, j]``, up to its last nonzero diagonal;
+    :meth:`from_band` builds one from the band, without a dense copy. It
+    takes O(m * bandwidth) memory and work per product: FEM mass matrices
+    are tridiagonal per block, bandwidth one, but a single far off-diagonal
+    entry widens the whole band, and a full M is a band of m diagonals.
+    ``matvec`` starts each row from +0.0 and adds its diagonals in
+    ascending column order, as scipy's ``csr_matvec`` sums a row, so for a
+    finite operand it equals ``entries @ x`` bit for bit: a zero inside the
+    band adds a signed zero, which changes no finite sum.
 
     Instances are immutable after construction (the cached factor is filled
     in lazily but never changes), so they are safe to share across threads.
@@ -68,14 +70,15 @@ class WeightMatrix:
             raise ValueError("weight matrix has non-finite entries")
         if entries.size and abs(entries - entries.T).max() != 0.0:
             raise ValueError("weight matrix is not symmetric")
-        self._m = entries.shape[0]
-        self._dense = entries
-        self._band = None
-        self._chol = None
+        m = entries.shape[0]
+        band = np.zeros((max(m, 1), m))
+        for d in range(m):
+            band[d, : m - d] = entries.diagonal(-d)
+        self._hold(band)
 
     @classmethod
     def from_band(cls, band):
-        """Sparse M from its lower band, a (bandwidth + 1, m) array with
+        """M from its lower band, a (bandwidth + 1, m) array with
         ``band[d, j] = M[j + d, j]``, without scipy. The entries past the
         matrix's end, ``band[d, m - d:]``, are not used but must be finite."""
         self = cls.__new__(cls)
@@ -84,28 +87,32 @@ class WeightMatrix:
             raise ValueError(f"a band has shape (bandwidth + 1, m), got {band.shape}")
         if not np.isfinite(band).all():
             raise ValueError("weight matrix has non-finite entries")
-        self._m = band.shape[1]
-        # stored zeros past the last nonzero diagonal are dropped, so the
-        # factor and the solves depend on the matrix's values alone
-        self._band = band[: np.flatnonzero(band.any(axis=1)).max(initial=0) + 1]
-        self._dense = None
-        self._chol = None
+        self._hold(band)
         return self
+
+    def _hold(self, band):
+        """Keep ``band``, a new float64 array, as M. Its entries past the
+        matrix's end and its signed zeros become +0.0, and its zero
+        diagonals past the last nonzero one are dropped, so that the band,
+        and with it the factor and every product, depends on the matrix's
+        values alone."""
+        m = band.shape[1]
+        for d in range(1, band.shape[0]):
+            band[d, m - d :] = 0.0
+        band += 0.0  # -0.0 + 0.0 is +0.0
+        self._m = m
+        self._band = band[: np.flatnonzero(band.any(axis=1)).max(initial=0) + 1]
+        self._chol = None
 
     @property
     def entries(self):
-        """The matrix: a dense array, or for a sparse M a new scipy CSR
-        matrix on each access, for callers outside this module."""
-        if self._band is None:
-            return self._dense
+        """The matrix as a new scipy CSR matrix on each access, for callers
+        outside this module."""
         return _band_to_scipy(self._band)
 
     def lower_entries(self):
         """The nonzero entries on and below the diagonal as (rows, cols,
         values), ordered by row, then column."""
-        if self._band is None:
-            rows, cols = np.nonzero(np.tril(self._dense))
-            return rows, cols, self._dense[rows, cols]
         # T[i, b - d] = M[i, i - d]: T's row-major order is by row, then column
         b, m = self._band.shape[0] - 1, self._m
         T = np.zeros((m, b + 1))
@@ -118,18 +125,12 @@ class WeightMatrix:
     def dim(self):
         return self._m
 
-    @property
-    def is_sparse(self):
-        return self._band is not None
-
     def matvec(self, x):
         """M @ x for x of shape (m,) or (m, w), equal to ``entries @ x`` bit
         for bit for a finite x."""
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[0] != self._m:
             raise ValueError(f"operand has shape {x.shape}, expected {self._m} rows")
-        if self._band is None:
-            return self._dense @ x
         m = self._m
         band = self._band if x.ndim == 1 else self._band[:, :, None]
         y = np.zeros(x.shape)
@@ -141,14 +142,12 @@ class WeightMatrix:
         return y
 
     def _factor(self):
-        """The Cholesky factor M = L L^T, computed on first use by one LAPACK
-        call: the dense L from ``dpotrf``, or for a sparse M the band of L,
-        ``band[d, j] = L[j + d, j]``, from ``dpbtrf`` at O(m * bandwidth^2).
-        LAPACK's info j > 0, a leading minor of order j that is not
-        positive, is the error's pivot j - 1."""
+        """The band of the Cholesky factor M = L L^T, ``band[d, j] =
+        L[j + d, j]``, computed on first use by one call of LAPACK's
+        ``dpbtrf`` at O(m * bandwidth^2). LAPACK's info j > 0, a leading
+        minor of order j that is not positive, is the error's pivot j - 1."""
         if self._chol is None:
-            dense = self._band is None
-            L, info = _lapack.potrf(self._dense) if dense else _lapack.pbtrf(self._band)
+            L, info = _lapack.pbtrf(self._band)
             if info:
                 raise NotPositiveDefiniteError(
                     f"weight matrix is not positive definite (leading minor of order {info})",
@@ -159,15 +158,13 @@ class WeightMatrix:
 
     def apply_lt(self, A, out=None):
         """Return L^T @ A, written into ``out``, a float64 array of A's shape
-        that does not overlap it, when one is given, else a new array. For a
-        sparse M row j is the sum of ``L[j + d, j] * A[j + d]`` over the
-        band's rows d, in ascending order as in a CSR product with L^T; a
-        new array has A's layout. A 2-D A is taken in tiles of at most
-        :data:`BLOCK` rows by BLOCK columns, so that no temporary is larger
-        than a tile; the tiles do not change the bits."""
+        that does not overlap it, when one is given, else a new array. Row j
+        is the sum of ``L[j + d, j] * A[j + d]`` over the band's rows d, in
+        ascending order as in a CSR product with L^T; a new array has A's
+        layout. A 2-D A is taken in tiles of at most :data:`BLOCK` rows by
+        BLOCK columns, so that no temporary is larger than a tile; the tiles
+        do not change the bits."""
         L = self._factor()
-        if self._band is None:
-            return np.matmul(L.T, A, out=out)
         A = np.asarray(A, dtype=np.float64)
         m = self._m
         if A.ndim == 1:
@@ -189,10 +186,9 @@ class WeightMatrix:
         return out
 
     def solve_lt(self, B):
-        """Solve L^T X = B by one LAPACK triangular solve, ``dtrtrs`` for a
-        dense M or ``dtbtrs`` on the band of L for a sparse one; X is a new
-        Fortran-ordered array of B's shape."""
-        return _lapack.trsv_lt(self._factor(), B, band=self._band is not None)
+        """Solve L^T X = B by one LAPACK band triangular solve, ``dtbtrs``
+        on the band of L; X is a new Fortran-ordered array of B's shape."""
+        return _lapack.trsv_lt(self._factor(), B)
 
 
 BLOCK = 128  # columns per block of the column-blocked products

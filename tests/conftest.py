@@ -21,6 +21,22 @@ def random_weight(rng, m, cond=10.0):
     return WeightMatrix(random_spd(rng, m, cond))
 
 
+def low_rank_stream(rng, m, n, rank=8, noise=1e-7):
+    """(m, n) columns of rank ``rank`` plus small noise, so that a stream
+    of them both grows and truncates."""
+    U = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    return U + noise * rng.standard_normal((m, n))
+
+
+def state_bits(state):
+    """Everything a streamed state carries on, as shapes and bytes: its
+    factors, the open run and its counters."""
+    arrays = (state.Q, state.sigma, state.W0, state.Wp, state.run)
+    return [(a.shape, a.tobytes()) for a in arrays] + [
+        (state.n, state.j, state.e, state.T_p, state.T_sv)
+    ]
+
+
 def m_unit_vector(rng, M):
     """Random vector with M-norm one: with M = L L^T, the M-norm of v is
     the 2-norm of L^T v."""

@@ -106,6 +106,15 @@ class TestUsageErrors:
     def test_bad_random_instance(self, tmp_path, args):
         assert main(["verify", "--output", str(tmp_path / "v"), "--random", *args]) == 1
 
+    def test_random_instance_over_the_column_cap(self, tmp_path, monkeypatch):
+        # refused before U or S is allocated: an m x 20,001 U would be 16 GB
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before refusing")
+
+        monkeypatch.setattr(np.random, "default_rng", no_allocation)
+        argv = ["verify", "--output", str(tmp_path / "v"), "--random", "100000", "20001", "0"]
+        assert main(argv) == 1
+
     @pytest.mark.parametrize("flag", [["--checkpoint-every", "5"], ["--resume", "x.podc"]],
                              ids=["checkpoint_every", "resume"])
     def test_no_w_cannot_checkpoint(self, fhn_prefix, tmp_path, flag):

@@ -24,7 +24,7 @@ from incpod.io_formats import (
 )
 from incpod.weighted_linalg import WeightMatrix
 
-from conftest import m_orthonormal_columns, random_weight
+from conftest import low_rank_stream, m_orthonormal_columns, random_spd, random_weight, state_bits
 
 
 class TestStream:
@@ -215,7 +215,7 @@ class TestWeightMatrixFormat:
         return "".join(lines)
 
     def test_bytes_equal_the_coo_listing(self, rng, tmp_path):
-        dense = random_weight(rng, 12).entries.copy()
+        dense = random_weight(rng, 12).entries.toarray()
         dense[3, 1] = dense[1, 3] = -0.0  # a signed zero is not an entry
         band = np.array([rng.uniform(2.0, 3.0, 9), rng.uniform(-1, 1, 9), np.zeros(9)])
         band[1, 4] = -0.0
@@ -386,6 +386,18 @@ class TestCheckpoint:
                 restore(path, other)
         with pytest.raises(FormatError, match="dimension"):
             restore(path, build_weight_matrix(Mesh1D(21)))
+
+    def test_dense_weight_resumes_under_its_file(self, rng, tmp_path):
+        # a checkpoint made under WeightMatrix(dense) resumes under the
+        # weight read from its file to the bits of an uninterrupted run
+        dense = random_spd(rng, 40, cond=1e3)
+        write_weight_matrix(tmp_path / "M.wm", WeightMatrix(dense))
+        M = read_weight_matrix(tmp_path / "M.wm")
+        U, tols = low_rank_stream(rng, 40, 200), Tolerances(1e-6, 1e-6)
+        path = tmp_path / "c.podc"
+        checkpoint(run_stream(iter(U[:, :100].T), WeightMatrix(dense), tols), path, tols)
+        resumed = run_stream(iter(U.T), M, tols, state=restore(path, M)[0])
+        assert state_bits(resumed) == state_bits(run_stream(iter(U.T), M, tols))
 
     @staticmethod
     def _open_run(rng, m=8, n=10):
@@ -574,6 +586,15 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert not (tmp_path / "c.podc.tmp").exists()
 
+    def test_failed_rename_leaves_no_tmp_file(self, rng, tmp_path):
+        # the target is a directory, so the rename over it fails
+        state, _ = self._make_state(rng)
+        path = tmp_path / "x.podc"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError):
+            checkpoint(state, path, Tolerances())
+        assert path.is_dir() and not (tmp_path / "x.podc.tmp").exists()
+
     @pytest.mark.parametrize("open_run", [False, True], ids=["closed", "open_run"])
     def test_bytes_equal_the_concatenated_payload(self, rng, tmp_path, open_run):
         # the file, written array by array with a running CRC, equals the
@@ -588,10 +609,11 @@ class TestCheckpoint:
         tols = Tolerances(1e-8, 1e-9)
         path = tmp_path / "c.podc"
         checkpoint(state, path, tols)
-        rows, cols = np.nonzero(np.tril(state.M.entries))
+        dense = state.M.entries.toarray()
+        rows, cols = np.nonzero(np.tril(dense))
         weight = b"".join(
             np.asarray(a, dtype=t).tobytes()
-            for a, t in ((rows, "<u8"), (cols, "<u8"), (state.M.entries[rows, cols], "<f8"))
+            for a, t in ((rows, "<u8"), (cols, "<u8"), (dense[rows, cols], "<f8"))
         )
         payload = struct.pack(
             "<QQQQQQdQQddI", state.Q.shape[0], state.n, state.k, state.W0.shape[1],

@@ -89,8 +89,8 @@ class TestExactWeightedSvd:
             U, M = fhn_small
         else:
             U, M = rng.standard_normal((30, 45)), random_weight(rng, 30)
-        dense = M.entries.toarray() if M.is_sparse else M.entries
-        expected = scipy.linalg.svdvals(scipy.linalg.cholesky(dense, lower=True).T @ U)
+        L = scipy.linalg.cholesky(M.entries.toarray(), lower=True)
+        expected = scipy.linalg.svdvals(L.T @ U)
         ex = exact_weighted_svd(U, M)
         assert np.max(np.abs(ex.sigma - expected[: ex.k])) <= 1e-14 * expected[0]
 

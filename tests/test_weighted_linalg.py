@@ -12,6 +12,7 @@ from incpod.errors import (
     RankDeficientError,
 )
 from incpod.fhn import Mesh1D, build_weight_matrix
+from incpod.incremental import Tolerances, run_stream
 from incpod.io_formats import read_weight_matrix, write_weight_matrix
 from incpod.weighted_linalg import (
     BLOCK,
@@ -23,7 +24,7 @@ from incpod.weighted_linalg import (
     weighted_operator_norm,
 )
 
-from conftest import random_spd, random_weight
+from conftest import low_rank_stream, random_spd, random_weight, state_bits
 
 
 class TestWeightMatrix:
@@ -58,10 +59,11 @@ class TestWeightMatrix:
                 WeightMatrix(np.diag([value, 1.0]))
 
     def test_sparse_input_kept_sparse(self):
-        M = WeightMatrix.from_band(np.ones((1, 5)))
-        assert M.is_sparse
-        assert M.dim == 5
-        assert not WeightMatrix(np.eye(5)).is_sparse
+        # a dense M is held as its band too, down to its last nonzero diagonal
+        band = np.vstack([np.ones(5), np.zeros((2, 5))])
+        for M in (WeightMatrix.from_band(band), WeightMatrix(np.eye(5))):
+            assert M.dim == 5 and M._band.shape == (1, 5)
+            assert np.array_equal(M.entries.toarray(), np.eye(5))
 
     def test_scipy_matrix_is_refused(self):
         # numpy's own conversion refuses a scipy matrix, so that it is never
@@ -96,6 +98,37 @@ class TestWeightMatrix:
             assert x.tobytes() == y.tobytes()
         for x in (rng.standard_normal(built.dim), rng.standard_normal((built.dim, 40))):
             assert built.matvec(x).tobytes() == read.matvec(x).tobytes()
+
+    @pytest.mark.parametrize("weight", ["fem", "dense"])
+    def test_one_matrix_computes_one_set_of_bits(self, tmp_path, rng, weight):
+        # the FEM weight and a dense random SPD, each built from its
+        # entries, from its band and from its file: the factor, every
+        # product and a stream under it have the same bits. The band holds
+        # all m diagonals, its zeros signed (as the FEM weight's zero
+        # coupling of its two blocks) and junk past the matrix's end
+        if weight == "fem":
+            dense = build_weight_matrix(Mesh1D(50)).entries.toarray()
+        else:
+            dense = random_spd(rng, 60, cond=1e3)
+        m = len(dense)
+        band = lower_band(dense, m - 1)
+        band[band == 0.0] = -0.0
+        band[1:, -1] = 7.0
+        write_weight_matrix(tmp_path / "M.wm", WeightMatrix(dense))
+        ways = (WeightMatrix(dense), WeightMatrix.from_band(band),
+                read_weight_matrix(tmp_path / "M.wm"))
+        A, U = rng.standard_normal((m, 7)), low_rank_stream(rng, m, 300)
+        tols = Tolerances(1e-6, 1e-6)
+
+        def bits(M):
+            products = (M._factor(), M.apply_lt(A), M.apply_lt(A[:, 0]), M.solve_lt(A),
+                        M.solve_lt(A[:, 0]), M.matvec(A), M.matvec(A[:, 0]), *M.lower_entries())
+            state = run_stream(iter(U.T), M, tols)
+            return [(a.shape, a.tobytes()) for a in products] + state_bits(state)
+
+        first = bits(ways[0])
+        for M in ways[1:]:
+            assert bits(M) == first
 
     def test_apply_lt_into_out(self, rng):
         # the product written into a given array, whatever it held and in
