@@ -34,10 +34,13 @@ def _routine(name):
 
 
 def set_num_threads(count):
-    """Run the BLAS of numpy's OpenBLAS on ``count`` threads from now on.
-    How a product is split between threads can change its bits, so a
-    caller that fixes the count gets the same bits in any environment."""
-    _symbol("scipy_openblas_set_num_threads64_")(ctypes.c_int(count))
+    """Run the BLAS of numpy's OpenBLAS on ``count`` threads from now on, and
+    return the count before, for the caller to restore. How a product is
+    split between threads can change its bits, so a caller that fixes the
+    count gets the same bits in any environment."""
+    setter, before = _symbol("scipy_openblas_set_num_threads64_"), get_num_threads()
+    setter(ctypes.c_int(count))
+    return before
 
 
 def get_num_threads():

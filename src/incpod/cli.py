@@ -4,16 +4,17 @@ Paths are prefix-based: ``simulate --output runs/fhn`` writes
 ``runs/fhn.pods`` (snapshot stream) and ``runs/fhn.wm`` (weight matrix);
 the other subcommands read the same pair via ``--input``.
 
-Exit codes: 0 success, 1 usage, 2 data/format error, 3 numerical failure,
-4 environment error (numpy's OpenBLAS lacks a LAPACK routine).
+Exit codes: 0 success, 1 usage (``verify --random`` refuses M above 4,000
+and N above 20,000), 2 data/format error, 3 numerical failure, 4
+environment error (numpy's OpenBLAS lacks a LAPACK routine).
 
 Every subcommand runs on numpy alone: ``simulate``'s band LU, the weight's
 Cholesky factor and the oracle's exact SVD call the LAPACK in numpy's own
-OpenBLAS. ``pod``, ``verify`` and ``report`` set that OpenBLAS to one
-thread before they compute, so that their outputs do not depend on the
-environment's thread settings. ``pod`` streams in the Cholesky factor of
-the weight matrix, so a weight that is not positive definite fails there
-too (exit 3).
+OpenBLAS. ``main`` runs a subcommand with that OpenBLAS on one thread, so
+that its outputs do not depend on the environment's thread settings, and
+gives the caller's thread count back when it returns. ``pod`` streams in
+the Cholesky factor of the weight matrix, so a weight that is not positive
+definite fails there too (exit 3).
 
 With two usable cores, ``verify`` shares its
 nine tolerance cells with the one worker of a forked process pool (see
@@ -89,6 +90,7 @@ _POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
 _NODES = _checked(int, lambda v: v >= 2, "at least 2")
 _NONNEGATIVE = _checked(int, lambda v: v >= 0, "nonnegative")
 _MAX_COLUMNS = 20000  # the columns verify and report hold in memory at most
+_MAX_RANDOM_ROWS = 4000  # verify --random's dense M x M weight: 0.54 GB peak at N = 10
 
 
 def build_parser():
@@ -198,9 +200,6 @@ def cmd_pod(args):
     M, reader = _load_inputs(args)
     tols = Tolerances(args.tol, args.tol_sv)
     ckpt_path = args.output + ".podc"
-    # a block projection's bits depend on how its products are split
-    # between threads: one thread makes them the same everywhere
-    _lapack.set_num_threads(1)
     state = None
     with reader:
         if args.resume:
@@ -262,13 +261,12 @@ def _distinct_prefix(sigma, k):
 
 
 def cmd_verify(args):
-    # one thread: the sweep's bits do not depend on the environment, and
-    # its cells can share the cores in a forked worker instead
-    _lapack.set_num_threads(1)
     if args.random:
         m, n, seed = args.random
         if m < 1 or n < 1 or seed < 0:
             raise UsageError(f"--random needs M, N >= 1 and SEED >= 0, got {m} {n} {seed}")
+        if m > _MAX_RANDOM_ROWS:
+            raise UsageError(f"--random M is {m}, cap is {_MAX_RANDOM_ROWS}")
         if n > _MAX_COLUMNS:
             raise UsageError(f"--random N is {n}, cap is {_MAX_COLUMNS}")
         rng = np.random.default_rng(seed)
@@ -310,7 +308,6 @@ def cmd_verify(args):
 
 
 def cmd_report(args):
-    _lapack.set_num_threads(1)
     M, U = _load_inputs(args, materialize=True)
     tols = Tolerances(args.tol, args.tol_sv)
     rows = tolerance_sweep(U, M, [tols])
@@ -361,7 +358,10 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    threads = None
     try:
+        # one thread: the same bits in any environment (module docstring)
+        threads = _lapack.set_num_threads(1)
         return _DISPATCH[args.subcommand](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -382,6 +382,9 @@ def main(argv=None):
     except LapackUnavailableError as exc:
         print(f"environment error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if threads is not None:
+            _lapack.set_num_threads(threads)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from incpod import cli
+from incpod import _lapack, cli
 from incpod.cli import main
 from incpod.errors import InvalidInputError
 from incpod.fhn import Mesh1D, build_weight_matrix
@@ -115,11 +115,38 @@ class TestUsageErrors:
         argv = ["verify", "--output", str(tmp_path / "v"), "--random", "100000", "20001", "0"]
         assert main(argv) == 1
 
+    @pytest.mark.parametrize("m", ["4001", "1000000"])
+    def test_random_instance_over_the_row_cap(self, tmp_path, monkeypatch, m):
+        # refused before the M x M weight is allocated: at M = 10^6 it
+        # would be 8 TB
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before refusing")
+
+        monkeypatch.setattr(np.random, "default_rng", no_allocation)
+        argv = ["verify", "--output", str(tmp_path / "v"), "--random", m, "10", "0"]
+        assert main(argv) == 1
+
     @pytest.mark.parametrize("flag", [["--checkpoint-every", "5"], ["--resume", "x.podc"]],
                              ids=["checkpoint_every", "resume"])
     def test_no_w_cannot_checkpoint(self, fhn_prefix, tmp_path, flag):
         out = str(tmp_path / "p")
         assert main(["pod", "--input", fhn_prefix, "--output", out, "--no-w", *flag]) == 1
+
+
+def test_main_gives_the_blas_threads_back(fhn_prefix, tmp_path, monkeypatch):
+    # main runs a subcommand on one BLAS thread; the caller's count is back
+    # when it returns, on success and on an error raised after the pin
+    before = _lapack.get_num_threads()
+    _lapack.set_num_threads(2)
+    try:
+        out = str(tmp_path / "v")
+        assert main(["verify", "--random", "20", "10", "0", "--output", out]) == 0
+        assert _lapack.get_num_threads() == 2
+        monkeypatch.setattr(cli, "_MAX_COLUMNS", 3)
+        assert main(["verify", "--input", fhn_prefix, "--output", out]) == 2
+        assert _lapack.get_num_threads() == 2
+    finally:
+        _lapack.set_num_threads(before)
 
 
 class TestSimulate:
@@ -234,6 +261,32 @@ class TestPod:
 
         for suffix in (".podc", "_eigenvalues.csv", "_trace.csv"):
             assert Path(part_out + suffix).read_bytes() == Path(full_out + suffix).read_bytes()
+
+    def test_resume_bitwise_across_reorthogonalizations(self, tmp_path):
+        # at tol 1e-300 the drift probe fires on nearly every column, before
+        # the cut and after it: the reorthogonalized Q that the interrupted
+        # run checkpoints, and the one the resumed run goes on from, give the
+        # bytes of an uninterrupted run
+        M = build_weight_matrix(Mesh1D(30))
+        U = np.random.default_rng(0).standard_normal((M.dim, 120))
+        tols = ["--tol", "1e-300", "--tol-sv", "1e-300"]
+        fired = []
+        run_stream(iter(U.T), M, Tolerances(1e-300, 1e-300),
+                   on_column=lambda s, rep: rep.reorthogonalized and fired.append(s.n))
+        cut = 61
+        assert min(fired) < cut < max(fired)
+        data, part = str(tmp_path / "data"), str(tmp_path / "part")
+        write_weight_matrix(data + ".wm", M)
+        write_weight_matrix(part + ".wm", M)
+        write_stream(data + ".pods", np.arange(120.0), np.ones(120), U)
+        write_stream(part + ".pods", np.arange(120.0)[:cut], np.ones(cut), U[:, :cut])
+        full, resumed = str(tmp_path / "full"), str(tmp_path / "resumed")
+        assert main(["pod", "--input", data, "--output", full, *tols]) == 0
+        assert main(["pod", "--input", part, "--output", resumed, *tols]) == 0
+        assert main(["pod", "--input", data, "--output", resumed, *tols,
+                     "--resume", resumed + ".podc"]) == 0
+        for suffix in (".podc", "_eigenvalues.csv", "_trace.csv"):
+            assert Path(resumed + suffix).read_bytes() == Path(full + suffix).read_bytes()
 
     @pytest.mark.parametrize("left_trace", ["none", "other_run", "past_checkpoint"])
     def test_resumed_trace(self, fhn_prefix, tmp_path, left_trace):
@@ -572,9 +625,13 @@ class TestBlockPod:
                     raise Stop
 
             M = read_weight_matrix(block_prefix + ".wm")
-            with StreamReader(block_prefix + ".pods") as reader, pytest.raises(Stop):
-                run_stream((c for _, _, c in reader), M, Tolerances(1e-9, 1e-9),
-                           on_column=on_column)
+            before = _lapack.set_num_threads(1)  # as pod streams, for pod's bits
+            try:
+                with StreamReader(block_prefix + ".pods") as reader, pytest.raises(Stop):
+                    run_stream((c for _, _, c in reader), M, Tolerances(1e-9, 1e-9),
+                               on_column=on_column)
+            finally:
+                _lapack.set_num_threads(before)
             # its trace ran to n; the rows past it are dropped on resume
             shutil.copy(full + "_trace.csv", out + "_trace.csv")
         state, _ = restore(out + ".podc", read_weight_matrix(block_prefix + ".wm"))

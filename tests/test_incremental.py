@@ -711,35 +711,30 @@ class TestRuns:
             assert np.array_equal(getattr(free, name), getattr(reported, name)), name
         assert (free.e, free.T_p, free.T_sv) == (reported.e, reported.T_p, reported.T_sv)
 
-    def test_no_product_with_m_outside_the_reorthogonalization(self, rng, monkeypatch):
-        # growth, runs, blocks and flushes, and V built at the end, meet M
-        # only through L^T and its solve; a drifted basis is reorthogonalized
-        # by Gram-Schmidt, which alone calls matvec
+    def test_stream_makes_no_product_with_m(self, rng, monkeypatch):
+        # growth, runs, blocks and flushes, V built at the end and the
+        # reorthogonalization of a drifted basis (one QR of Q) meet M only
+        # through L^T and its solve
         M = random_weight(rng, 20)
         U = run_data(rng, M)
         inc = incpod.incremental
-        calls, inside = [], []
-        matvec, mgs = WeightMatrix.matvec, inc.modified_gram_schmidt_weighted
-
-        def counted(self, *a, **kw):
-            calls.append(bool(inside))
-            return matvec(self, *a, **kw)
+        calls, reorthogonalized = [], []
+        qr = inc.modified_gram_schmidt_weighted
 
         def reorthogonalize(*a):
-            inside.append(1)
-            try:
-                return mgs(*a)
-            finally:
-                inside.pop()
+            reorthogonalized.append(1)
+            return qr(*a)
 
-        monkeypatch.setattr(WeightMatrix, "matvec", counted)
+        monkeypatch.setattr(WeightMatrix, "matvec", lambda *a: calls.append(a))
         monkeypatch.setattr(inc, "modified_gram_schmidt_weighted", reorthogonalize)
         s = flush(run_stream(iter(U[:, :150].T), M, RUN_TOLS), RUN_TOLS)
         pod_output(s)
-        assert s.T_p > 50 and s.k == 6 and calls == []
+        assert s.T_p > 50 and s.k == 6 and not reorthogonalized
         s.Q[:, -1] += 1e-6 * s.Q[:, 0]
         s = flush(run_stream(iter(U.T), M, RUN_TOLS, state=s), RUN_TOLS)
-        assert calls and all(calls)
+        pod_output(s)
+        assert reorthogonalized and calls == []
+        assert np.max(np.abs(s.Q.T @ s.Q - np.eye(s.k))) <= 1e-14
 
     def test_open_run_is_refused(self, rng):
         M = random_weight(rng, 8)

@@ -314,8 +314,10 @@ def test_syrk_needs_a_c_ordered_gram_matrix(rng):
 def test_thread_count_reads_back_what_was_set():
     before = _lapack.get_num_threads()
     try:
+        previous = before
         for count in (2, 1):
-            _lapack.set_num_threads(count)
+            assert _lapack.set_num_threads(count) == previous  # the count it replaced
             assert _lapack.get_num_threads() == count
+            previous = count
     finally:
         _lapack.set_num_threads(before)

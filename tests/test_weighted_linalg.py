@@ -367,6 +367,34 @@ class TestModifiedGramSchmidt:
             modified_gram_schmidt_weighted(np.column_stack([v, v]), M)
         assert exc.value.column == 1
 
+    def test_is_the_gram_schmidt_basis(self, rng):
+        # result^T M V = R upper triangular with a positive diagonal: column
+        # i of the result spans what column i of V adds to the ones before it
+        M = random_weight(rng, 25, cond=1e3)
+        V = rng.standard_normal((25, 7)) * np.geomspace(1.0, 1e-6, 7)
+        Q = modified_gram_schmidt_weighted(V, M)
+        R = Q.T @ M.entries @ V
+        scale = np.abs(V).max(axis=0)
+        assert Q.flags.c_contiguous and Q.shape == V.shape
+        assert np.max(np.abs(np.tril(R, -1)) / scale) <= 1e-13
+        assert np.all(np.diag(R) > 0.0)
+        assert m_orthonormality_defect(Q, M) <= 1e-14
+
+    @pytest.mark.parametrize("i", [0, 2, 4])
+    def test_zero_column_is_named(self, rng, i):
+        M = random_weight(rng, 12)
+        V = rng.standard_normal((12, 5))
+        V[:, i] = 0.0
+        with pytest.raises(RankDeficientError) as exc:
+            modified_gram_schmidt_weighted(V, M)
+        assert exc.value.column == i
+
+    def test_more_columns_than_rows(self, rng):
+        M = random_weight(rng, 6)
+        with pytest.raises(RankDeficientError) as exc:
+            modified_gram_schmidt_weighted(rng.standard_normal((6, 9)), M)
+        assert exc.value.column == 6
+
 
 class TestSmallSvd:
     def test_diagonal(self):
